@@ -216,6 +216,29 @@ def neighbor_locality(params: DVirParams, module: FockModule, r: int, s: int) ->
     return LocalityDatum(a, b, ((b, a, minus_one),), standard_annihilator(params, r, s))
 
 
+def commutator_grid(params: DVirParams, C: CovariantStructure, flavors, basis, box: dict,
+                    zorder: int, ceiling: int, margin: int):
+    """The covariant commutator formula for every flavor pair (r, s) of the
+    realization ``C`` with the minimal annihilator, on every basis vector and a
+    shift window two beyond the annihilator's roots.
+
+    Yields (r, s, w, want, (ok, counterexample, contributing)) with ``want``
+    the sorted shifts whose kernels the formula must produce.
+    """
+    minus_one = FactoredRational(-params.field.one())
+    for r in flavors:
+        for s in flavors:
+            a, b = C.realize(r), C.realize(s)
+            L = LocalityDatum(a, b, ((b, a, minus_one),),
+                              standard_annihilator(params, r, s, with_extra=False))
+            want = sorted([s + 1 - r, s - 1 - r])
+            Cw = CovariantStructure(C.realize, C.chi, want[0] - 2, want[1] + 2)
+            for w in basis:
+                yield r, s, w, want, commutator_formula_check(
+                    L, Cw, w, box, zorder, ceiling, ceiling, margin=margin
+                )
+
+
 def theorem58_suite(
     params: DVirParams,
     flavor_lo: int = -2,
@@ -254,27 +277,13 @@ def theorem58_suite(
 
     ok_all, detail = True, None
     box = {"x1": (-hi, hi), "x2": (-hi, hi)}
-    for r in range(flavor_lo, flavor_hi + 1):
-        for s in range(flavor_lo, flavor_hi + 1):
-            Lmin = LocalityDatum(
-                FieldOperator(module, "T", fld.p_power(r)),
-                FieldOperator(module, "T", fld.p_power(s)),
-                ((FieldOperator(module, "T", fld.p_power(s)), FieldOperator(module, "T", fld.p_power(r)), FactoredRational(-fld.one())),),
-                standard_annihilator(params, r, s, with_extra=False),
-            )
-            want = sorted([s + 1 - r, s - 1 - r])
-            Cw = CovariantStructure(C.realize, C.chi, want[0] - 2, want[1] + 2)
-            for w in basis:
-                ok, ce, contrib = commutator_formula_check(
-                    Lmin, Cw, w, box, zorder, hi + 2, hi + 2, margin=margin
-                )
-                got = sorted(nn for nn, _, _ in contrib)
-                if not ok or got != want:
-                    ok_all, detail = False, (r, s, repr(w), ce, got, want)
-                    break
-            if not ok_all:
-                break
-        if not ok_all:
+    flavors = range(flavor_lo, flavor_hi + 1)
+    for r, s, w, want, (ok, ce, contrib) in commutator_grid(
+        params, C, flavors, basis, box, zorder, hi + 2, margin
+    ):
+        got = sorted(nn for nn, _, _ in contrib)
+        if not ok or got != want:
+            ok_all, detail = False, (r, s, repr(w), ce, got, want)
             break
     results.append(("anticommutator-delta-kernel", ok_all, detail))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .distributions import DeltaSum, DeltaTerm, laurent_annihilator
 from .fock import FockModule, FockVector
@@ -244,22 +245,20 @@ class YeModes:
         return acc
 
 
-def ye_from_product(
-    prod: TruncatedSeries,
-    p: FactoredRational,
-    zorder: int,
-    margin: int = 2,
-    xvar: str = "x",
-) -> YeModes:
-    """Mode split of p(e^z)^(-1) (p(x1/x) P)|_{x1 = x e^z} for a precomputed
-    two-field product P on its box."""
-    F = laurent_annihilator(p, "x1", xvar) * prod
+def _certified_floor(F: TruncatedSeries, xvar: str, margin: int) -> TruncatedSeries:
+    """F = p(x1/x) P with its certified quadrant corner asserted as a support
+    floor; raises CompatibilityError unless the verdict on the box is positive."""
     verdict = quadrant_verdict(F, "x1", xvar, margin)
     if verdict.status != "compatible":
         raise CompatibilityError(f"{verdict.status} on box {verdict.box}: {verdict.witness}")
     if verdict.bound is not None:
         F = F.assert_support_floor({"x1": verdict.bound[0], xvar: verdict.bound[1]})
-    G = subst_exp(F.untagged(), "x1", xvar, "z", zorder)
+    return F
+
+
+def _z_modes(G: TruncatedSeries, p: FactoredRational, zorder: int, xvar: str) -> YeModes:
+    """Divide a (z, x) series by p(e^z) = z^k * unit and slice it into the
+    modes n_min..k-1, mode n being the coefficient of z^(-n-1)."""
     k, unit = p.exp_arg_dict(zorder)
     inv = invert_unit_1v(unit, zorder)
     inv_series = TruncatedSeries(
@@ -269,17 +268,27 @@ def ye_from_product(
     zi = H.vars.index("z")
     xi = H.vars.index(xvar)
     slices: dict = {}
-    zhi = H.win("z")[1]
     for e, c in H.coeffs.items():
         slices.setdefault(-e[zi] - 1, {})[(e[xi],)] = c
-    modes = {}
-    n_min = int(-zhi - 1)
-    for n in range(n_min, k):
-        coeffs = slices.get(n, {})
-        modes[n] = TruncatedSeries(
-            (xvar,), coeffs, {xvar: H.win(xvar)}, {xvar: H.sup(xvar)}
-        )
+    n_min = int(-H.win("z")[1] - 1)
+    modes = {
+        n: TruncatedSeries((xvar,), slices.get(n, {}), {xvar: H.win(xvar)}, {xvar: H.sup(xvar)})
+        for n in range(n_min, k)
+    }
     return YeModes(modes, k, n_min, xvar)
+
+
+def ye_from_product(
+    prod: TruncatedSeries,
+    p: FactoredRational,
+    zorder: int,
+    margin: int = 2,
+    xvar: str = "x",
+) -> YeModes:
+    """Mode split of p(e^z)^(-1) (p(x1/x) P)|_{x1 = x e^z} for a precomputed
+    two-field product P on its box."""
+    F = _certified_floor(laurent_annihilator(p, "x1", xvar) * prod, xvar, margin)
+    return _z_modes(subst_exp(F.untagged(), "x1", xvar, "z", zorder), p, zorder, xvar)
 
 
 def ye_product(
@@ -430,24 +439,7 @@ def residue_ye(
         return acc
 
     bracket = _residue_plus(F.untagged(), "x1", xvar, "z", zorder) - minus_side("z", zorder)
-    k, unit = p.exp_arg_dict(zorder)
-    inv = invert_unit_1v(unit, zorder)
-    inv_series = TruncatedSeries(
-        ("z",), {(e,): c for e, c in inv.items()}, {"z": (NEG_INF, zorder)}, {"z": (0, INF)}
-    )
-    H = (bracket * inv_series).shifted(z=-k)
-    zi = H.vars.index("z")
-    xi = H.vars.index(xvar)
-    slices: dict = {}
-    for e, c in H.coeffs.items():
-        slices.setdefault(-e[zi] - 1, {})[(e[xi],)] = c
-    zhi = H.win("z")[1]
-    modes = {}
-    n_min = int(-zhi - 1)
-    for n in range(n_min, k):
-        modes[n] = TruncatedSeries(
-            (xvar,), slices.get(n, {}), {xvar: H.win(xvar)}, {xvar: H.sup(xvar)}
-        )
+    modes = _z_modes(bracket, p, zorder, xvar)
     # z-free residue evaluation: the top-mode closed form
     top = _residue_plus(F.untagged(), "x1", xvar, "z0", 0) - minus_side("z0", 0)
     txi = top.vars.index(xvar)
@@ -455,7 +447,7 @@ def residue_ye(
     top_series = TruncatedSeries(
         (xvar,), top_coeffs, {xvar: top.win(xvar)}, {xvar: (NEG_INF, INF)}
     )
-    return YeModes(modes, k, n_min, xvar), top_series
+    return modes, top_series
 
 
 def modes_agree(y1: YeModes, y2: YeModes):
@@ -562,6 +554,43 @@ def scaled_mode_extract(
     return terms, agreements
 
 
+def _commutator_kernels(
+    L: LocalityDatum, C: CovariantStructure, base: TruncatedSeries, zorder: int, margin: int
+) -> list:
+    """Delta kernels of the covariant commutator formula for the product
+    ``base`` = a(x1) b(x2) w, as [(shift, character, [DeltaTerm, ...])].
+
+    The shift by g rescales x1: pg(x1/x2) = p(chi(g) x1/x2), so its product
+    is F0 = p(x1/x2) base with the cell at x1-exponent i multiplied by
+    chi(g)^i.  That keeps the support, hence the compatibility verdict, which
+    is therefore decided once on F0.  Only shifts whose character is a root
+    of p, of order k, carry kernels; they read the modes j < k, which need
+    z-order k - 1.  ``zorder`` caps that z-order.
+    """
+    p = L.annihilator
+    F0 = _certified_floor(laurent_annihilator(p, "x1", "x2") * base, "x2", margin)
+    kernels = []
+    for n in C.shifts():
+        chi = C.chi(n)
+        k = p.order_at(chi)
+        if k <= 0:
+            continue
+        if k - 1 > zorder:
+            raise InsufficientWindow(
+                f"shift {n}: a zero of order {k} needs z-order {k - 1}, above the cap {zorder}"
+            )
+        G = subst_exp(var_scaled(F0, "x1", chi).untagged(), "x1", "x2", "z", k - 1)
+        ye = _z_modes(G, p.scale_arg(chi), k - 1, "x2")
+        terms = [
+            DeltaTerm(chi, j, ye.modes[j].scaled(Fraction(1, factorial(j))))
+            for j in range(k)
+            if not ye.modes[j].is_zero_series()
+        ]
+        if terms:
+            kernels.append((n, chi, terms))
+    return kernels
+
+
 def commutator_formula_check(
     L: LocalityDatum,
     C: CovariantStructure,
@@ -583,28 +612,10 @@ def commutator_formula_check(
         raise ValueError("character must be injective on the shift window")
     base = product_on_window(L.a, "x1", L.b, "x2", w, hi1, hi2)
     lhs = defect_series(L, w, hi1, hi2, thm_region=True, direct=base).restricted(box)
-    rhs = DeltaSum()
-    contributing = []
-    fact = [1]
-    for t in range(1, zorder + 1):
-        fact.append(fact[-1] * t)
-    for n in C.shifts():
-        chi = C.chi(n)
-        pg = L.annihilator.scale_arg(chi)
-        # a(chi x1) b(x2) w is the base product with x1-rows rescaled by chi
-        ye = ye_from_product(var_scaled(base, "x1", chi), pg, zorder, margin, xvar="x2")
-        used = []
-        for j in range(0, ye.zero_order):
-            s = ye.mode(j)
-            if s is None or s.is_zero_series():
-                continue
-            rhs = rhs + DeltaSum([DeltaTerm(chi, j, s.scaled(Fraction(1, fact[j])))])
-            used.append(j)
-        if used:
-            contributing.append((n, chi, used))
-    expanded = rhs.merged().expand("x1", "x2", box)
-    ok, ce = lhs.eq_on_common(expanded)
-    return ok, ce, contributing
+    kernels = _commutator_kernels(L, C, base, zorder, margin)
+    rhs = DeltaSum([t for _, _, terms in kernels for t in terms])
+    ok, ce = lhs.eq_on_common(rhs.expand("x1", "x2", box))
+    return ok, ce, [(n, chi, [t.j for t in terms]) for n, chi, terms in kernels]
 
 
 def assoc_check(
@@ -635,12 +646,7 @@ def assoc_check(
     )
     lhs = pe * gen
     prod = product_on_window(u, "x1", v, "x2", w, hi1, hi2)
-    F = laurent_annihilator(p_outer, "x1", "x2") * prod
-    verdict = quadrant_verdict(F, "x1", "x2", margin)
-    if verdict.status != "compatible":
-        raise CompatibilityError(f"{verdict.status} on box {verdict.box}")
-    if verdict.bound is not None:
-        F = F.assert_support_floor({"x1": verdict.bound[0], "x2": verdict.bound[1]})
+    F = _certified_floor(laurent_annihilator(p_outer, "x1", "x2") * prod, "x2", margin)
     rhs = subst_exp(F.untagged(), "x1", "x2", "z", zorder)
     return lhs.eq_on_common(rhs)
 

@@ -163,7 +163,7 @@ class FockVector:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset((m, repr(c)) for m, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def grade(self) -> int:
         """Maximum grade over the monomials (0 for the zero vector)."""

@@ -606,7 +606,8 @@ class FactoredRational:
         unit = exp_z_dict(self.mexp, order)
         unit = {e: self.const * c for e, c in unit.items()}
         ez = exp_z_dict(1, order)
-        h = {e - 1: c for e, c in ez.items() if e >= 1}  # (e^z - 1)/z, a unit
+        # (e^z - 1)/z, a unit: its z^order term comes from z^(order+1) of e^z
+        h = {e - 1: c for e, c in exp_z_dict(1, order + 1).items() if e >= 1}
         for r, m in self.factors:
             if r == 1:
                 k += m

@@ -634,39 +634,29 @@ def check_commutator_matrix(cfg: SuiteConfig) -> CheckResult:
     grade = min(cfg.grade, 3)
     hi = grade + 5
     box = {"x1": (-hi + 1, hi - 1), "x2": (-hi + 1, hi - 1)}
-    basis = module.basis(grade)
-    for r in range(cfg.flavor_lo, cfg.flavor_hi + 1):
-        for s in range(cfg.flavor_lo, cfg.flavor_hi + 1):
-            L = LocalityDatum(
-                C.realize(r), C.realize(s),
-                ((C.realize(s), C.realize(r), FactoredRational(-fld.one())),),
-                dv.standard_annihilator(params, r, s, with_extra=False),
+    flavors = range(cfg.flavor_lo, cfg.flavor_hi + 1)
+    for r, s, w, want, (ok, ce, contrib) in dv.commutator_grid(
+        params, C, flavors, module.basis(grade), box, cfg.zorder, hi, cfg.margin
+    ):
+        if not ok:
+            return CheckResult(
+                "commutator-formula-matrix", "fail", f"box {hi - 1}",
+                _ce(ce[0] if ce else None, None, f"(r,s)=({r},{s})"),
             )
-            want = sorted([s + 1 - r, s - 1 - r])
-            Cw = CovariantStructure(C.realize, C.chi, want[0] - 2, want[1] + 2)
-            for w in basis:
-                ok, ce, contrib = commutator_formula_check(
-                    L, Cw, w, box, cfg.zorder, hi, hi, cfg.margin
+        got = sorted(nn for nn, _, _ in contrib)
+        if got != want:
+            return CheckResult(
+                "commutator-formula-matrix", "fail", f"box {hi - 1}",
+                _ce(note=f"(r,s)=({r},{s}): kernels at shifts {got}, expected {want}"),
+            )
+        if r == s:
+            chis = sorted(_render(c) for _, c, _ in contrib)
+            expect = sorted([_render(fld.p_power(1)), _render(fld.p_power(-1))])
+            if chis != expect:
+                return CheckResult(
+                    "commutator-formula-matrix", "fail", f"box {hi - 1}",
+                    _ce(note=f"diagonal pair kernels at {chis}"),
                 )
-                got = sorted(nn for nn, _, _ in contrib)
-                if not ok:
-                    return CheckResult(
-                        "commutator-formula-matrix", "fail", f"box {hi - 1}",
-                        _ce(ce[0] if ce else None, None, f"(r,s)=({r},{s})"),
-                    )
-                if got != want:
-                    return CheckResult(
-                        "commutator-formula-matrix", "fail", f"box {hi - 1}",
-                        _ce(note=f"(r,s)=({r},{s}): kernels at shifts {got}, expected {want}"),
-                    )
-                if r == s:
-                    chis = sorted(_render(c) for _, c, _ in contrib)
-                    expect = sorted([_render(fld.p_power(1)), _render(fld.p_power(-1))])
-                    if chis != expect:
-                        return CheckResult(
-                            "commutator-formula-matrix", "fail", f"box {hi - 1}",
-                            _ce(note=f"diagonal pair kernels at {chis}"),
-                        )
     return CheckResult(
         "commutator-formula-matrix", "pass",
         f"flavors {cfg.flavor_lo}..{cfg.flavor_hi}, grade {grade}, box {hi - 1}",

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from fdcalc.fieldcalc import (
     assoc_check,
     commutator_formula_check,
     compat_check,
+    _commutator_kernels,
     covariance_check,
     defect_series,
     find_annihilator,
@@ -24,10 +26,11 @@ from fdcalc.fieldcalc import (
     residue_ye,
     scaled_mode_extract,
     var_scaled,
+    ye_from_product,
     ye_product,
 )
 from fdcalc.scalars import ScalarField
-from fdcalc.series import FactoredRational, TruncatedSeries, divide_linear
+from fdcalc.series import FactoredRational, InsufficientWindow, TruncatedSeries, divide_linear
 
 F = Fraction
 Q2 = ScalarField.rationals(F(2))
@@ -264,6 +267,85 @@ def test_commutator_formula_diagonal(tmod):
         assert sorted(n for n, _, _ in contrib) == [-1, 1]
         for _, chi, used in contrib:
             assert used == [0]
+
+
+def diagonal_datum(tmod, p):
+    fld = tmod.field
+    C = CovariantStructure(lambda r: tfield(tmod, r), lambda n: fld.p_power(n), -3, 3)
+    a = tfield(tmod, 1)
+    return LocalityDatum(a, a, ((a, a, FactoredRational(-fld.one())),), p), C
+
+
+def test_commutator_formula_zorder_is_a_cap(tmod):
+    # simple roots need only z-order 0; a double root needs z-order 1
+    box = {"x1": (-5, 5), "x2": (-5, 5)}
+    p = minimal_p(tmod.field, 1, 1)
+    L, C = diagonal_datum(tmod, p)
+    L2, _ = diagonal_datum(tmod, p**2)
+    for w in tmod.basis(2):
+        ok, ce, contrib = commutator_formula_check(L, C, w, box, 0, 8, 8)
+        assert ok, ce
+        assert [(n, used) for n, _, used in contrib] == [(-1, [0]), (1, [0])]
+        ok, ce, contrib2 = commutator_formula_check(L2, C, w, box, 6, 8, 8)
+        assert ok, ce
+        assert contrib2 == contrib
+        with pytest.raises(InsufficientWindow):
+            commutator_formula_check(L2, C, w, box, 0, 8, 8)
+
+
+def test_commutator_formula_incompatible_raises(tmod):
+    L, C = diagonal_datum(tmod, FactoredRational(F(1)))
+    box = {"x1": (-5, 5), "x2": (-5, 5)}
+    with pytest.raises(CompatibilityError):
+        commutator_formula_check(L, C, tmod.vacuum(), box, 6, 7, 7)
+
+
+def test_commutator_kernels_match_reference_modes(tmod):
+    # every kernel coefficient is (1/j!) (a(chi x1)_j^e b) w from the full
+    # mode split at z-order 6; every skipped shift has no nonzero mode there
+    fld = tmod.field
+    C = CovariantStructure(lambda r: tfield(tmod, r), lambda n: fld.p_power(n), -3, 3)
+    for r in range(-1, 2):
+        for s in range(-1, 2):
+            a, b = tfield(tmod, r), tfield(tmod, s)
+            p = minimal_p(fld, r, s)
+            L = LocalityDatum(a, b, ((b, a, FactoredRational(-fld.one())),), p)
+            for w in tmod.basis(1):
+                base = product_on_window(a, "x1", b, "x2", w, 8, 8)
+                kernels = {n: terms for n, _, terms in _commutator_kernels(L, C, base, 6, 2)}
+                assert sorted(kernels) == sorted({s + 1 - r, s - 1 - r})
+                for n in C.shifts():
+                    chi = C.chi(n)
+                    ref = ye_from_product(
+                        var_scaled(base, "x1", chi), p.scale_arg(chi), 6, 2, xvar="x2"
+                    )
+                    want = {
+                        j: ref.mode(j).scaled(Fraction(1, math.factorial(j)))
+                        for j in range(ref.zero_order)
+                        if not ref.mode(j).is_zero_series()
+                    }
+                    got = {t.j: t for t in kernels.get(n, [])}
+                    assert sorted(got) == sorted(want), (r, s, w, n)
+                    for j, t in got.items():
+                        assert t.lam == chi
+                        assert t.coeff.coeffs == want[j].coeffs
+                        assert t.coeff.eq_on_common(want[j])[0]
+
+
+def test_ye_lowest_mode_certified_at_small_zorder(tmod):
+    # the lowest computed mode n_min = k - zorder - 1 reads the unit of
+    # p(e^z) at z^zorder; it must agree with a wider z-order
+    fld = tmod.field
+    p = minimal_p(fld, 0, 0)
+    chi = fld.p_power(1)
+    base = product_on_window(tfield(tmod, 0), "x1", tfield(tmod, 0), "x2", tmod.basis(2)[3], 8, 8)
+    scaled = var_scaled(base, "x1", chi)
+    wide = ye_from_product(scaled, p.scale_arg(chi), 6, xvar="x2")
+    for zorder in range(0, 4):
+        ye = ye_from_product(scaled, p.scale_arg(chi), zorder, xvar="x2")
+        assert ye.n_min == ye.zero_order - zorder - 1
+        ok, ce = ye.mode(ye.n_min).eq_on_common(wide.mode(ye.n_min))
+        assert ok, (zorder, ce)
 
 
 def test_commutator_corrupted_character_fails(tmod):

@@ -172,3 +172,10 @@ def test_fock_vector_arithmetic(tmod):
     assert bool(FockVector()) is False
     assert FockVector() == 0
     assert (p * w) != w
+
+
+def test_fock_vector_hash_matches_equality():
+    a, b = FockVector({(): F(2)}), FockVector({(): RatFunc(2)})
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1

@@ -17,6 +17,7 @@ from fdcalc.series import (
     binom_expand,
     divide_linear,
     exp_of_series,
+    invert_unit_1v,
     iota_expand,
     log_series,
     partial_fractions,
@@ -301,6 +302,23 @@ def test_exp_arg_dict_zero_order():
     k, unit = f.exp_arg_dict(4)
     assert k == 1
     assert unit[0] == 1 - 4  # h(0) * (1 - 4)
+
+
+def test_exp_arg_dict_unit_certified_to_its_order():
+    # the unit of (e^z - 1)^m = z^m * unit must be exact through z^order:
+    # compare against a wider order, truncated
+    for m in (1, 2):
+        f = FactoredRational(F(1), 0, ((F(1), m),))
+        for order in range(4):
+            k, unit = f.exp_arg_dict(order)
+            _, wide = f.exp_arg_dict(order + 3)
+            assert k == m
+            assert unit == {e: c for e, c in wide.items() if e <= order}
+    # ((e^z - 1)/z)^2 = 1 + z + (1/4 + 1/3) z^2 + ...
+    assert FactoredRational(F(1), 0, ((F(1), 2),)).exp_arg_dict(2)[1][2] == F(7, 12)
+    k, unit = FactoredRational(F(1), 0, ((F(1), 1),)).exp_arg_dict(0)
+    assert (k, unit) == (1, {0: 1})
+    assert invert_unit_1v(unit, 0) == {0: 1}
 
 
 def test_divide_linear_roundtrip_windowed():
