@@ -4,14 +4,17 @@ Rationals are stdlib ``fractions.Fraction`` (exact, gcd-reduced, positive
 denominator).  ``RatFunc`` implements Q(p), the field of rational functions in
 one formal parameter ``p`` over Q, in canonical form: the denominator is monic
 and coprime to the numerator, so equality of field elements is syntactic
-equality of the representation.  ``ScalarField`` selects between symbolic Q(p)
-work and evaluation at a rational specialization point.
+equality of the representation.  A Laurent polynomial is a ``RatFunc`` whose
+denominator is p**k; sums and products of those are built without a gcd.
+``ScalarField`` selects between symbolic Q(p) work and evaluation at a
+rational specialization point.
 
 All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -33,21 +36,22 @@ class ZeroToNegativePower(ZeroDivisionError):
 class Poly:
     """Dense univariate polynomial over Q, coefficients ascending.
 
-    Invariant: ``coeffs`` is a tuple of Fractions whose last entry is nonzero;
-    the zero polynomial is the empty tuple.
+    Invariant: ``coeffs`` is a tuple whose last entry is nonzero; an integral
+    coefficient is an ``int``, any other a ``Fraction``.  The zero polynomial
+    is the empty tuple.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if type(c) is int else _int_or_fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @classmethod
     def const(cls, c) -> "Poly":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def gen(cls) -> "Poly":
@@ -64,7 +68,7 @@ class Poly:
     def lc(self) -> Fraction:
         if not self.coeffs:
             raise ZeroDivisionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.coeffs[-1])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -95,7 +99,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -110,36 +114,33 @@ class Poly:
         return 0
 
     def is_monomial(self) -> bool:
-        return bool(self.coeffs) and all(c == 0 for c in self.coeffs[:-1])
+        cs = self.coeffs
+        return bool(cs) and cs.count(0) == len(cs) - 1
 
     def scale(self, c) -> "Poly":
-        if type(c) is not Fraction:
-            c = Fraction(c)
+        if c == 1:
+            return self
         if c == 0:
             return Poly()
         return Poly(tuple(x * c for x in self.coeffs))
 
     def shift(self, n: int) -> "Poly":
         """Multiply by p**n, n >= 0."""
-        if not self.coeffs:
+        if not self.coeffs or not n:
             return self
-        return Poly((Fraction(0),) * n + self.coeffs)
+        return Poly((0,) * n + self.coeffs)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_monomial():
             d = other.degree()
-            inv = 1 / other.lc()
-            return (
-                Poly(tuple(c * inv for c in self.coeffs[d:])),
-                Poly(self.coeffs[:d]),
-            )
+            return Poly(self.coeffs[d:]).scale(1 / other.lc()), Poly(self.coeffs[:d])
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return Poly(), self
-        quo = [Fraction(0)] * (dq + 1)
+        quo = [0] * (dq + 1)
         inv_lc = 1 / other.lc()
         for k in range(dq, -1, -1):
             c = rem[k + other.degree()] * inv_lc
@@ -164,8 +165,7 @@ class Poly:
         if not other:
             return self.monic()
         if self.is_monomial() or other.is_monomial():
-            v = min(self.val(), other.val())
-            return Poly((Fraction(0),) * v + (Fraction(1),))
+            return _p_pow(min(self.val(), other.val()))
         a, b = self, other
         while b:
             a, b = b, a.divmod(b)[1]
@@ -209,21 +209,29 @@ class Poly:
         return f"Poly({self.render()})"
 
 
+def _int_or_fraction(c):
+    """A coefficient in stored form: int when integral, else Fraction."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _p_pow(k: int) -> Poly:
+    """The monic monomial p**k, k >= 0."""
+    return Poly((0,) * k + (1,))
+
+
+def _p_order(den: Poly):
+    """k when den is the monic monomial p**k, else None."""
+    return den.degree() if den.coeffs[-1] == 1 and den.is_monomial() else None
+
+
 def _clear_denominators(p: Poly) -> tuple[Poly, int]:
     """Return (integer-coefficient multiple of p, the multiplier)."""
     if not p:
         return p, 1
-    m = 1
-    for c in p.coeffs:
-        d = c.denominator
-        m = m * d // _gcd_int(m, d)
+    m = math.lcm(*(c.denominator for c in p.coeffs))
     return p.scale(m), m
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class RatFunc:
@@ -246,6 +254,16 @@ class RatFunc:
         if not num:
             self.num, self.den = Poly(), Poly.const(1)
             return
+        if den.is_monomial():
+            # den = c p^k: cancelling p^min(val num, k) leaves num coprime to den
+            k = den.degree()
+            v = min(num.val(), k)
+            c = den.coeffs[k]
+            self.num = Poly(num.coeffs[v:]) if v else num
+            if c != 1:
+                self.num = self.num.scale(1 / den.lc())
+            self.den = den if v == 0 and c == 1 else _p_pow(k - v)
+            return
         g = num.gcd(den)
         if g.degree() > 0:
             num = num.divmod(g)[0]
@@ -267,12 +285,12 @@ class RatFunc:
         return None
 
     def is_constant(self) -> bool:
-        return self.num.degree() <= 0 and self.den == Poly.const(1)
+        return self.num.degree() <= 0 and self.den.coeffs == (1,)
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self!r} is not a constant")
-        return self.num.coeffs[0] if self.num else Fraction(0)
+        return Fraction(self.num.coeffs[0]) if self.num else Fraction(0)
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -292,6 +310,10 @@ class RatFunc:
         o = RatFunc._coerce(other)
         if o is None:
             return NotImplemented
+        a, b = _p_order(self.den), _p_order(o.den)
+        if a is not None and b is not None:
+            k = max(a, b)
+            return RatFunc(self.num.shift(k - a) + o.num.shift(k - b), _p_pow(k))
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -317,6 +339,9 @@ class RatFunc:
         o = RatFunc._coerce(other)
         if o is None:
             return NotImplemented
+        a, b = _p_order(self.den), _p_order(o.den)
+        if a is not None and b is not None:
+            return RatFunc(self.num * o.num, _p_pow(a + b))
         # cross-cancel before multiplying to keep degrees small
         g1 = self.num.gcd(o.den)
         g2 = o.num.gcd(self.den)
@@ -363,9 +388,7 @@ class RatFunc:
         # num/den == (n/mn)/(d/md) == (n*md)/(d*mn)
         n = n.scale(md)
         d = d.scale(mn)
-        c = 0
-        for x in (*n.coeffs, *d.coeffs):
-            c = _gcd_int(c, abs(x.numerator))
+        c = math.gcd(*(x.numerator for x in (*n.coeffs, *d.coeffs)))
         if c > 1:
             n, d = n.scale(Fraction(1, c)), d.scale(Fraction(1, c))
         if d.lc() < 0:
@@ -458,9 +481,7 @@ class ScalarField:
     def p_power(self, n: int):
         """p**n in this field (p0**n when specialized)."""
         if self.symbolic:
-            if n >= 0:
-                return RatFunc(Poly.const(1).shift(n))
-            return RatFunc(Poly.const(1), Poly.const(1).shift(-n))
+            return RatFunc(_p_pow(n)) if n >= 0 else RatFunc(1, _p_pow(-n))
         return self.p0**n
 
     def coerce(self, x):

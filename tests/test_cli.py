@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -106,6 +107,14 @@ def test_undetermined_exit_code(monkeypatch):
     monkeypatch.setitem(suites.SUITES, "fixture2", [undet])
     results = run_suite(SuiteConfig(suite="fixture2", p=Fraction(2)))
     assert exit_status(results) == 2
+
+
+def test_structure_series_verdict_ignores_wall_clock(monkeypatch):
+    # every clock reading is 2 s after the previous one
+    clock = itertools.count(0.0, 2.0)
+    monkeypatch.setattr(suites.time, "perf_counter", lambda: next(clock))
+    res = suites.check_structure_series(SuiteConfig(p=Fraction(2)))
+    assert (res.check_id, res.status) == ("structure-series-closed-form", "pass")
 
 
 def test_determinism_small_suite():

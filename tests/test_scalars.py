@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,24 @@ def ratfuncs():
         small_poly(),
         small_poly(),
     )
+
+
+def laurents():
+    """Laurent polynomials: int or Fraction numerators over p**k, k in 0..4."""
+    coeff = st.one_of(st.integers(-50, 50), fractions)
+    return st.builds(
+        lambda cs, k: RatFunc(Poly(cs), Poly.const(1).shift(k)),
+        st.lists(coeff, max_size=4),
+        st.integers(0, 4),
+    )
+
+
+def qp_scalars():
+    return st.one_of(laurents(), ratfuncs())
+
+
+def _stored_form(f: RatFunc):
+    return tuple((c, type(c)) for c in f.num.coeffs), tuple((c, type(c)) for c in f.den.coeffs)
 
 
 def test_normalize_examples():
@@ -87,7 +106,7 @@ def test_mixed_arithmetic_and_hash():
 
 
 @settings(max_examples=200, deadline=None)
-@given(ratfuncs(), ratfuncs(), ratfuncs())
+@given(qp_scalars(), qp_scalars(), qp_scalars())
 def test_field_axioms_qp(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
@@ -106,7 +125,7 @@ def test_field_axioms_q(a, b, c):
 
 
 @settings(max_examples=100, deadline=None)
-@given(ratfuncs(), ratfuncs())
+@given(qp_scalars(), qp_scalars())
 def test_specialize_is_homomorphism(f, g):
     p0 = Fraction(3)
     try:
@@ -146,3 +165,96 @@ def test_render_descending_integer_coefficients():
     f = (p**2 - 1) / (2 * p)
     assert f.render() == "(p^2 - 1)/(2*p)"
     assert RatFunc(Fraction(-3, 2)).render() == "-3/2"
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurents(), laurents())
+def test_laurent_fast_path_matches_gcd_path(a, b):
+    # a factor 1 + p in the denominator sends the constructor down the gcd path
+    q = Poly((1, 1))
+    for got, num, den in (
+        (a + b, a.num * b.den + b.num * a.den, a.den * b.den),
+        (a * b, a.num * b.num, a.den * b.den),
+    ):
+        ref = RatFunc(num * q, den * q)
+        assert _stored_form(got) == _stored_form(ref)
+        assert all(type(c) is Fraction for c in got.num.coeffs if c.denominator != 1)
+        assert all(type(c) is int for c in got.num.coeffs if c.denominator == 1)
+
+
+def test_laurent_constants_hash_like_fractions():
+    assert hash(p * p**-1) == hash(Fraction(1)) == hash(1)
+    half = (Fraction(5, 2) * p) * p**-1
+    assert half == Fraction(5, 2) and hash(half) == hash(Fraction(5, 2))
+    three = (3 * p**2) * p**-2
+    assert three.num.coeffs == (3,) and type(three.num.coeffs[0]) is int
+    assert hash(three) == hash(Fraction(3)) == hash(3)
+    assert hash(RatFunc(0)) == hash(Fraction(0))
+
+
+def test_lc_and_as_fraction_return_fractions():
+    assert type(Poly((1, 2)).lc()) is Fraction
+    assert 1 / Poly.const(2).lc() == Fraction(1, 2)
+    for f in (RatFunc(3), RatFunc(Fraction(7, 3)), RatFunc(0), (2 * p) / p):
+        assert type(f.as_fraction()) is Fraction
+    assert type(((2 * p) / p).specialize(5)) is Fraction
+
+
+def test_laurent_pole_at_zero():
+    with pytest.raises(PoleAtPoint):
+        (p**-3).specialize(0)
+    assert ScalarField.rational_functions().p_power(-3) == p**-3
+
+
+def _random_tree(rng, depth, sp, x):
+    """A random expression over p: (RatFunc value, the same tree in sympy over x)."""
+    if depth == 0 or rng.random() < 0.25:
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        cs = sp.Rational(c.numerator, c.denominator)
+        k = rng.randint(-3, 3)
+        r = rng.choice((-2, -1, 2, 3))
+        kind = rng.randrange(4)
+        if kind == 0:  # Laurent monomial c p^k
+            return c * p**k, cs * x**k
+        if kind == 1:  # Laurent binomial p^k + c
+            return p**k + c, x**k + cs
+        if kind == 2:  # non-Laurent: p - r
+            return p - r, x - r
+        return 1 / (1 - p), 1 / (1 - x)
+    op = rng.choice("+-*/")
+    fa, ea = _random_tree(rng, depth - 1, sp, x)
+    fb, eb = _random_tree(rng, depth - 1, sp, x)
+    if op == "/" and not fb:
+        op = "*"
+    if op == "+":
+        return fa + fb, ea + eb
+    if op == "-":
+        return fa - fb, ea - eb
+    if op == "*":
+        return fa * fb, ea * eb
+    return fa / fb, ea / eb
+
+
+def _sympy_canonical(sp, x, expr):
+    """sympy.cancel's numerator and denominator, ascending, denominator made monic."""
+    n, d = sp.fraction(sp.cancel(expr))
+    n, d = sp.Poly(n, x), sp.Poly(d, x)
+    lc = d.LC()
+
+    def ascending(poly):
+        cs = [Fraction(int(c.p), int(c.q)) / Fraction(int(lc.p), int(lc.q))
+              for c in reversed(poly.all_coeffs())]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return tuple(cs)
+
+    return ascending(n), ascending(d)
+
+
+def test_canonical_form_matches_sympy_cancel():
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("p")
+    rng = random.Random(20121)
+    for _ in range(150):
+        f, expr = _random_tree(rng, rng.randint(1, 3), sp, x)
+        assert (f.num.coeffs, f.den.coeffs) == _sympy_canonical(sp, x, expr), (f, expr)
