@@ -114,7 +114,11 @@ def main(argv=None) -> int:
     ap.add_argument("--zorder", type=int, help="z-truncation order")
     ap.add_argument("--window-margin", dest="window_margin", type=int, help="quadrant margin")
     ap.add_argument("--report", help="report file path (JSON)")
-    ap.add_argument("--jobs", type=int, help="concurrent checks")
+    ap.add_argument(
+        "--jobs",
+        type=int,
+        help="J > 1 runs checks in up to J worker processes; 1 runs them in-process",
+    )
     ap.add_argument("--seed", type=int, help="seed for randomized instance checks")
     ap.add_argument("--config", help="flat key = value configuration file")
     argv = sys.argv[1:] if argv is None else list(argv)

@@ -113,7 +113,10 @@ class FockVector:
         if isinstance(other, FockVector):
             out = dict(self.terms)
             for m, c in other.terms.items():
-                s = out.get(m, 0) + c
+                if m not in out:
+                    out[m] = c  # terms are never zero
+                    continue
+                s = out[m] + c
                 if s:
                     out[m] = s
                 else:

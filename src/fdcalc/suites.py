@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,6 +66,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.grade < 1 or self.modes < 1 or self.zorder < 1 or self.margin < 1:
             raise ConfigError("all bounds must be positive")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be at least 1")
         if self.flavor_lo > self.flavor_hi:
             raise ConfigError("empty flavor window")
         if self.p != "symbolic":
@@ -749,43 +750,61 @@ SUITES["all"] = (
 )
 
 
+def _run_check(cfg: SuiteConfig, index: int) -> list:
+    """Run check ``index`` of ``cfg.suite``; a raising check becomes a result.
+
+    Workers receive only ``(cfg, index)`` and look the check up in their own
+    copy of ``SUITES``, so no check function is ever pickled.
+    """
+    from .distributions import InsufficientWindow, WindowTooSmall
+    from .fieldcalc import CompatibilityError
+
+    fn = SUITES[cfg.suite][index]
+    t0 = time.perf_counter()
+    try:
+        res = fn(cfg)
+    except (InsufficientWindow, WindowTooSmall) as exc:
+        res = CheckResult(
+            fn.__name__.replace("check_", ""), "undetermined", None, _ce(note=str(exc))
+        )
+    except CompatibilityError as exc:
+        status = "undetermined" if "undetermined" in str(exc) else "fail"
+        res = CheckResult(
+            fn.__name__.replace("check_", ""), status, None, _ce(note=str(exc))
+        )
+    except Exception as exc:  # any other crash is a failed check
+        res = CheckResult(
+            fn.__name__.replace("check_", "crash-"), "fail", None, _ce(note=repr(exc))
+        )
+    elapsed = (time.perf_counter() - t0) * 1000.0
+    results = res if isinstance(res, list) else [res]
+    for r in results:
+        r.wall_ms = elapsed / len(results)
+    return results
+
+
 def run_suite(cfg: SuiteConfig) -> list:
-    """Execute the configured suite; returns CheckResults sorted by id."""
+    """Execute the configured suite; returns CheckResults sorted by id.
+
+    With ``jobs > 1`` the checks run in at most ``jobs`` forked worker
+    processes.  ``fork`` makes each worker run the very function objects in
+    the parent's ``SUITES``, including any wrapper put there at run time;
+    fdcalc starts no threads, so forking it is safe.
+    """
     if cfg.suite not in SUITES:
         raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {sorted(SUITES)}")
-    checks = SUITES[cfg.suite]
+    indices = range(len(SUITES[cfg.suite]))
+    # a fork pool starts all its workers up front, so start no idle ones
+    workers = min(cfg.jobs, len(indices))
+    if workers > 1:
+        # imported here so that `import fdcalc` stays cheap
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    def run_one(fn):
-        from .distributions import InsufficientWindow, WindowTooSmall
-        from .fieldcalc import CompatibilityError
-
-        t0 = time.perf_counter()
-        try:
-            res = fn(cfg)
-        except (InsufficientWindow, WindowTooSmall) as exc:
-            res = CheckResult(
-                fn.__name__.replace("check_", ""), "undetermined", None, _ce(note=str(exc))
-            )
-        except CompatibilityError as exc:
-            status = "undetermined" if "undetermined" in str(exc) else "fail"
-            res = CheckResult(
-                fn.__name__.replace("check_", ""), status, None, _ce(note=str(exc))
-            )
-        except Exception as exc:  # any other crash is a failed check
-            res = CheckResult(
-                fn.__name__.replace("check_", "crash-"), "fail", None, _ce(note=repr(exc))
-            )
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        results = res if isinstance(res, list) else [res]
-        for r in results:
-            r.wall_ms = elapsed / len(results)
-        return results
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-            chunks = list(ex.map(run_one, checks))
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as ex:
+            chunks = list(ex.map(_run_check, [cfg] * len(indices), indices))
     else:
-        chunks = [run_one(fn) for fn in checks]
+        chunks = [_run_check(cfg, i) for i in indices]
     out = [r for chunk in chunks for r in chunk]
     return sorted(out, key=lambda r: r.check_id)
 

@@ -1,5 +1,8 @@
+import dataclasses
+import functools
 import itertools
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -136,3 +139,90 @@ def test_jobs_flag_is_deterministic():
     da["config"].pop("jobs")
     db["config"].pop("jobs")
     assert render_report(da) == render_report(db)
+
+
+def test_jobs_must_be_positive(capsys):
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError):
+            SuiteConfig(jobs=jobs)
+    assert main(["clifford", "--p", "2", "--jobs", "0"]) == 3
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_worker_pool_is_capped_by_the_number_of_checks(monkeypatch):
+    import concurrent.futures
+
+    seen = []
+
+    class RecordingExecutor:
+        """Records the pool size and runs the work in-process."""
+
+        def __init__(self, max_workers, mp_context=None):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    def cheap(cfg):
+        return CheckResult("cheap", "pass")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setitem(suites.SUITES, "cheap3", [cheap, cheap, cheap])
+    for jobs, workers in ((10000, 3), (2, 2)):
+        results = run_suite(SuiteConfig(suite="cheap3", p=Fraction(2), jobs=jobs))
+        assert [r.check_id for r in results] == ["cheap"] * 3
+        assert seen.pop() == workers
+    run_suite(SuiteConfig(suite="cheap3", p=Fraction(2), jobs=1))
+    assert seen == []
+
+
+def _payload(cfg):
+    doc = report_document(cfg, run_suite(cfg))
+    doc.pop("timings")
+    doc["config"].pop("jobs")
+    return render_report(doc)
+
+
+def test_worker_processes_give_the_serial_report():
+    cfg = SuiteConfig(suite="all", p=Fraction(2), grade=2, flavor_lo=0, flavor_hi=1, zorder=4)
+    assert _payload(dataclasses.replace(cfg, jobs=2)) == _payload(cfg)
+
+
+def check_raises(cfg):
+    raise RuntimeError(f"boom in {os.getpid()}")
+
+
+def test_check_raising_in_a_worker_is_a_crash_result(monkeypatch):
+    checks = suites.SUITES["clifford"]
+    monkeypatch.setitem(suites.SUITES, "clifford", checks[:2] + [check_raises])
+    results = run_suite(SuiteConfig(suite="clifford", p=Fraction(2), grade=2, jobs=2))
+    by_id = {r.check_id: r for r in results}
+    assert by_id["crash-raises"].status == "fail"
+    note = by_id["crash-raises"].counterexample["note"]
+    assert "boom in" in note and f"boom in {os.getpid()}" not in note
+    assert len(results) == 3
+    assert [r.status for r in results].count("pass") == 2
+
+
+def test_wrapped_check_runs_in_a_worker(monkeypatch):
+    def wrap(fn):
+        @functools.wraps(fn)
+        def wrapper(cfg):
+            res = fn(cfg)
+            res.window = f"wrapped in {os.getpid()}"
+            return res
+
+        return wrapper
+
+    checks = suites.SUITES["clifford"][:2]
+    monkeypatch.setitem(suites.SUITES, "clifford", [wrap(fn) for fn in checks])
+    results = run_suite(SuiteConfig(suite="clifford", p=Fraction(2), grade=2, jobs=2))
+    assert len(results) == 2
+    assert all(r.status == "pass" and r.window.startswith("wrapped in ") for r in results)
+    assert all(r.window != f"wrapped in {os.getpid()}" for r in results)

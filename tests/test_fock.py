@@ -179,3 +179,23 @@ def test_fock_vector_hash_matches_equality():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_fock_vector_sum_keeps_new_coefficients():
+    a_, b_, c_ = (), (("T", -1),), (("T", -3),)
+    u = FockVector({a_: p + 1, b_: 1 / p})
+    v = FockVector({c_: p * p})
+    w = FockVector({b_: -1 / p, c_: 2 * p})
+    # disjoint supports: every coefficient of the sum is the operand's object
+    s = u + v
+    assert s == FockVector({a_: p + 1, b_: 1 / p, c_: p * p})
+    assert hash(s) == hash(v + u)
+    assert all(s.terms[m] is c for m, c in v.terms.items())
+    # overlapping supports: b_ cancels, c_ adds, a_ is kept
+    t = u + v + w
+    assert t == FockVector({a_: p + 1, c_: p * p + 2 * p})
+    assert b_ not in t.terms
+    assert hash(t) == hash(FockVector({a_: p + 1, c_: p * p + 2 * p}))
+    assert t.terms[a_] is u.terms[a_]
+    # summing in the other order gives the same vector
+    assert w + v + u == t and hash(w + v + u) == hash(t)
