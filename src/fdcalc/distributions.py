@@ -90,7 +90,7 @@ def delta_expand(term: DeltaTerm, v1: str, v2: str, limits: dict) -> TruncatedSe
     """
     lo1, hi1 = limits[v1]
     if lo1 == NEG_INF or hi1 == INF:
-        raise InsufficientWindow("delta expansion needs a finite v1 window")
+        raise InsufficientWindow(f"delta expansion needs a finite {v1} window, got {(lo1, hi1)}")
     lo2, hi2 = limits.get(v2, (NEG_INF, INF))
     A = term.coeff
     if A.vars not in ((v2,), ()):
@@ -106,17 +106,10 @@ def delta_expand(term: DeltaTerm, v1: str, v2: str, limits: dict) -> TruncatedSe
         if not wn:
             continue
         for e, c in A.coeffs.items():
-            d = e[0] if e else 0
-            x2 = n + d
+            x2 = n + (e[0] if e else 0)
             if win2[0] <= x2 <= win2[1]:
-                val = wn * c
-                if val:
-                    key = (-n, x2) if v1 < v2 else (x2, -n)
-                    s = coeffs.get(key, 0) + val
-                    if s:
-                        coeffs[key] = s
-                    else:
-                        coeffs.pop(key, None)
+                # distinct (n, d) give distinct cells: nothing to accumulate
+                coeffs[(-n, x2) if v1 < v2 else (x2, -n)] = wn * c
     vars = tuple(sorted((v1, v2)))
     window = {v1: (lo1, hi1), v2: win2}
     zero = not A.coeffs
@@ -282,7 +275,7 @@ def delta_fit(D: TruncatedSeries, lambdas, jmax: int, v1: str, v2: str):
     lo1, hi1 = D.win(v1)
     lo2, hi2 = D.win(v2)
     if hi1 == INF:
-        raise InsufficientWindow("delta fit needs a finite v1 ceiling")
+        raise InsufficientWindow(f"delta fit needs a finite {v1} ceiling, window {D.window_str()}")
     iv1, iv2 = D.vars.index(v1), D.vars.index(v2)
 
     params = [(l, j) for l in lambdas for j in range(jmax + 1)]
@@ -404,7 +397,9 @@ def vanishing_order(A: TruncatedSeries, lam, v1: str, v2: str, max_order: int = 
         except UnboundedExponent as exc:
             raise WindowTooSmall(str(exc)) from exc
         if diag.vars and diag.win(diag.vars[0])[1] == NEG_INF:
-            raise WindowTooSmall("diagonal window collapsed before certifying the order")
+            raise WindowTooSmall(
+                f"diagonal window collapsed before certifying the order, window {cur.window_str()}"
+            )
         if not diag.is_zero_series():
             return k
         try:
@@ -412,7 +407,7 @@ def vanishing_order(A: TruncatedSeries, lam, v1: str, v2: str, max_order: int = 
         except UnboundedExponent as exc:
             raise WindowTooSmall(str(exc)) from exc
         if cur.is_zero_series():
-            raise WindowTooSmall("quotient vanished on the remaining window")
+            raise WindowTooSmall(f"quotient vanished on the remaining window {cur.window_str()}")
         k += 1
     raise WindowTooSmall(f"order exceeds {max_order}")
 

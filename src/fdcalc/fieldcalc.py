@@ -186,11 +186,6 @@ def compat_check(
     return quadrant_verdict(F, v1, v2, margin)
 
 
-def _twist_series(f: FactoredRational, v1: str, v2: str, region, limits) -> TruncatedSeries:
-    """Expansion of f(<ratio per region>) used to twist a reversed product."""
-    return f.ratio_series(v1, v2, region, limits)
-
-
 def locality_check(
     L: LocalityDatum,
     w: FockVector,
@@ -206,7 +201,7 @@ def locality_check(
     for b_i, a_i, f_i in L.partners:
         rev = product_on_window(b_i, v2, a_i, v1, w, hi2, hi1)
         if f_i.factors or f_i.mexp:
-            tw = _twist_series(f_i, v2, v1, (v2, v1), {v2: (NEG_INF, hi2), v1: (NEG_INF, hi1)})
+            tw = f_i.ratio_series(v2, v1, (v2, v1), {v2: (NEG_INF, hi2), v1: (NEG_INF, hi1)})
             term = (tw.untagged() * rev).untagged()
         else:
             term = rev.scaled(f_i.const)
@@ -321,9 +316,6 @@ def _residue_plus(F: TruncatedSeries, v1: str, xvar: str, zvar: str, zorder: int
     slo2 = F.sup(xvar)[0]
     e_hi = min((hi1 + slo2) if (hi1 != INF and slo2 != NEG_INF) else INF, hi2)
     coeffs: dict = {}
-    fact = [1]
-    for t in range(1, zorder + 1):
-        fact.append(fact[-1] * t)
     for e, c in F.coeffs.items():
         i = e[i1]
         if i < 0:
@@ -332,15 +324,11 @@ def _residue_plus(F: TruncatedSeries, v1: str, xvar: str, zvar: str, zorder: int
         if out_e > e_hi:
             continue
         for t in range(0, zorder + 1):
-            wgt = Fraction(i**t, fact[t])
+            wgt = Fraction(i**t, factorial(t))
             if not wgt:
                 continue
             key = (out_e, t) if xvar < zvar else (t, out_e)
-            s = coeffs.get(key, 0) + wgt * c
-            if s:
-                coeffs[key] = s
-            else:
-                coeffs.pop(key, None)
+            coeffs[key] = coeffs.get(key, 0) + wgt * c
     vars = tuple(sorted((xvar, zvar)))
     return TruncatedSeries(
         vars,
@@ -369,16 +357,16 @@ def _residue_minus_twisted(
     ix = rev.vars.index(xvar)
     slo1 = rev.sup(v1)[0]
     if slo1 == NEG_INF:
-        raise InsufficientWindow("opposite-kernel residue needs a certified v1 floor")
+        raise InsufficientWindow(
+            f"opposite-kernel residue needs a certified {v1} floor, window {rev.window_str()}"
+        )
     hi1 = rev.win(v1)[1]
     hi2 = rev.win(xvar)[1]
-    if hi1 < -1 - min(qd, default=0):
-        raise InsufficientWindow("reversed-product v1 ceiling too low for the twist")
+    need = -1 - min(qd, default=0)
+    if hi1 < need:
+        raise InsufficientWindow(f"reversed-product {v1} ceiling {hi1} too low for the twist, which needs {need}")
     e_hi = (hi2 + slo1) if hi2 != INF else INF
     coeffs: dict = {}
-    fact = [1]
-    for t in range(1, zorder + 1):
-        fact.append(fact[-1] * t)
     for e, c in rev.coeffs.items():
         c1, c2 = e[i1], e[ix]
         out_e = c1 + c2  # residue against the antidiagonal kernel
@@ -389,16 +377,9 @@ def _residue_minus_twisted(
             if g1 > -1:
                 continue
             val = qc * c
-            if not val:
-                continue
             for t in range(0, zorder + 1):
-                wgt = Fraction(g1**t, fact[t])
                 key = (out_e, t) if xvar < zvar else (t, out_e)
-                s = coeffs.get(key, 0) + (-wgt) * val
-                if s:
-                    coeffs[key] = s
-                else:
-                    coeffs.pop(key, None)
+                coeffs[key] = coeffs.get(key, 0) + Fraction(-(g1**t), factorial(t)) * val
     vars = tuple(sorted((xvar, zvar)))
     return TruncatedSeries(
         vars,
@@ -531,9 +512,6 @@ def scaled_mode_extract(
     for t in terms:
         fitted[(repr(t.lam), t.j)] = t
     agreements = {}
-    fact = [1]
-    for t in range(1, jmax + 1):
-        fact.append(fact[-1] * t)
     for lam in lambdas:
         ye = ye_product(
             L.a.scaled(lam), L.b, L.annihilator.scale_arg(lam), zorder, w, hi1, hi2,
@@ -541,7 +519,7 @@ def scaled_mode_extract(
         )
         for j in range(0, jmax + 1):
             t = fitted.get((repr(lam), j))
-            expected = t.coeff.scaled(fact[j]) if t is not None else None
+            expected = t.coeff.scaled(factorial(j)) if t is not None else None
             got = ye.mode(j) if j < ye.zero_order else None
             if expected is None and got is None:
                 agreements[(repr(lam), j)] = True

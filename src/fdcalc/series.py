@@ -20,13 +20,18 @@ must be requested explicitly via :meth:`TruncatedSeries.untagged`).
 
 Coefficients ("payloads") may be exact scalars or module vectors; they only
 need ``+``, unary ``-``, scalar multiplication, equality and truthiness.
+
+The constructor drops zero coefficients and coefficients outside the window.
+Every operation below relies on this: it accumulates into a plain dict with
+``out[e] = out.get(e, 0) + c`` and leaves cancelled and out-of-window entries
+for the constructor to discard.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import RatFunc, power as _scalar_power
+from .scalars import RatFunc, power
 
 NEG_INF = float("-inf")
 INF = float("inf")
@@ -67,10 +72,6 @@ def binom(n: int, i: int) -> Fraction:
     for j in range(2, i + 1):
         den *= j
     return Fraction(num, den)
-
-
-def _scale_payload(c, v):
-    return c * v
 
 
 # -- window interval helpers -------------------------------------------------
@@ -266,11 +267,7 @@ class TruncatedSeries:
             support[v] = (min(sa[0], sb[0]), max(sa[1], sb[1]))
         out = dict(a)
         for e, c in b.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + c
         return TruncatedSeries(vars, out, window, support, region)
 
     def __neg__(self) -> "TruncatedSeries":
@@ -287,7 +284,7 @@ class TruncatedSeries:
             return TruncatedSeries(self.vars, {}, self.window, z, self.region)
         return TruncatedSeries(
             self.vars,
-            {e: _scale_payload(c, x) for e, x in self.coeffs.items()},
+            {e: c * x for e, x in self.coeffs.items()},
             self.window,
             self.support,
             self.region,
@@ -327,11 +324,7 @@ class TruncatedSeries:
             for eb, cb in b.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
                 if all(lo <= x <= hi for x, (lo, hi) in zip(e, bounds)):
-                    s = out.get(e, 0) + ca * cb
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
+                    out[e] = out.get(e, 0) + ca * cb
         return TruncatedSeries(vars, out, window, support, region)
 
     def map_payload(self, f) -> "TruncatedSeries":
@@ -378,17 +371,14 @@ class TruncatedSeries:
 # -- one-variable series kernels (dicts exp -> scalar, exact arithmetic) -----
 
 
-def mul_trunc_1v(a: dict, b: dict, order: int) -> dict:
+def mul_trunc_1v(a: dict, b: dict, hi, lo=NEG_INF) -> dict:
+    """Product of two coefficient dicts, keeping the exponents in [lo, hi]."""
     out = {}
     for i, ca in a.items():
         for j, cb in b.items():
-            if i + j <= order:
-                s = out.get(i + j, 0) + ca * cb
-                if s:
-                    out[i + j] = s
-                else:
-                    out.pop(i + j, None)
-    return out
+            if lo <= i + j <= hi:
+                out[i + j] = out.get(i + j, 0) + ca * cb
+    return {t: c for t, c in out.items() if c}
 
 
 def invert_unit_1v(u: dict, order: int) -> dict:
@@ -520,7 +510,7 @@ class FactoredRational:
 
     def __pow__(self, n: int) -> "FactoredRational":
         return FactoredRational(
-            _scalar_pow(self.const, n), self.mexp * n, tuple((r, m * n) for r, m in self.factors)
+            power(self.const, n), self.mexp * n, tuple((r, m * n) for r, m in self.factors)
         )
 
     def roots(self):
@@ -533,25 +523,25 @@ class FactoredRational:
         return 0
 
     def value_at(self, y):
-        out = self.const * _scalar_pow(y, self.mexp)
+        out = self.const * power(y, self.mexp)
         for r, m in self.factors:
-            out = out * _scalar_pow(y - r, m)
+            out = out * power(y - r, m)
         return out
 
     def shifted_value_at(self, root):
         """Leading Taylor coefficient at ``root``: (f/(y-root)**k)(root)."""
-        out = self.const * _scalar_pow(root, self.mexp)
+        out = self.const * power(root, self.mexp)
         for r, m in self.factors:
             if r != root:
-                out = out * _scalar_pow(root - r, m)
+                out = out * power(root - r, m)
         return out
 
     def scale_arg(self, c) -> "FactoredRational":
         """f(c*y) as a FactoredRational in y."""
         total = self.mexp + sum(m for _, m in self.factors)
-        const = self.const * _scalar_pow(c, total)
+        const = self.const * power(c, total)
         return FactoredRational(
-            const, self.mexp, tuple((r * _scalar_pow(c, -1), m) for r, m in self.factors)
+            const, self.mexp, tuple((r * power(c, -1), m) for r, m in self.factors)
         )
 
     def reciprocal_arg(self) -> "FactoredRational":
@@ -560,8 +550,8 @@ class FactoredRational:
         factors = []
         total = 0
         for r, m in self.factors:
-            const = const * _scalar_pow(-r, m)
-            factors.append((_scalar_pow(r, -1), m))
+            const = const * power(-r, m)
+            factors.append((power(r, -1), m))
             total += m
         return FactoredRational(const, -self.mexp - total, tuple(factors))
 
@@ -574,20 +564,7 @@ class FactoredRational:
             raise ValueError("not a Laurent polynomial in the ratio")
         d = {self.mexp: self.const}
         for r, m in self.factors:
-            fac = {}
-            for i in range(m + 1):
-                c = binom(m, i) * _scalar_pow(-r, i)
-                if c:
-                    fac[m - i] = c
-            out = {}
-            for i, ca in d.items():
-                for j, cb in fac.items():
-                    s = out.get(i + j, 0) + ca * cb
-                    if s:
-                        out[i + j] = s
-                    else:
-                        out.pop(i + j, None)
-            d = out
+            d = mul_trunc_1v(d, _factor_desc(r, m, m), INF)
         return d
 
     def ratio_coeffs_ascending(self, thi: int) -> dict:
@@ -597,7 +574,7 @@ class FactoredRational:
         span = int(thi - self.mexp)
         d = {self.mexp: self.const}
         for r, m in self.factors:
-            d = _conv_span_hi(d, _factor_asc(r, m, max(span, 0)), thi)
+            d = mul_trunc_1v(d, _factor_asc(r, m, max(span, 0)), thi)
         return d
 
     def exp_arg_dict(self, order: int) -> tuple[int, dict]:
@@ -635,7 +612,7 @@ class FactoredRational:
             # a Laurent polynomial in the ratio: the expansion is exact and
             # region-independent
             d = self.ratio_coeffs_exact()
-            coeffs = {(t, -t) if v1 < v2 else (-t, t): c for t, c in d.items() if c}
+            coeffs = {(t, -t) if v1 < v2 else (-t, t): c for t, c in d.items()}
             return TruncatedSeries.exact(tuple(sorted((v1, v2))), coeffs, region)
         lo1, hi1 = limits.get(v1, (NEG_INF, INF))
         lo2, hi2 = limits.get(v2, (NEG_INF, INF))
@@ -644,29 +621,34 @@ class FactoredRational:
             tmax = self.mexp + sum(m for _, m in self.factors)
             tlo = max(lo1, -hi2 if hi2 != INF else NEG_INF)
             if tlo == NEG_INF:
-                raise InsufficientWindow("descending expansion needs a finite floor")
+                raise InsufficientWindow(
+                    "descending expansion needs a finite floor; "
+                    f"limits {v1}:{(lo1, hi1)} {v2}:{(lo2, hi2)}"
+                )
             span = int(tmax - tlo)
             d = {self.mexp: self.const}
             remaining = sum(m for _, m in self.factors)
             for r, m in self.factors:
                 remaining -= m
                 # unprocessed factors can still shift exponents up by `remaining`
-                d = _conv_span(d, _factor_desc(r, m, span), tlo - max(remaining, 0))
-            d = {t: c for t, c in d.items() if t >= tlo}
+                d = mul_trunc_1v(d, _factor_desc(r, m, span), INF, tlo - max(remaining, 0))
             window = {v1: (tlo, INF), v2: (NEG_INF, INF)}
             support = {v1: (NEG_INF, tmax), v2: (-tmax, INF)}
         else:
             tmin = self.mexp
             thi = min(hi1, -lo2 if lo2 != NEG_INF else INF)
             if thi == INF:
-                raise InsufficientWindow("ascending expansion needs a finite ceiling")
+                raise InsufficientWindow(
+                    "ascending expansion needs a finite ceiling; "
+                    f"limits {v1}:{(lo1, hi1)} {v2}:{(lo2, hi2)}"
+                )
             span = int(thi - tmin)
             d = {self.mexp: self.const}
             for r, m in self.factors:
-                d = _conv_span_hi(d, _factor_asc(r, m, span), thi)
+                d = mul_trunc_1v(d, _factor_asc(r, m, span), thi)
             window = {v1: (NEG_INF, thi), v2: (-thi, INF)}
             support = {v1: (tmin, INF), v2: (NEG_INF, -tmin)}
-        coeffs = {(t, -t): c for t, c in d.items() if c}
+        coeffs = {(t, -t): c for t, c in d.items()}
         if v1 > v2:
             coeffs = {(e[1], e[0]): c for e, c in coeffs.items()}
         return TruncatedSeries(tuple(sorted((v1, v2))), coeffs, window, support, region)
@@ -678,7 +660,7 @@ class FactoredRational:
         if self.mexp:
             parts.append(f"{var}^{self.mexp}")
         for r, m in self.factors:
-            base = f"({var} - {r})" if _root_positive(r) else f"({var} + {_scalar_neg_repr(r)})"
+            base = f"({var} - {r})" if _root_positive(r) else f"({var} + {-r})"
             parts.append(base + (f"^{m}" if m != 1 else ""))
         return "*".join(parts) or "1"
 
@@ -705,19 +687,11 @@ def _root_positive(r) -> bool:
         return True
 
 
-def _scalar_neg_repr(r):
-    return -r
-
-
-def _scalar_pow(x, n: int):
-    return _scalar_power(x, n)
-
-
 def _factor_desc(root, mult: int, span: int) -> dict:
     """(y-root)**mult descending: sum_i C(mult,i)(-root)^i y^(mult-i), i in [0, span]."""
     out = {}
     for i in range(span + 1):
-        c = binom(mult, i) * _scalar_pow(-root, i)
+        c = binom(mult, i) * power(-root, i)
         if c:
             out[mult - i] = c
     return out
@@ -725,40 +699,12 @@ def _factor_desc(root, mult: int, span: int) -> dict:
 
 def _factor_asc(root, mult: int, span: int) -> dict:
     """(y-root)**mult ascending: (-root)^mult * sum_i C(mult,i) (-1/root)^i y^i."""
-    lead = _scalar_pow(-root, mult)
+    lead = power(-root, mult)
     out = {}
     for i in range(span + 1):
-        c = binom(mult, i) * ((-1) ** i) * lead * _scalar_pow(root, -i)
+        c = binom(mult, i) * ((-1) ** i) * lead * power(root, -i)
         if c:
             out[i] = c
-    return out
-
-
-def _conv_span(a: dict, b: dict, tlo) -> dict:
-    out = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            t = i + j
-            if t >= tlo:
-                s = out.get(t, 0) + ca * cb
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
-    return out
-
-
-def _conv_span_hi(a: dict, b: dict, thi) -> dict:
-    out = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            t = i + j
-            if t <= thi:
-                s = out.get(t, 0) + ca * cb
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
     return out
 
 
@@ -787,6 +733,22 @@ def iota_expand(f: FactoredRational, v1: str, v2: str, region, limits: dict) -> 
     return f.ratio_series(v1, v2, region, limits)
 
 
+def _support_floors(s: TruncatedSeries, vars, what: str) -> list:
+    """Certified lower support bounds of s in ``vars``: the declared bound,
+    else the lowest stored exponent when the window is open below.  ``what``
+    names the operation that needs them in the UnboundedExponent raised
+    when one is unknown."""
+    floors = []
+    for v in vars:
+        slo = s.sup(v)[0]
+        if slo == NEG_INF and s.win(v)[0] == NEG_INF:
+            slo = s.support_min(v)
+        if slo == NEG_INF:
+            raise UnboundedExponent(f"{what} needs certified support floors")
+        floors.append(slo)
+    return floors
+
+
 def subst_exp(
     s: TruncatedSeries, var: str, target: str, zvar: str, zorder: int
 ) -> TruncatedSeries:
@@ -800,69 +762,31 @@ def subst_exp(
         raise ValueError("z-variable must be fresh")
     if var not in s.vars:
         raise ValueError(f"{var} is not a variable of the series")
-    merge = target in s.vars and target != var
-    lo, hi = s.win(var)
-    slo, shi = s.sup(var)
+    if target in s.vars and target != var:
+        # merge: output exponent of target is m + j, all splits must be certified
+        slo, slo2 = _support_floors(s, (var, target), "diagonal substitution")
+        e_hi = min(s.win(var)[1] + slo2, s.win(target)[1] + slo)
+        target_win = (NEG_INF, e_hi)
+        target_sup = (slo + slo2, _support_add_hi(s.sup(var)[1], s.sup(target)[1]))
+    else:
+        e_hi, target_win, target_sup = INF, s.win(var), s.sup(var)
     vi = s.vars.index(var)
-    if not merge:
-        out_vars = tuple(sorted(set(s.vars) - {var} | {target, zvar}))
-        coeffs: dict = {}
-        for e, c in s.coeffs.items():
-            m = e[vi]
-            base = {v: x for v, x in zip(s.vars, e) if v != var}
-            base[target] = base.get(target, 0) + m
-            for k, w in exp_z_dict(m, zorder).items():
-                key = dict(base)
-                key[zvar] = k
-                t = tuple(key.get(v, 0) for v in out_vars)
-                val = coeffs.get(t, 0) + _scale_payload(w, c)
-                if val:
-                    coeffs[t] = val
-                else:
-                    coeffs.pop(t, None)
-        window = {v: s.win(v) for v in s.vars if v != var}
-        support = {v: s.sup(v) for v in s.vars if v != var}
-        window[target] = _isect(window.get(target, (NEG_INF, INF)), s.win(var))
-        support[target] = s.sup(var)
-        window[zvar] = (NEG_INF, zorder)
-        support[zvar] = (0, INF)
-        return TruncatedSeries(out_vars, coeffs, window, support)
-    # merge: output exponent of target is m + j, all splits must be certified
-    ti = s.vars.index(target)
-    lo2, hi2 = s.win(target)
-    slo2, shi2 = s.sup(target)
-    eff_slo = slo if slo != NEG_INF else (s.support_min(var) if lo == NEG_INF else NEG_INF)
-    eff_slo2 = slo2 if slo2 != NEG_INF else (s.support_min(target) if lo2 == NEG_INF else NEG_INF)
-    if eff_slo == NEG_INF or eff_slo2 == NEG_INF:
-        raise UnboundedExponent("diagonal substitution needs certified support floors")
-    e_hi = min(
-        hi + eff_slo2 if hi != INF else INF,
-        hi2 + eff_slo if hi2 != INF else INF,
-    )
-    out_vars = tuple(sorted(set(s.vars) - {var} | {zvar}))
-    coeffs = {}
+    out_vars = tuple(sorted(set(s.vars) - {var} | {target, zvar}))
+    coeffs: dict = {}
     for e, c in s.coeffs.items():
         m = e[vi]
-        tot = m + e[ti]
-        if tot > e_hi:
+        key = {v: x for v, x in zip(s.vars, e) if v != var}
+        key[target] = key.get(target, 0) + m
+        if key[target] > e_hi:
             continue
-        base = {v: x for v, x in zip(s.vars, e) if v != var}
-        base[target] = tot
         for k, w in exp_z_dict(m, zorder).items():
-            key = dict(base)
             key[zvar] = k
-            t = tuple(key.get(v, 0) for v in out_vars)
-            val = coeffs.get(t, 0) + _scale_payload(w, c)
-            if val:
-                coeffs[t] = val
-            else:
-                coeffs.pop(t, None)
+            t = tuple(key[v] for v in out_vars)
+            coeffs[t] = coeffs.get(t, 0) + w * c
     window = {v: s.win(v) for v in s.vars if v not in (var, target)}
     support = {v: s.sup(v) for v in s.vars if v not in (var, target)}
-    window[target] = (NEG_INF, e_hi)
-    support[target] = (eff_slo + eff_slo2, _support_add_hi(shi, shi2))
-    window[zvar] = (NEG_INF, zorder)
-    support[zvar] = (0, INF)
+    window[target], support[target] = target_win, target_sup
+    window[zvar], support[zvar] = (NEG_INF, zorder), (0, INF)
     return TruncatedSeries(out_vars, coeffs, window, support)
 
 
@@ -885,19 +809,13 @@ def subst_log1p(s: TruncatedSeries, var: str, zvar: str, zorder: int) -> Truncat
         m = e[vi]
         if m not in powers:
             powers[m] = pow_unit_1v(unit, m, zorder - min(m, 0))
-        base = {v: x for v, x in zip(s.vars, e) if v != var}
+        key = {v: x for v, x in zip(s.vars, e) if v != var}
         for k, w in powers[m].items():
-            zk = k + m
-            if zk > zorder:
+            if k + m > zorder:
                 continue
-            key = dict(base)
-            key[zvar] = zk
-            t = tuple(key.get(v, 0) for v in out_vars)
-            val = coeffs.get(t, 0) + _scale_payload(w, c)
-            if val:
-                coeffs[t] = val
-            else:
-                coeffs.pop(t, None)
+            key[zvar] = k + m
+            t = tuple(key[v] for v in out_vars)
+            coeffs[t] = coeffs.get(t, 0) + w * c
     window = {v: s.win(v) for v in s.vars if v != var}
     support = {v: s.sup(v) for v in s.vars if v != var}
     window[zvar] = (NEG_INF, min(zorder, hi if hi != INF else INF))
@@ -914,30 +832,19 @@ def diagonal_collapse(s: TruncatedSeries, var: str, target: str, lam=1) -> Trunc
     if var not in s.vars or target not in s.vars:
         raise ValueError("both variables must occur in the series")
     vi, ti = s.vars.index(var), s.vars.index(target)
-    lo, hi = s.win(var)
-    lo2, hi2 = s.win(target)
-    slo = s.sup(var)[0] if s.sup(var)[0] != NEG_INF else (s.support_min(var) if lo == NEG_INF else NEG_INF)
-    slo2 = s.sup(target)[0] if s.sup(target)[0] != NEG_INF else (
-        s.support_min(target) if lo2 == NEG_INF else NEG_INF
-    )
-    if slo == NEG_INF or slo2 == NEG_INF:
-        raise UnboundedExponent("diagonal evaluation needs certified support floors")
-    e_hi = min(hi + slo2 if hi != INF else INF, hi2 + slo if hi2 != INF else INF)
+    slo, slo2 = _support_floors(s, (var, target), "diagonal evaluation")
+    e_hi = min(s.win(var)[1] + slo2, s.win(target)[1] + slo)
     out_vars = tuple(v for v in s.vars if v != var)
+    out_ti = out_vars.index(target)
     coeffs: dict = {}
     for e, c in s.coeffs.items():
         tot = e[vi] + e[ti]
         if tot > e_hi:
             continue
-        w = _scalar_pow(lam, e[vi]) if e[vi] else 1
-        key = list(x for v, x in zip(s.vars, e) if v != var)
-        key[out_vars.index(target)] = tot
+        key = [x for v, x in zip(s.vars, e) if v != var]
+        key[out_ti] = tot
         t = tuple(key)
-        val = coeffs.get(t, 0) + _scale_payload(w, c)
-        if val:
-            coeffs[t] = val
-        else:
-            coeffs.pop(t, None)
+        coeffs[t] = coeffs.get(t, 0) + (power(lam, e[vi]) if e[vi] else 1) * c
     window = {v: s.win(v) for v in out_vars}
     support = {v: s.sup(v) for v in out_vars}
     window[target] = (NEG_INF, e_hi)
@@ -957,7 +864,7 @@ def var_scaled(s: TruncatedSeries, var: str, c) -> TruncatedSeries:
     if c == 1:
         return s
     i = s.vars.index(var)
-    coeffs = {e: _scale_payload(_scalar_pow(c, e[i]), x) for e, x in s.coeffs.items()}
+    coeffs = {e: power(c, e[i]) * x for e, x in s.coeffs.items()}
     return TruncatedSeries(s.vars, coeffs, s.window, s.support, s.region)
 
 
@@ -973,14 +880,10 @@ def divide_linear(d: TruncatedSeries, v1: str, v2: str, lam, hi2_cap=None) -> Tr
     """
     if v1 not in d.vars or v2 not in d.vars:
         raise ValueError("both variables must occur in the series")
-    lo1, hi1 = d.win(v1)
-    lo2, hi2 = d.win(v2)
+    hi1, hi2 = d.win(v1)[1], d.win(v2)[1]
     if hi2_cap is not None and hi2_cap < hi2:
         hi2 = hi2_cap
-    slo1 = d.sup(v1)[0] if d.sup(v1)[0] != NEG_INF else (d.support_min(v1) if lo1 == NEG_INF else NEG_INF)
-    slo2 = d.sup(v2)[0] if d.sup(v2)[0] != NEG_INF else (d.support_min(v2) if lo2 == NEG_INF else NEG_INF)
-    if slo1 == NEG_INF or slo2 == NEG_INF:
-        raise UnboundedExponent("division needs certified support floors")
+    slo1, slo2 = _support_floors(d, (v1, v2), "division")
     if slo2 == INF or slo1 == INF:  # zero series
         return TruncatedSeries(d.vars, {}, d.window, {v: (INF, NEG_INF) for v in d.vars}, None)
     # beyond a fully known top the quotient is supported one step under the input
@@ -992,29 +895,25 @@ def divide_linear(d: TruncatedSeries, v1: str, v2: str, lam, hi2_cap=None) -> Tr
     a_hi = enum_hi1 if hi1 == INF else out_hi1
     i1, i2 = d.vars.index(v1), d.vars.index(v2)
     others = [k for k in range(len(d.vars)) if k not in (i1, i2)]
+
+    def at(base, x1, x2):
+        key = [0] * len(d.vars)
+        for idx, k in enumerate(others):
+            key[k] = base[idx]
+        key[i1], key[i2] = x1, x2
+        return tuple(key)
+
     coeffs: dict = {}
-    cells = dict(d.coeffs)
     base_keys = {tuple(e[k] for k in others) for e in d.coeffs} or {tuple(0 for _ in others)}
     for base in base_keys:
         for j in range(int(slo2), int(enum_hi2) + 1):
             for a in range(int(slo1), int(a_hi) + 1):
                 acc = 0
                 for t in range(1, j - int(slo2) + 2):
-                    key = [0] * len(d.vars)
-                    for idx, k in enumerate(others):
-                        key[k] = base[idx]
-                    key[i1] = a + t
-                    key[i2] = j - t + 1
-                    cell = cells.get(tuple(key), 0)
+                    cell = d.coeffs.get(at(base, a + t, j - t + 1), 0)
                     if cell:
-                        acc = acc + _scale_payload(_scalar_pow(lam, t - 1), cell)
-                if acc:
-                    key = [0] * len(d.vars)
-                    for idx, k in enumerate(others):
-                        key[k] = base[idx]
-                    key[i1] = a
-                    key[i2] = j
-                    coeffs[tuple(key)] = acc
+                        acc = acc + power(lam, t - 1) * cell
+                coeffs[at(base, a, j)] = acc
     window = {v: d.win(v) for v in d.vars}
     window[v1] = (NEG_INF, out_hi1)
     window[v2] = (NEG_INF, out_hi2)
@@ -1044,7 +943,7 @@ def partial_fractions(f: FactoredRational):
                 continue
             base = {}
             for i in range(k):
-                c = binom(mm, i) * _scalar_pow(root - mu, mm - i)
+                c = binom(mm, i) * power(root - mu, mm - i)
                 if c:
                     base[i] = c
             taylor = mul_trunc_1v(taylor, base, k - 1)

@@ -226,3 +226,16 @@ def test_wrapped_check_runs_in_a_worker(monkeypatch):
     assert len(results) == 2
     assert all(r.status == "pass" and r.window.startswith("wrapped in ") for r in results)
     assert all(r.window != f"wrapped in {os.getpid()}" for r in results)
+
+
+def test_residue_check_reports_both_ids_when_agreement_fails(monkeypatch):
+    monkeypatch.setattr(suites, "modes_agree", lambda y1, y2: (False, (0, None)))
+    cfg = SuiteConfig(
+        suite="phi-module", p=Fraction(2), grade=1, flavor_lo=0, flavor_hi=1, zorder=3
+    )
+    results = {r.check_id: r for r in suites.check_residue_agreement(cfg)}
+    assert set(results) == {"residue-formula-agreement", "residue-top-mode"}
+    assert results["residue-formula-agreement"].status == "fail"
+    top = results["residue-top-mode"]
+    assert top.status == "undetermined"
+    assert "trial 0" in top.counterexample["note"]

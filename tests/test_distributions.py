@@ -219,3 +219,11 @@ def test_shifted_delta_term_normalization():
     # x1^-1 delta(lam x2/x1) = sum lam^n x1^(-n-1) x2^n
     for n in range(-5, 6):
         assert e.get(x1=-n - 1, x2=n) == lam**n
+
+
+def test_window_errors_name_the_window():
+    with pytest.raises(InsufficientWindow, match=r"x1 window, got \(-inf, 3\)"):
+        delta_expand(DeltaTerm(F(1), 0, unit_coeff("x2")), "x1", "x2", {"x1": (NEG_INF, 3)})
+    f = FactoredRational(F(1), 0, ((F(2), -1),))
+    with pytest.raises(InsufficientWindow, match=r"x1:\(-4, inf\) x2:\(-inf, 5\)"):
+        iota_expand(f, "x1", "x2", ("x2", "x1"), {"x1": (-4, INF), "x2": (NEG_INF, 5)})

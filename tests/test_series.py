@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdcalc.series import (
@@ -15,11 +15,13 @@ from fdcalc.series import (
     UnboundedExponent,
     binom,
     binom_expand,
+    diagonal_collapse,
     divide_linear,
     exp_of_series,
     invert_unit_1v,
     iota_expand,
     log_series,
+    mul_trunc_1v,
     partial_fractions,
     subst_exp,
     var_scaled,
@@ -344,3 +346,195 @@ def test_var_scaled():
     s = laurent({(2, 1): 1, (-1, 0): 3})
     t = var_scaled(s, "x1", F(2))
     assert t.get(x1=2, x2=1) == 4 and t.get(x1=-1, x2=0) == F(3, 2)
+
+
+# -- window soundness of the diagonal-mixing operations ------------------------
+
+quadrant_polys = st.dictionaries(
+    st.tuples(st.integers(-3, 4), st.integers(-3, 4)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=4),
+    min_size=1,
+    max_size=6,
+).map(lambda d: TruncatedSeries.exact(("x1", "x2"), d))
+
+
+def _narrowed(P, hi1, hi2, known_support):
+    """P on the window x1 <= hi1, x2 <= hi2.  With ``known_support`` False the
+    x1 support bound is dropped and the x2 window left open, so the x1 floor
+    must come from the stored cells (every cell below hi1 is stored)."""
+    if known_support:
+        window = {"x1": (NEG_INF, hi1), "x2": (NEG_INF, hi2)}
+        return TruncatedSeries(P.vars, P.coeffs, window, P.support)
+    return TruncatedSeries(P.vars, P.coeffs, {"x1": (NEG_INF, hi1)}, {"x2": P.support["x2"]})
+
+
+def _assert_agrees_on_window(narrow, wide):
+    """Every cell of narrow's certified window matches wide, and narrow
+    reports nothing outside its window."""
+    assert narrow.vars == wide.vars
+    for e in narrow.coeffs:
+        assert all(narrow.win(v)[0] <= x <= narrow.win(v)[1] for v, x in zip(narrow.vars, e))
+    for e in set(narrow.coeffs) | set(wide.coeffs):
+        if all(narrow.win(v)[0] <= x <= narrow.win(v)[1] for v, x in zip(narrow.vars, e)):
+            cell = dict(zip(narrow.vars, e))
+            assert narrow.get(**cell) == wide.get(**cell), (cell, narrow, wide)
+
+
+window_cases = st.tuples(quadrant_polys, st.integers(-2, 5), st.integers(-2, 5), st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_cases, st.integers(0, 4))
+def test_subst_exp_narrow_window_agrees_with_wider(case, zorder):
+    P, hi1, hi2, known = case
+    narrow = _narrowed(P, hi1, hi2, known)
+    for target in ("u", "x2"):  # a fresh variable, then the diagonal merge
+        _assert_agrees_on_window(
+            subst_exp(narrow, "x1", target, "z", zorder), subst_exp(P, "x1", target, "z", zorder)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_cases, st.sampled_from([F(1), F(2), F(-1, 3)]))
+def test_var_scaled_and_diagonal_collapse_narrow_window_agree_with_wider(case, lam):
+    P, hi1, hi2, known = case
+    narrow = _narrowed(P, hi1, hi2, known)
+    _assert_agrees_on_window(var_scaled(narrow, "x1", lam), var_scaled(P, "x1", lam))
+    _assert_agrees_on_window(
+        diagonal_collapse(narrow, "x1", "x2", lam), diagonal_collapse(P, "x1", "x2", lam)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_cases, st.sampled_from([F(1), F(3), F(-1, 2)]))
+@example((laurent({(1, 0): 1}), 1, 0, True), F(1))  # the window top cuts the last diagonal
+def test_divide_linear_narrow_window_agrees_with_wider(case, lam):
+    B, hi1, hi2, known = case
+    D = laurent({(1, 0): 1, (0, 1): -lam}) * B
+    if D.is_zero_series():
+        return
+    narrow = _narrowed(D, hi1, hi2, known)
+    _assert_agrees_on_window(
+        divide_linear(narrow, "x1", "x2", lam), divide_linear(D, "x1", "x2", lam)
+    )
+
+
+# -- the one-variable convolution --------------------------------------------------
+
+
+def _dense_product(a, b, lo, hi):
+    out = {}
+    for t in range(min(a) + min(b), max(a) + max(b) + 1):
+        s = sum(a.get(i, 0) * b.get(t - i, 0) for i in a)
+        if s and lo <= t <= hi:
+            out[t] = s
+    return out
+
+
+def test_mul_trunc_1v_cancellation_and_cut():
+    a = {0: F(1), 1: F(1), 2: F(1)}
+    b = {2: F(1), 1: F(-1), 0: F(2)}
+    # y^2 collects +1, -1, +2 in this order: zero on the way, 2 at the end;
+    # y^3 collects +1, -1 and must not be stored
+    got = mul_trunc_1v(a, b, 4)
+    assert got == {0: 2, 1: 1, 2: 2, 4: 1}
+    assert got == _dense_product(a, b, NEG_INF, 4)
+    assert mul_trunc_1v(a, b, 3, 1) == {1: 1, 2: 2}
+    assert mul_trunc_1v({0: F(1), 1: F(1)}, {0: F(1), 1: F(-1)}, 2) == {0: 1, 2: -1}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(st.integers(-3, 4), st.integers(-3, 3), min_size=1, max_size=6),
+    st.dictionaries(st.integers(-3, 4), st.integers(-3, 3), min_size=1, max_size=6),
+    st.integers(-6, 8),
+    st.integers(0, 8),
+)
+def test_mul_trunc_1v_matches_dense_reference(a, b, lo, span):
+    hi = lo + span
+    assert mul_trunc_1v(a, b, hi, lo) == _dense_product(a, b, lo, hi)
+    assert mul_trunc_1v(a, b, hi) == _dense_product(a, b, NEG_INF, hi)
+
+
+# -- sympy as an independent oracle ---------------------------------------------
+
+
+def _sympy_coeffs(sp, expr, y, lo, hi):
+    """Coefficients of y^t, lo <= t <= hi, of the Laurent expansion at y = 0."""
+    ser = sp.series(expr, y, 0, hi + 1).removeO()
+    return {t: F(str(ser.coeff(y, t))) for t in range(lo, hi + 1)}
+
+
+def _cells_agree(s, want, cell):
+    """s matches want[t] at cell(t) wherever its window certifies that cell."""
+    checked = 0
+    for t, c in want.items():
+        exps = cell(t)
+        if all(s.win(v)[0] <= x <= s.win(v)[1] for v, x in exps.items()):
+            assert s.get(**exps) == c, (t, exps, s.get(**exps), c)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("n", [-3, -1, 2, 4])
+def test_binom_expand_against_sympy_series(n):
+    sp = pytest.importorskip("sympy")
+    y = sp.Symbol("y")
+    want = _sympy_coeffs(sp, (1 - y) ** n, y, 0, 7)
+    # |x1| > |x2|: (x1 - x2)^n = x1^n (1 - x2/x1)^n
+    s = binom_expand(n, "x1", "x2", ("x1", "x2"), BOX)
+    assert _cells_agree(s, want, lambda i: {"x1": n - i, "x2": i}) >= 4
+    # |x2| > |x1|: (x1 - x2)^n = (-x2)^n (1 - x1/x2)^n
+    s = binom_expand(n, "x1", "x2", ("x2", "x1"), BOX)
+    flipped = {i: (-1) ** (n % 2) * c for i, c in want.items()}
+    assert _cells_agree(s, flipped, lambda i: {"x1": i, "x2": n - i}) >= 4
+
+
+@pytest.mark.parametrize(
+    "mexp, factors",
+    [
+        (0, ((F(3), -1),)),
+        (1, ((F(1), -2), (F(-2), 1))),
+        (-2, ((F(1, 2), -1), (F(5), -1), (F(3), 2))),
+    ],
+)
+def test_iota_expand_against_sympy_series(mexp, factors):
+    sp = pytest.importorskip("sympy")
+    y, u = sp.Symbol("y"), sp.Symbol("u")
+    f = FactoredRational(F(2, 3), mexp, factors)
+    expr = sp.Rational(2, 3) * y**mexp
+    for r, m in factors:
+        expr *= (y - sp.Rational(r.numerator, r.denominator)) ** m
+    # |x2| > |x1|: ascending powers of the ratio y = x1/x2
+    asc = _sympy_coeffs(sp, expr, y, mexp, mexp + 8)
+    s = iota_expand(f, "x1", "x2", ("x2", "x1"), BOX)
+    assert _cells_agree(s, asc, lambda t: {"x1": t, "x2": -t}) >= 4
+    # |x1| > |x2|: descending powers, the ascending expansion of f(1/u)
+    desc = _sympy_coeffs(sp, expr.subs(y, 1 / u), u, -12, 8)
+    s = iota_expand(f, "x1", "x2", ("x1", "x2"), BOX)
+    assert _cells_agree(s, desc, lambda t: {"x1": -t, "x2": t}) >= 4
+
+
+@pytest.mark.parametrize(
+    "const, factors",
+    [
+        (F(1), ((F(1), -1), (F(2), -1))),
+        (F(3, 2), ((F(-1, 2), -2), (F(3), -1))),
+        (F(-1), ((F(1), -3), (F(2), -2), (F(5, 3), -1))),
+    ],
+)
+def test_partial_fractions_against_sympy_apart(const, factors):
+    sp = pytest.importorskip("sympy")
+    y = sp.Symbol("y")
+    expr = sp.Rational(const.numerator, const.denominator)
+    for r, m in factors:
+        expr *= (y - sp.Rational(r.numerator, r.denominator)) ** m
+    want = {}
+    for term in sp.Add.make_args(sp.apart(expr, y)):
+        num, den = sp.fraction(sp.factor(term))
+        den = sp.Poly(den, y)
+        ((root, j),) = sp.roots(den).items()
+        want[(F(str(root)), j)] = F(str(num / den.LC()))
+    got = {(r, j): a for r, j, a in partial_fractions(FactoredRational(const, 0, factors)) if a}
+    assert got == want
+
