@@ -153,28 +153,30 @@ def vir_relation_check(
     max_len = 0
     stable = True
     fs = f_coefficients(params, max(0, grade_bound + 1 - min(m, n)) + extend)
+    neg_fs = [-f for f in fs]
     for w in module.basis(grade_bound):
         bound = module.ann_bound(w)
         L = max(0, bound - min(m, n))
         max_len = max(max_len, L)
 
-        def term(l):
+        def words(l):
             t1 = module.apply_mode("T", n + l, w)
             if t1:
                 t1 = module.apply_mode("T", m - l, t1)
             t2 = module.apply_mode("T", m + l, w)
             if t2:
                 t2 = module.apply_mode("T", n - l, t2)
-            return t1 - t2
+            return t1, t2
 
-        base = FockVector()
+        pairs = []
         for l in range(0, L + 1):
-            t = term(l)
-            if t:
-                base = base + fs[l] * t
+            t1, t2 = words(l)
+            pairs += ((fs[l], t1), (neg_fs[l], t2))
+        base = FockVector.lincomb(pairs)
         # certificate: every term beyond the recorded truncation vanishes
         for l in range(L + 1, L + extend + 1):
-            if term(l):
+            t1, t2 = words(l)
+            if t1 != t2:
                 stable = False
                 break
         rhs = central * w if m + n == 0 else FockVector()

@@ -12,6 +12,12 @@ The module is the universal restricted vacuum module: basis monomials are
 strictly ordered products of creation generators applied to the vacuum, with
 the zero mode kept as a basis-level generator (its square reduces to the
 scalar ``{T_0,T_0}/2 = 2``), so all arithmetic stays inside the exact field.
+
+A :class:`FockVector` is immutable: no operation changes ``terms`` after
+construction, so operations may return an operand (``1 * v`` is ``v``) and
+the mode-action memo may hand the same vector to every caller.  Linear
+combinations are built by :meth:`FockVector.lincomb`, the one accumulate: it
+sums into one dict and drops zero coefficients once, at the end.
 """
 
 from __future__ import annotations
@@ -95,7 +101,11 @@ def t_spec(field: ScalarField) -> CarSpec:
 
 
 class FockVector:
-    """Finite linear combination of basis monomials with exact coefficients."""
+    """Finite linear combination of basis monomials with exact coefficients.
+
+    Immutable: ``terms`` maps each monomial to its nonzero coefficient and is
+    never changed after construction, so results may share it with operands.
+    """
 
     __slots__ = ("terms",)
 
@@ -105,6 +115,30 @@ class FockVector:
             for m, c in terms.items():
                 if c:
                     self.terms[m] = c
+
+    @classmethod
+    def _wrap(cls, terms):
+        """A vector over ``terms``, which must hold no zero coefficient."""
+        v = cls.__new__(cls)
+        v.terms = terms
+        return v
+
+    @classmethod
+    def lincomb(cls, pairs):
+        """Sum of c * v over the (c, v) pairs.
+
+        Sums into one dict; v's coefficients go in unmultiplied when c == 1,
+        and zero coefficients are dropped once, at the end.
+        """
+        out = {}
+        for c, v in pairs:
+            unit = c == 1
+            for m, x in v.terms.items():
+                if not unit:
+                    x = c * x
+                y = out.get(m)
+                out[m] = x if y is None else y + x
+        return cls._wrap({m: x for m, x in out.items() if x})
 
     def __bool__(self):
         return bool(self.terms)
@@ -121,9 +155,7 @@ class FockVector:
                     out[m] = s
                 else:
                     del out[m]
-            v = FockVector.__new__(FockVector)
-            v.terms = out
-            return v
+            return FockVector._wrap(out)
         if not other:
             return self
         return NotImplemented
@@ -131,9 +163,7 @@ class FockVector:
     __radd__ = __add__
 
     def __neg__(self):
-        v = FockVector.__new__(FockVector)
-        v.terms = {m: -c for m, c in self.terms.items()}
-        return v
+        return FockVector._wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, FockVector):
@@ -152,9 +182,9 @@ class FockVector:
             return NotImplemented
         if not c:
             return FockVector()
-        v = FockVector.__new__(FockVector)
-        v.terms = {m: c * x for m, x in self.terms.items()}
-        return v
+        if c == 1:
+            return self
+        return FockVector._wrap({m: c * x for m, x in self.terms.items()})
 
     __mul__ = __rmul__
 
@@ -204,10 +234,8 @@ class FockModule:
 
     def apply_mode(self, r, n: int, w: FockVector) -> FockVector:
         self.spec.check_flavor(r)
-        out = FockVector()
-        for mono, c in w.terms.items():
-            out = out + c * self._apply_gen((r, n), mono)
-        return out
+        gen = (r, n)
+        return FockVector.lincomb((c, self._apply_gen(gen, mono)) for mono, c in w.terms.items())
 
     def _apply_gen(self, gen, mono) -> FockVector:
         key = (gen, mono)
@@ -235,9 +263,12 @@ class FockModule:
                 return res
         pair = spec.pairing(r, n, h[0], h[1])
         rest = mono[1:]
-        res = FockVector({rest: pair}) if pair else FockVector()
+        # (h,) + m never equals rest, whose first generator follows h, so no
+        # two terms share a monomial
+        terms = {rest: pair} if pair else {}
         for m, c in self._apply_gen(gen, rest).terms.items():
-            res = res + FockVector({(h,) + m: -c})
+            terms[(h,) + m] = -c
+        res = FockVector._wrap(terms)
         self._memo[key] = res
         return res
 

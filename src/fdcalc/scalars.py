@@ -296,6 +296,9 @@ class RatFunc:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            # the canonical form of the constant n is n / 1, and of 0 is () / 1
+            return self.den.coeffs == (1,) and self.num.coeffs == ((other,) if other else ())
         o = RatFunc._coerce(other)
         if o is None:
             return NotImplemented
@@ -341,6 +344,10 @@ class RatFunc:
             return NotImplemented
         a, b = _p_order(self.den), _p_order(o.den)
         if a is not None and b is not None:
+            if b == 0 and len(o.num.coeffs) == 1:
+                return self._scaled(o.num.coeffs[0])
+            if a == 0 and len(self.num.coeffs) == 1:
+                return o._scaled(self.num.coeffs[0])
             return RatFunc(self.num * o.num, _p_pow(a + b))
         # cross-cancel before multiplying to keep degrees small
         g1 = self.num.gcd(o.den)
@@ -352,6 +359,12 @@ class RatFunc:
         return RatFunc(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
+
+    def _scaled(self, k):
+        """k * self for a nonzero rational k: (k num) / den is already canonical."""
+        r = RatFunc.__new__(RatFunc)
+        r.num, r.den = self.num.scale(k), self.den
+        return r
 
     def inverse(self) -> "RatFunc":
         if not self.num:

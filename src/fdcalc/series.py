@@ -681,10 +681,11 @@ def _root_key(r):
 
 
 def _root_positive(r) -> bool:
-    try:
-        return Fraction(r) >= 0 if isinstance(r, (int, Fraction)) else True
-    except TypeError:
-        return True
+    """Sign of a root for rendering; a Q(p) root takes the sign of its
+    numerator's leading coefficient (its denominator is monic)."""
+    if isinstance(r, RatFunc):
+        return r.num.coeffs[-1] > 0
+    return r >= 0
 
 
 def _factor_desc(root, mult: int, span: int) -> dict:
@@ -735,14 +736,19 @@ def iota_expand(f: FactoredRational, v1: str, v2: str, region, limits: dict) -> 
 
 def _support_floors(s: TruncatedSeries, vars, what: str) -> list:
     """Certified lower support bounds of s in ``vars``: the declared bound,
-    else the lowest stored exponent when the window is open below.  ``what``
-    names the operation that needs them in the UnboundedExponent raised
-    when one is unknown."""
+    else the lowest stored exponent when the window is open below in v and
+    every other variable's window is unbounded, so that every nonzero cell
+    under v's window top is stored (hi + 1 when none is).  ``what`` names the
+    operation that needs them in the UnboundedExponent raised when one is
+    unknown."""
     floors = []
     for v in vars:
         slo = s.sup(v)[0]
-        if slo == NEG_INF and s.win(v)[0] == NEG_INF:
-            slo = s.support_min(v)
+        lo, hi = s.win(v)
+        if slo == NEG_INF and lo == NEG_INF and all(
+            s.win(u) == (NEG_INF, INF) for u in s.vars if u != v
+        ):
+            slo = min(s.support_min(v), hi + 1)
         if slo == NEG_INF:
             raise UnboundedExponent(f"{what} needs certified support floors")
         floors.append(slo)
@@ -886,9 +892,11 @@ def divide_linear(d: TruncatedSeries, v1: str, v2: str, lam, hi2_cap=None) -> Tr
     slo1, slo2 = _support_floors(d, (v1, v2), "division")
     if slo2 == INF or slo1 == INF:  # zero series
         return TruncatedSeries(d.vars, {}, d.window, {v: (INF, NEG_INF) for v in d.vars}, None)
-    # beyond a fully known top the quotient is supported one step under the input
-    enum_hi2 = d.support_max(v2) if hi2 == INF else hi2
-    enum_hi1 = (d.support_max(v1) - 1) if hi1 == INF else hi1
+    # beyond a fully known top the quotient is supported one step under the
+    # input; an empty store has no cell at or above the floors
+    top1, top2 = (d.support_max(v1), d.support_max(v2)) if d.coeffs else (slo1 - 1, slo2 - 1)
+    enum_hi2 = top2 if hi2 == INF else hi2
+    enum_hi1 = top1 - 1 if hi1 == INF else hi1
     depth = int(enum_hi2 - slo2 + 1)
     out_hi1 = INF if hi1 == INF else hi1 - depth
     out_hi2 = INF if hi2 == INF else hi2

@@ -176,3 +176,32 @@ def test_suites_mutually_consistent():
     )
     results = dict((cid, ok) for cid, ok, _ in theorem59_suite(params, 2, 3))
     assert results["mode-extracted-pairing"]
+
+
+@pytest.mark.parametrize("p0, q0", [(F(2), F(3)), (F(3, 2), F(-2, 5)), (None, F(-1))])
+def test_f_coefficients_against_sympy_series(p0, q0):
+    sp = pytest.importorskip("sympy")
+    z, ps = sp.symbols("z p")
+    N = 10
+    pv = ps if p0 is None else sp.Rational(p0.numerator, p0.denominator)
+    qv = sp.Rational(q0.numerator, q0.denominator)
+    t = qv / pv
+    # exp of the sum is the product of the exps of its terms: sympy.series
+    # expands each factor, and the product is cut at z^N as it grows
+    s = sp.Integer(1)
+    for n in range(1, N + 1):
+        c = sp.cancel((1 - qv**n) * (1 - t**-n) / (1 + pv**n) / n)
+        s = sp.expand(s * sp.series(sp.exp(c * z**n), z, 0, N + 1).removeO())
+        s = sum(s.coeff(z, l) * z**l for l in range(N + 1))
+    got = f_coefficients(SYM if p0 is None else DVirParams.at(p0, q=q0), N)
+
+    def to_sympy(x):
+        if isinstance(x, RatFunc):
+            num, den = (sum(sp.Rational(c.numerator, c.denominator) * ps**i
+                            for i, c in enumerate(poly.coeffs)) for poly in (x.num, x.den))
+            return num / den
+        return sp.Rational(x.numerator, x.denominator)
+
+    assert len(got) == N + 1
+    for l in range(N + 1):
+        assert sp.cancel(to_sympy(got[l]) - s.coeff(z, l)) == 0, l

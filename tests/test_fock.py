@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdcalc.fock import (
     FlavorOutOfWindow,
@@ -9,7 +12,7 @@ from fdcalc.fock import (
     e_spec,
     t_spec,
 )
-from fdcalc.scalars import RatFunc, ScalarField
+from fdcalc.scalars import Poly, RatFunc, ScalarField
 from fdcalc.series import var_scaled
 
 F = Fraction
@@ -199,3 +202,92 @@ def test_fock_vector_sum_keeps_new_coefficients():
     assert t.terms[a_] is u.terms[a_]
     # summing in the other order gives the same vector
     assert w + v + u == t and hash(w + v + u) == hash(t)
+
+
+# -- the one accumulate and the unit fast paths ---------------------------------------
+
+MONOS = [(), (("T", -1),), (("T", -2),), (("T", 0), ("T", -1))]
+
+
+def _vectors(scalars):
+    return st.dictionaries(st.sampled_from(MONOS), scalars, max_size=4).map(FockVector)
+
+
+def _pairs(scalars):
+    """(c, v) pairs with unit, zero and other c, plus (-c, v) copies of some, so
+    that sums cancel, some to the zero vector."""
+    coeff = st.one_of(st.sampled_from([0, 1, -1]), scalars)
+    pairs = st.lists(st.tuples(coeff, _vectors(scalars)), max_size=5)
+    return st.tuples(pairs, st.lists(st.booleans(), max_size=5)).map(
+        lambda t: t[0] + [(-c, v) for (c, v), neg in zip(t[0], t[1]) if neg]
+    )
+
+
+fraction_scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+ratfunc_scalars = st.builds(
+    lambda a, b, k, den: RatFunc(Poly((a, b)), Poly.const(1).shift(k) if den else Poly((1, 1))),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.integers(0, 2),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_pairs(fraction_scalars), _pairs(ratfunc_scalars)))
+def test_lincomb_equals_pairwise_sum(pairs):
+    want = FockVector()
+    for c, v in pairs:
+        want = want + c * v
+    got = FockVector.lincomb(pairs)
+    assert got == want and hash(got) == hash(want)
+    assert all(got.terms.values())  # zeros are dropped
+    assert not FockVector.lincomb(pairs + pairs + [(-2 * c, v) for c, v in pairs])
+
+
+def test_apply_mode_equals_sum_over_monomials(tmod, emod):
+    rng = random.Random(5)
+    for module, gens in ((tmod, [("T", n) for n in range(-3, 4)]), (emod, [(0, 1), (1, 0), (2, -1)])):
+        basis = module.basis(3)
+        one = module.field.one()
+        for _ in range(30):
+            w = FockVector()
+            for v in rng.sample(basis, 3):
+                w = w + (rng.choice([one, -one, 2 * one, p, 1 / (p + 1)])) * v
+            for gen in gens:
+                want = FockVector()
+                for mono, c in w.terms.items():
+                    want = want + c * module._apply_gen(gen, mono)
+                assert module.apply_mode(*gen, w) == want
+
+
+def test_unit_times_vector_is_the_vector_and_stays_unchanged():
+    a_, b_ = (), (("T", -1),)
+    v = FockVector({a_: p + 1, b_: F(1, 2) * p})
+    before = dict(v.terms)
+    for one in (1, F(1), RatFunc(1)):
+        u = one * v
+        assert u == v
+        s = u + FockVector({a_: -(p + 1)})
+        t = -u
+        r = 3 * u - s
+        assert s == FockVector({b_: F(1, 2) * p}) and t != v and r
+    assert v * 1 == v
+    assert v.terms == before
+
+
+def test_apply_mode_on_a_basis_vector_multiplies_by_no_unit(monkeypatch):
+    mul = RatFunc.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append(a == 1 or b == 1)
+        return mul(a, b)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counted)
+    monkeypatch.setattr(RatFunc, "__rmul__", counted)
+    module = FockModule(t_spec(QP))  # a cold memo computes pairings, which multiply
+    for w in module.basis(4):
+        for n in range(-5, 6):
+            module.apply_mode("T", n, w)
+    assert calls and not any(calls)

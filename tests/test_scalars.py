@@ -182,6 +182,15 @@ def test_laurent_fast_path_matches_gcd_path(a, b):
         assert all(type(c) is int for c in got.num.coeffs if c.denominator == 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(laurents(), st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9), fractions))
+def test_laurent_times_constant_matches_gcd_path(a, k):
+    q = Poly((1, 1))
+    ref = RatFunc(a.num.scale(k) * q, a.den * q)
+    for got in (a * RatFunc(k), RatFunc(k) * a, k * a, a * k):
+        assert _stored_form(got) == _stored_form(ref)
+
+
 def test_laurent_constants_hash_like_fractions():
     assert hash(p * p**-1) == hash(Fraction(1)) == hash(1)
     half = (Fraction(5, 2) * p) * p**-1
@@ -258,3 +267,18 @@ def test_canonical_form_matches_sympy_cancel():
     for _ in range(150):
         f, expr = _random_tree(rng, rng.randint(1, 3), sp, x)
         assert (f.num.coeffs, f.den.coeffs) == _sympy_canonical(sp, x, expr), (f, expr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        qp_scalars(),
+        st.sampled_from([RatFunc(0), RatFunc(1), RatFunc(-1), RatFunc(3), RatFunc(Fraction(1, 2))]),
+    ),
+    st.one_of(st.sampled_from([0, 1, -1]), st.integers(-60, 60)),
+)
+def test_equality_with_int_agrees_with_coerced_int(f, n):
+    assert (f == n) == (f == RatFunc(n)) == (n == f)
+    assert (f != n) == (not f == n)
+    if f.is_constant():
+        assert (f == n) == (f.as_fraction() == n)

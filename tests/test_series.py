@@ -26,6 +26,7 @@ from fdcalc.series import (
     subst_exp,
     var_scaled,
 )
+from fdcalc.scalars import RatFunc
 
 F = Fraction
 BOX = {"x1": (-8, 8), "x2": (-8, 8)}
@@ -538,3 +539,63 @@ def test_partial_fractions_against_sympy_apart(const, factors):
     got = {(r, j): a for r, j, a in partial_fractions(FactoredRational(const, 0, factors)) if a}
     assert got == want
 
+
+
+# -- root signs in render, and the stored-cell support floor -------------------------
+
+
+def test_render_root_signs():
+    p = RatFunc.p()
+    # a Q(p) root takes the sign of its numerator's leading coefficient
+    assert FactoredRational(p, -1, ((-p * p, -2),)).render() == "(p)*y^-1*(y + p^2)^-2"
+    assert FactoredRational(RatFunc(1), 0, ((-p, 1), (p * p, 1), (-1 / p, 2))).render() == (
+        "(y + 1/p)^2*(y + p)*(y - p^2)"
+    )
+    # int and Fraction roots render as before
+    assert FactoredRational(F(2, 3), 1, ((F(3), -1), (F(-1, 2), 2))).render() == (
+        "2/3*y^1*(y + 1/2)^2*(y - 3)^-1"
+    )
+    assert FactoredRational(F(-1), -2, ((3, 1), (-4, -1))).render() == "-1*y^-2*(y + 4)^-1*(y - 3)"
+
+
+def test_stored_floor_needs_every_other_window_unbounded():
+    P = laurent({(0, 0): 1, (-1, 4): 1})
+    # seen on x1, x2 <= 3 the x1^-1 x2^4 cell is outside the box, so the lowest
+    # stored x1-exponent (0) certifies nothing; the true x2^3 coefficient is 1
+    boxed = TruncatedSeries(P.vars, P.coeffs, {"x1": (NEG_INF, 3), "x2": (NEG_INF, 3)}, {})
+    with pytest.raises(UnboundedExponent):
+        diagonal_collapse(boxed, "x1", "x2", 1)
+    # with the x2 window unbounded every cell under the x1 top is stored
+    open_x2 = TruncatedSeries(P.vars, P.coeffs, {"x1": (NEG_INF, 3)}, {"x2": (0, INF)})
+    d = diagonal_collapse(open_x2, "x1", "x2", 1)
+    assert d.get(x2=3) == 1 and d.get(x2=0) == 1 and d.win("x2") == (NEG_INF, 3)
+
+
+def test_stored_floor_of_an_empty_store_is_one_above_the_window():
+    # x1^5 seen on x1 <= 3 stores nothing; its diagonal x2^5 lies above the
+    # certified floor, not beyond an infinite one
+    s = TruncatedSeries(("x1", "x2"), {(5, 0): 1}, {"x1": (NEG_INF, 3)}, {"x2": (0, INF)})
+    d = diagonal_collapse(s, "x1", "x2", 1)
+    assert d.is_zero_series() and d.win("x2") == (NEG_INF, 3)
+    assert d.sup("x2")[0] == 4
+
+
+def test_divide_linear_on_an_empty_store():
+    # d = x1^4 (x1 - x2) seen on x1 <= 3 stores nothing: the quotient x1^4
+    # vanishes on the whole x1 window, since a nonzero quotient cell there
+    # would leave a nonzero cell of d in it
+    d = TruncatedSeries(
+        ("x1", "x2"), {(5, 0): 1, (4, 1): -1}, {"x1": (NEG_INF, 3)}, {"x1": (4, INF), "x2": (0, INF)}
+    )
+    A = divide_linear(d, "x1", "x2", 1)
+    assert A.is_zero_series() and A.win("x1") == (NEG_INF, 3) and A.win("x2") == (NEG_INF, INF)
+    # a finite x2 top: the quotient is computed, and certified, on x1 <= 3 - 6
+    capped = d.restricted({"x2": (NEG_INF, 5)})
+    A = divide_linear(capped, "x1", "x2", 1)
+    assert A.is_zero_series() and A.win("x1") == (NEG_INF, -3) and A.win("x2") == (NEG_INF, 5)
+    # x2^2 x1^4 (x1 - x2) seen on x2 <= 1 with the x1 window open above
+    d = TruncatedSeries(
+        ("x1", "x2"), {(5, 2): 1, (4, 3): -1}, {"x2": (NEG_INF, 1)}, {"x1": (4, INF), "x2": (0, INF)}
+    )
+    A = divide_linear(d, "x1", "x2", 1)
+    assert A.is_zero_series() and A.win("x1") == (NEG_INF, INF) and A.win("x2") == (NEG_INF, 1)
