@@ -239,10 +239,16 @@ def _scalar_inv(x):
 
 
 def solve_exact(matrix, rhs):
-    """Solve M x = rhs by Gaussian elimination; scalar M, payload rhs."""
+    """Solve M x = b by Gauss-Jordan elimination; scalar M, payload b.
+
+    ``rhs`` is one right-hand side, a list with one entry per row, and the
+    result is its solution.  A dict of right-hand sides is solved with one
+    elimination of M, and the result is the dict of their solutions.
+    """
+    cols = list(rhs.values()) if isinstance(rhs, dict) else [rhs]
     n = len(matrix)
     m = [list(row) for row in matrix]
-    b = list(rhs)
+    b = [list(row) for row in zip(*cols)]  # row r holds every system's entry r
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
@@ -251,22 +257,44 @@ def solve_exact(matrix, rhs):
         b[col], b[piv] = b[piv], b[col]
         inv = _scalar_inv(m[col][col])
         m[col] = [inv * x for x in m[col]]
-        b[col] = inv * b[col]
+        b[col] = [inv * y for y in b[col]]
         for r in range(n):
             if r != col and m[r][col]:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                b[r] = b[r] - f * b[col]
-    return b
+                b[r] = [x - f * y for x, y in zip(b[r], b[col])]
+    sols = [[row[i] for row in b] for i in range(len(cols))]
+    return dict(zip(rhs, sols)) if isinstance(rhs, dict) else sols[0]
+
+
+def _recurrence(lambdas, jmax: int) -> list:
+    """Nonzero coefficients (k, c_k) of prod_lam (y - lam)^(jmax+1), with
+    None for a unit c_k, so that it needs no multiply.
+
+    Every exponential polynomial sum_ij a_ij n^j lam_i^n, j <= jmax, satisfies
+    sum_k c_k u(n+k) = 0 for all n; on a run of at least L = deg consecutive
+    entries nothing else does, since these L sequences span the solutions.
+    """
+    c = [1]  # ascending
+    for lam in lambdas:
+        for _ in range(jmax + 1):
+            c = [a - lam * b for a, b in zip([0] + c, c + [0])]  # times (y - lam)
+    return [(k, None if ck == 1 else ck) for k, ck in enumerate(c) if ck]
 
 
 def delta_fit(D: TruncatedSeries, lambdas, jmax: int, v1: str, v2: str):
     """Recover the unique delta-term list matching D on its whole window.
 
-    Fits each diagonal offset d by solving sum_{i,j} a_ij n^j lam_i^n =
-    D[v1^(-n) v2^(n+d)] on a consecutive run of n and validating on every
-    remaining certified entry; raises NotDeltaSum when no delta sum matches,
-    InsufficientWindow when a needed diagonal has too few certified entries.
+    Each diagonal offset d carries the run u(n) = D[v1^(-n) v2^(n+d)] over its
+    certified n.  It is a delta sum over ``lambdas`` exactly when u satisfies
+    the order-L recurrence of prod_lam (y - lam)^(jmax+1) on the whole run
+    (L = len(lambdas) * (jmax + 1)); the first n where it does not is reported
+    in NotDeltaSum.  The coefficients a_ij of sum_ij a_ij n^j lam_i^n then
+    come from the run's first L entries: one Gauss-Jordan elimination per
+    distinct run start n0, with every diagonal starting there as a right-hand
+    side, on columns n^j lam^(n - n0), whose solution is a_ij lam^n0.
+    Raises InsufficientWindow when a needed diagonal has fewer than L
+    certified entries.
     """
     lambdas = list(lambdas)
     if len({repr(l) for l in lambdas}) != len(lambdas) or any(not l for l in lambdas):
@@ -285,15 +313,13 @@ def delta_fit(D: TruncatedSeries, lambdas, jmax: int, v1: str, v2: str):
         hi = min((-lo1) if lo1 != NEG_INF else INF, (hi2 - d) if hi2 != INF else INF)
         return lo, hi
 
-    stored_d = sorted({e[iv1] + e[iv2] for e in D.coeffs})
-    cells = {}
+    diagonals: dict = {}
     for e, c in D.coeffs.items():
-        cells[(-e[iv1], e[iv1] + e[iv2])] = c
+        diagonals.setdefault(e[iv1] + e[iv2], {})[-e[iv1]] = c
+    stored_d = sorted(diagonals)
+    rec = _recurrence(lambdas, jmax)
 
-    def cell(n, d):
-        return cells.get((n, d), 0)
-
-    solutions: dict = {}
+    starts: dict = {}  # run start n0 -> {d: first L entries of the run}
     for d in stored_d:
         nlo, nhi = n_interval(d)
         if nhi == INF:
@@ -306,25 +332,25 @@ def delta_fit(D: TruncatedSeries, lambdas, jmax: int, v1: str, v2: str):
             raise InsufficientWindow(
                 f"diagonal {d}: {int(max(nhi - nlo + 1, 0))} entries < {L} parameters"
             )
-        rows = []
-        rhs = []
         n0 = int(nlo)
-        for n in range(n0, n0 + L):
-            rows.append([(n**j) * power(l, n) for l, j in params])
-            rhs.append(cell(n, d))
-        sol = solve_exact(rows, rhs)
-        # validate on every remaining certified entry of this diagonal
-        for n in range(n0 + L, int(nhi) + 1):
-            pred = 0
-            for col, (l, j) in enumerate(params):
-                a = sol[col]
-                if not isinstance(a, int) or a:
-                    w = (n**j) * power(l, n)
-                    if w:
-                        pred = pred + w * a
-            if pred != cell(n, d):
-                raise NotDeltaSum(f"diagonal {d} deviates from the fit at n = {n}")
-        solutions[d] = sol
+        cells = diagonals[d]
+        run = [cells.get(n, 0) for n in range(n0, int(nhi) + 1)]
+        for m in range(len(run) - L):
+            acc = 0
+            for k, ck in rec:
+                u = run[m + k]
+                if u:
+                    acc = acc + (u if ck is None else ck * u)
+            if acc:
+                raise NotDeltaSum(f"diagonal {d} deviates from the fit at n = {n0 + m + L}")
+        starts.setdefault(n0, {})[d] = run[:L]
+
+    solutions: dict = {}
+    for n0, rhs in starts.items():
+        rows = [[(n0 + t) ** j * power(l, t) for l, j in params] for t in range(L)]
+        back = [power(l, -n0) for l, _ in params]
+        for d, sol in solve_exact(rows, rhs).items():
+            solutions[d] = [a * s for a, s in zip(sol, back)]
 
     # certified d-range for the recovered coefficient windows
     scan_lo = (lo1 + lo2) if (lo1 != NEG_INF and lo2 != NEG_INF) else (stored_d[0] - 1 if stored_d else 0)
@@ -338,9 +364,9 @@ def delta_fit(D: TruncatedSeries, lambdas, jmax: int, v1: str, v2: str):
     out = []
     for col, (l, j) in enumerate(params):
         coeffs = {}
-        for d, sol in solutions.items():
-            if sol[col]:
-                coeffs[(d,)] = sol[col]
+        for d in stored_d:
+            if solutions[d][col]:
+                coeffs[(d,)] = solutions[d][col]
         A = TruncatedSeries((v2,), coeffs, {v2: (alo, ahi)}, {v2: (NEG_INF, INF)})
         if not A.is_zero_series():
             out.append(DeltaTerm(l, j, A))

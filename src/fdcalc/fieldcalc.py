@@ -16,7 +16,6 @@ from math import factorial
 
 from .distributions import DeltaSum, DeltaTerm, laurent_annihilator
 from .fock import FockModule, FockVector
-from .scalars import power
 from .series import (
     INF,
     NEG_INF,
@@ -24,6 +23,7 @@ from .series import (
     InsufficientWindow,
     TruncatedSeries,
     invert_unit_1v,
+    scaled_cells,
     subst_exp,
     var_scaled,
 )
@@ -47,14 +47,11 @@ class FieldOperator:
             return self
         return FieldOperator(self.module, self.flavor, mu * self.scale, False)
 
-    def coeff_apply(self, e: int, w: FockVector) -> FockVector:
-        """Coefficient of x**e in a(scale x) w."""
+    def unscaled_apply(self, e: int, w: FockVector) -> FockVector:
+        """Coefficient of x**e in a(x) w, the field before its scale."""
         if self.identity:
             return w if e == 0 else FockVector()
-        vec = self.module.apply_mode(self.flavor, -e - self.module.spec.nu, w)
-        if vec and self.scale != 1:
-            vec = power(self.scale, e) * vec
-        return vec
+        return self.module.apply_mode(self.flavor, -e - self.module.spec.nu, w)
 
     def floor(self, w: FockVector) -> int:
         """Exponents below this are certified to annihilate w."""
@@ -120,23 +117,46 @@ def product_on_window(
     """outer(ov) inner(iv) w materialized on the box ov,iv <= hi.
 
     Every cell with exponents at most the ceilings is computed exactly; the
-    inner variable carries the structural restriction floor.
+    inner variable carries the structural restriction floor.  The unscaled
+    product a(x^i) b(x^j) w of the two flavors is memoized on the module
+    (:func:`_unscaled_cells`), and the call rescales its cell (i, j) by
+    outer.scale^i inner.scale^j: that is what a(scale x) means.
     """
-    ifloor = inner.floor(w)
-    coeffs = {}
-    swap = ov < iv
-    for j in range(ifloor, hi_inner + 1):
-        vj = inner.coeff_apply(j, w)
-        if not vj:
-            continue
-        for i in range(outer.floor(vj), hi_outer + 1):
-            cell = outer.coeff_apply(i, vj)
-            if cell:
-                coeffs[(i, j) if swap else (j, i)] = cell
+    cells, ifloor = _unscaled_cells(outer, inner, w, hi_outer, hi_inner)
+    so = 1 if outer.identity else outer.scale
+    si = 1 if inner.identity else inner.scale
+    coeffs = scaled_cells(cells, (so, si))
+    if ov > iv:
+        coeffs = {(j, i): c for (i, j), c in coeffs.items()}
     vars = tuple(sorted((ov, iv)))
     window = {ov: (NEG_INF, hi_outer), iv: (NEG_INF, hi_inner)}
     support = {ov: (NEG_INF, INF), iv: (ifloor, INF)}
     return TruncatedSeries(vars, coeffs, window, support)
+
+
+def _unscaled_cells(outer: FieldOperator, inner: FieldOperator, w: FockVector,
+                    hi_outer: int, hi_inner: int) -> tuple:
+    """({(i, j): a(x^i) b(x^j) w}, inner floor) for the unscaled fields of
+    ``outer`` and ``inner``, memoized on their module for its lifetime."""
+    module = inner.module if outer.identity else outer.module
+    if not (outer.identity or inner.identity) and inner.module is not module:
+        raise ValueError("a two-field product needs both fields on one module")
+    key = (outer.flavor, outer.identity, inner.flavor, inner.identity, w, hi_outer, hi_inner)
+    hit = module._products.get(key)
+    if hit is not None:
+        return hit
+    ifloor = inner.floor(w)
+    cells = {}
+    for j in range(ifloor, hi_inner + 1):
+        vj = inner.unscaled_apply(j, w)
+        if not vj:
+            continue
+        for i in range(outer.floor(vj), hi_outer + 1):
+            cell = outer.unscaled_apply(i, vj)
+            if cell:
+                cells[(i, j)] = cell
+    module._products[key] = cells, ifloor
+    return cells, ifloor
 
 
 def quadrant_verdict(F: TruncatedSeries, v1: str, v2: str, margin: int = 2) -> CompatVerdict:

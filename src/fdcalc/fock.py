@@ -218,6 +218,8 @@ class FockModule:
     def __init__(self, spec: CarSpec):
         self.spec = spec
         self._memo = {}
+        # unscaled two-field products, owned by fieldcalc.product_on_window
+        self._products = {}
 
     @property
     def field(self):

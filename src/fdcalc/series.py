@@ -660,7 +660,8 @@ class FactoredRational:
         if self.mexp:
             parts.append(f"{var}^{self.mexp}")
         for r, m in self.factors:
-            base = f"({var} - {r})" if _root_positive(r) else f"({var} + {-r})"
+            sign, root = ("-", r) if _root_positive(r) else ("+", -r)
+            base = f"({var} {sign} {_root_term(root)})"
             parts.append(base + (f"^{m}" if m != 1 else ""))
         return "*".join(parts) or "1"
 
@@ -686,6 +687,15 @@ def _root_positive(r) -> bool:
     if isinstance(r, RatFunc):
         return r.num.coeffs[-1] > 0
     return r >= 0
+
+
+def _root_term(r) -> str:
+    """A root rendered as one term: a Q(p) root that is a polynomial of
+    several terms, such as p - 1, goes in parentheses."""
+    s = str(r)
+    if isinstance(r, RatFunc) and r.den.degree() == 0 and sum(1 for c in r.num.coeffs if c) > 1:
+        return f"({s})"
+    return s
 
 
 def _factor_desc(root, mult: int, span: int) -> dict:
@@ -869,9 +879,27 @@ def var_scaled(s: TruncatedSeries, var: str, c) -> TruncatedSeries:
         raise ValueError("scale must be nonzero")
     if c == 1:
         return s
-    i = s.vars.index(var)
-    coeffs = {e: power(c, e[i]) * x for e, x in s.coeffs.items()}
-    return TruncatedSeries(s.vars, coeffs, s.window, s.support, s.region)
+    scales = tuple(c if v == var else 1 for v in s.vars)
+    return TruncatedSeries(s.vars, scaled_cells(s.coeffs, scales), s.window, s.support, s.region)
+
+
+def scaled_cells(coeffs: dict, scales) -> dict:
+    """The cells rescaled by a character: the cell at exponents e is multiplied
+    by prod_k scales[k]**e[k], each power computed once.  A scale of 1 leaves
+    its variable alone; with every scale 1, ``coeffs`` itself is returned."""
+    active = [(k, c, {}) for k, c in enumerate(scales) if c != 1]
+    if not active:
+        return coeffs
+    out = {}
+    for e, x in coeffs.items():
+        f = None
+        for k, c, powers in active:
+            pw = powers.get(e[k])
+            if pw is None:
+                pw = powers[e[k]] = power(c, e[k])
+            f = pw if f is None else f * pw
+        out[e] = f * x
+    return out
 
 
 def divide_linear(d: TruncatedSeries, v1: str, v2: str, lam, hi2_cap=None) -> TruncatedSeries:
@@ -880,18 +908,33 @@ def divide_linear(d: TruncatedSeries, v1: str, v2: str, lam, hi2_cap=None) -> Tr
     Unrolls A[a, j] = sum_{t>=1} lam^(t-1) d[a+t, j-t+1], terminating at the
     certified v2-support floor of d; needs certified floors in both variables
     and finite window tops.  ``hi2_cap`` trades v2-ceiling for v1-headroom:
-    the quotient's v1 window shrinks by the v2 range actually kept.  The
-    caller is responsible for knowing the division is exact (validate by
-    multiplying back where it matters).
+    the quotient's v1 window shrinks by the v2 range actually kept.  A
+    quotient cell at v1-exponent a reads d from v1-exponent a + 1 up, so a v1
+    window bottom lo1 above the floor cuts the quotient's v1 window to
+    a >= lo1 - 1; every cell reads d down to the v2 floor, so the v2 window
+    must reach it.  The caller is responsible for knowing the division is
+    exact (validate by multiplying back where it matters).
     """
     if v1 not in d.vars or v2 not in d.vars:
         raise ValueError("both variables must occur in the series")
-    hi1, hi2 = d.win(v1)[1], d.win(v2)[1]
+    (lo1, hi1), (lo2, hi2) = d.win(v1), d.win(v2)
     if hi2_cap is not None and hi2_cap < hi2:
         hi2 = hi2_cap
     slo1, slo2 = _support_floors(d, (v1, v2), "division")
     if slo2 == INF or slo1 == INF:  # zero series
         return TruncatedSeries(d.vars, {}, d.window, {v: (INF, NEG_INF) for v in d.vars}, None)
+    if lo2 > slo2:
+        raise InsufficientWindow(
+            f"division reads {v2}^{slo2} cells below the {v2} window, window {d.window_str()}"
+        )
+    if lo1 > slo1 and hi2 == INF:
+        # the stored cells miss v1-exponents slo1..lo1-1, so their v2 top
+        # bounds nothing
+        raise InsufficientWindow(
+            f"division needs a finite {v2} top when the {v1} window starts above the "
+            f"floor {slo1}, window {d.window_str()}"
+        )
+    a_lo = max(slo1, lo1 - 1)
     # beyond a fully known top the quotient is supported one step under the
     # input; an empty store has no cell at or above the floors
     top1, top2 = (d.support_max(v1), d.support_max(v2)) if d.coeffs else (slo1 - 1, slo2 - 1)
@@ -915,7 +958,7 @@ def divide_linear(d: TruncatedSeries, v1: str, v2: str, lam, hi2_cap=None) -> Tr
     base_keys = {tuple(e[k] for k in others) for e in d.coeffs} or {tuple(0 for _ in others)}
     for base in base_keys:
         for j in range(int(slo2), int(enum_hi2) + 1):
-            for a in range(int(slo1), int(a_hi) + 1):
+            for a in range(int(a_lo), int(a_hi) + 1):
                 acc = 0
                 for t in range(1, j - int(slo2) + 2):
                     cell = d.coeffs.get(at(base, a + t, j - t + 1), 0)
@@ -923,7 +966,7 @@ def divide_linear(d: TruncatedSeries, v1: str, v2: str, lam, hi2_cap=None) -> Tr
                         acc = acc + power(lam, t - 1) * cell
                 coeffs[at(base, a, j)] = acc
     window = {v: d.win(v) for v in d.vars}
-    window[v1] = (NEG_INF, out_hi1)
+    window[v1] = (a_lo if a_lo > slo1 else NEG_INF, out_hi1)
     window[v2] = (NEG_INF, out_hi2)
     support = {v: d.sup(v) for v in d.vars}
     support[v1] = (slo1, INF)

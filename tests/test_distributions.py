@@ -227,3 +227,206 @@ def test_window_errors_name_the_window():
     f = FactoredRational(F(1), 0, ((F(2), -1),))
     with pytest.raises(InsufficientWindow, match=r"x1:\(-4, inf\) x2:\(-inf, 5\)"):
         iota_expand(f, "x1", "x2", ("x2", "x1"), {"x1": (-4, INF), "x2": (NEG_INF, 5)})
+
+
+# -- delta_fit against the fit-then-validate reference ------------------------------
+
+
+def _reference_delta_fit(D, lambdas, jmax, v1, v2):
+    """delta_fit as it was before the recurrence check: one absolute
+    Vandermonde solve per diagonal, then a lam^n prediction per cell."""
+    from fdcalc.scalars import power
+
+    lambdas = list(lambdas)
+    L = len(lambdas) * (jmax + 1)
+    lo1, hi1 = D.win(v1)
+    lo2, hi2 = D.win(v2)
+    if hi1 == INF:
+        raise InsufficientWindow(f"delta fit needs a finite {v1} ceiling, window {D.window_str()}")
+    iv1, iv2 = D.vars.index(v1), D.vars.index(v2)
+    params = [(l, j) for l in lambdas for j in range(jmax + 1)]
+
+    def n_interval(d):
+        lo = max(-hi1, (lo2 - d) if lo2 != NEG_INF else NEG_INF)
+        hi = min((-lo1) if lo1 != NEG_INF else INF, (hi2 - d) if hi2 != INF else INF)
+        return lo, hi
+
+    stored_d = sorted({e[iv1] + e[iv2] for e in D.coeffs})
+    cells = {(-e[iv1], e[iv1] + e[iv2]): c for e, c in D.coeffs.items()}
+    solutions = {}
+    for d in stored_d:
+        nlo, nhi = n_interval(d)
+        if nhi == INF:
+            raise NotDeltaSum(f"diagonal {d} has unbounded certified support with nonzero entries")
+        if nhi - nlo + 1 < L:
+            raise InsufficientWindow(
+                f"diagonal {d}: {int(max(nhi - nlo + 1, 0))} entries < {L} parameters"
+            )
+        n0 = int(nlo)
+        rows = [[(n**j) * power(l, n) for l, j in params] for n in range(n0, n0 + L)]
+        sol = solve_exact(rows, [cells.get((n, d), 0) for n in range(n0, n0 + L)])
+        for n in range(n0 + L, int(nhi) + 1):
+            pred = 0
+            for col, (l, j) in enumerate(params):
+                if sol[col]:
+                    pred = pred + (n**j) * power(l, n) * sol[col]
+            if pred != cells.get((n, d), 0):
+                raise NotDeltaSum(f"diagonal {d} deviates from the fit at n = {n}")
+        solutions[d] = sol
+
+    def len_ok(iv):
+        return iv[0] == NEG_INF or iv[1] == INF or iv[1] - iv[0] + 1 >= L
+
+    scan_lo = (lo1 + lo2) if (lo1 != NEG_INF and lo2 != NEG_INF) else (stored_d[0] - 1 if stored_d else 0)
+    scan_hi = (hi1 + hi2) if hi2 != INF else (stored_d[-1] + 1 if stored_d else 0)
+    cert = [d for d in range(int(scan_lo), int(scan_hi) + 1) if len_ok(n_interval(d))]
+    if cert:
+        alo = NEG_INF if (lo1 == NEG_INF or lo2 == NEG_INF) and len_ok(n_interval(cert[0] - 1)) else cert[0]
+        ahi = cert[-1]
+    else:
+        alo, ahi = 0, -1
+    out = []
+    for col, (l, j) in enumerate(params):
+        coeffs = {(d,): sol[col] for d, sol in solutions.items() if sol[col]}
+        A = TruncatedSeries((v2,), coeffs, {v2: (alo, ahi)}, {v2: (NEG_INF, INF)})
+        if not A.is_zero_series():
+            out.append(DeltaTerm(l, j, A))
+    return out
+
+
+def _fit_outcome(fit, D, lambdas, jmax):
+    try:
+        terms = fit(D, lambdas, jmax, "x1", "x2")
+    except (NotDeltaSum, InsufficientWindow) as exc:
+        return type(exc).__name__, str(exc)
+    return [(repr(t.lam), t.j, t.coeff.coeffs, t.coeff.window, t.coeff.support) for t in terms]
+
+
+def _random_sum(rng, lambdas, jmax, payload):
+    terms = []
+    for lam in lambdas:
+        for j in range(jmax + 1):
+            if rng.random() < 0.3:
+                continue
+            coeffs = {(rng.randint(-4, 4),): payload(rng) for _ in range(rng.randint(1, 3))}
+            terms.append(DeltaTerm(lam, j, TruncatedSeries.exact(("x2",), coeffs)))
+    return DeltaSum(terms).merged()
+
+
+def _run_starts(D, box):
+    """Distinct starts of the certified diagonal runs of D on ``box``."""
+    hi1, lo2 = box["x1"][1], box["x2"][0]
+    return {max(-hi1, lo2 - (e[0] + e[1])) for e in D.coeffs}
+
+
+def _check_against_reference(D, lambdas, jmax):
+    want = _fit_outcome(_reference_delta_fit, D, lambdas, jmax)
+    got = _fit_outcome(delta_fit, D, lambdas, jmax)
+    assert got == want
+    return got
+
+
+def _counting_solves(monkeypatch):
+    import fdcalc.distributions as dist
+
+    calls = []
+    real = dist.solve_exact
+
+    def counted(matrix, rhs):
+        calls.append(len(rhs) if isinstance(rhs, dict) else 1)
+        return real(matrix, rhs)
+
+    monkeypatch.setattr(dist, "solve_exact", counted)
+    return calls
+
+
+# x2 bounded below, so diagonals d < lo2 + hi1 start their run at lo2 - d
+STAGGERED = {"x1": (-12, 12), "x2": (-9, 9)}
+
+
+def test_delta_fit_matches_reference_at_p2(monkeypatch):
+    rng = random.Random(3)
+    lambdas = [F(2), F(1, 2), F(4)]
+    calls = _counting_solves(monkeypatch)
+    for _ in range(12):
+        D = _random_sum(rng, lambdas, 1, lambda r: F(r.randint(-9, 9) or 1, r.randint(1, 4)))
+        D = D.expand("x1", "x2", STAGGERED)
+        calls.clear()
+        got = _check_against_reference(D, lambdas, 1)
+        assert got
+        # one elimination per distinct run start, every diagonal a right-hand side
+        assert len(calls) == len(_run_starts(D, STAGGERED)) and sum(calls) == len(
+            {e[0] + e[1] for e in D.coeffs}
+        )
+    assert len(_run_starts(D, STAGGERED)) > 1
+
+
+def test_delta_fit_matches_reference_over_qp():
+    rng = random.Random(4)
+    lambdas = [p, p**-1, -p * p]
+    box = {"x1": (-6, 6), "x2": (-5, 5)}
+    for _ in range(4):
+        D = _random_sum(rng, lambdas, 1, lambda r: r.randint(1, 3) * p ** r.randint(-2, 2) + r.randint(-2, 2))
+        D = D.expand("x1", "x2", box)
+        assert _check_against_reference(D, lambdas, 1)
+        assert len(_run_starts(D, box)) > 1
+
+
+def test_delta_fit_matches_reference_on_fock_payloads():
+    from fdcalc.fock import FockModule, t_spec
+    from fdcalc.scalars import ScalarField
+
+    module = FockModule(t_spec(ScalarField.rationals(F(2))))
+    basis = module.basis(3)
+    rng = random.Random(5)
+    lambdas = [F(2), F(1, 2)]
+    for _ in range(4):
+        D = _random_sum(rng, lambdas, 1, lambda r: F(r.randint(1, 5)) * r.choice(basis) + r.choice(basis))
+        D = D.expand("x1", "x2", STAGGERED)
+        assert _check_against_reference(D, lambdas, 1)
+
+
+def test_delta_fit_corrupted_cell_reports_the_same_n():
+    lambdas = [F(2), F(3)]
+    A = TruncatedSeries.exact(("x2",), {(0,): F(1), (2,): F(-5)})
+    D = DeltaSum([DeltaTerm(F(2), 0, A), DeltaTerm(F(3), 1, A)]).expand("x1", "x2", STAGGERED)
+    assert _check_against_reference(D, lambdas, 1)
+    # the run of diagonal 2 is n = -11..7, that of diagonal 0 is n = -9..9; corrupt
+    # a cell past the first L = 4 entries of a run, one among them, a run's
+    # first and last cells, and a cell on a diagonal that held none
+    for n, d in ((-3, 2), (-10, 2), (7, 2), (-9, 0), (9, -1)):
+        bad = dict(D.coeffs)
+        bad[(-n, n + d)] = bad.get((-n, n + d), 0) + 1
+        Dbad = TruncatedSeries(D.vars, bad, D.window, D.support)
+        got = _check_against_reference(Dbad, lambdas, 1)
+        assert got[0] == "NotDeltaSum" and f"diagonal {d} deviates" in got[1]
+    # the fit rejects a non-delta diagonal where the reference does
+    f = FactoredRational(F(1), 0, ((F(1), -1),))
+    s = iota_expand(f, "x1", "x2", ("x1", "x2"), BOX).shifted(x2=-1)
+    s = s.untagged().restricted({"x1": (-9, 9), "x2": (-9, 9)})
+    assert _check_against_reference(s, [F(1)], 1)[0] == "NotDeltaSum"
+
+
+def test_delta_fit_window_errors_match_reference():
+    t = DeltaTerm(F(2), 0, unit_coeff("x2"))
+    tiny = delta_expand(t, "x1", "x2", {"x1": (-2, 2), "x2": (-2, 2)})
+    got = _check_against_reference(tiny, [F(2), F(3), F(5)], 3)
+    assert got == ("InsufficientWindow", "diagonal 0: 5 entries < 12 parameters")
+    # x1 open below and x2 open above: a run with infinitely many certified entries
+    unbounded = TruncatedSeries(tiny.vars, tiny.coeffs, {"x1": (NEG_INF, 2)}, tiny.support)
+    got = _check_against_reference(unbounded, [F(2)], 0)
+    assert got == ("NotDeltaSum", "diagonal 0 has unbounded certified support with nonzero entries")
+    open_x1 = TruncatedSeries(tiny.vars, tiny.coeffs, {"x1": (-2, INF), "x2": (-2, 2)}, tiny.support)
+    assert _check_against_reference(open_x1, [F(2)], 0)[0] == "InsufficientWindow"
+
+
+def test_solve_exact_several_right_hand_sides():
+    M = [[F(1), F(2), F(0)], [F(0), F(1), F(3)], [F(4), F(0), F(1)]]
+    rhs = {"a": [F(1), F(2), F(3)], "b": [F(0), F(-1), F(7)], "c": [F(5), F(0), F(0)]}
+    sols = solve_exact(M, rhs)
+    assert list(sols) == ["a", "b", "c"]
+    for k, b in rhs.items():
+        assert sols[k] == solve_exact(M, b)
+        assert [sum(M[r][c] * sols[k][c] for c in range(3)) for r in range(3)] == b
+    with pytest.raises(SingularSystem):
+        solve_exact([[F(1), F(1)], [F(1), F(1)]], {"a": [F(1), F(2)], "b": [F(0), F(0)]})

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fdcalc.distributions import delta_fit
-from fdcalc.fock import FockModule, e_spec, t_spec
+from fdcalc.fock import FockModule, FockVector, e_spec, t_spec
 from fdcalc.fieldcalc import (
     CompatibilityError,
     CovariantStructure,
@@ -30,7 +30,14 @@ from fdcalc.fieldcalc import (
     ye_product,
 )
 from fdcalc.scalars import ScalarField
-from fdcalc.series import FactoredRational, InsufficientWindow, TruncatedSeries, divide_linear
+from fdcalc.series import (
+    INF,
+    NEG_INF,
+    FactoredRational,
+    InsufficientWindow,
+    TruncatedSeries,
+    divide_linear,
+)
 
 F = Fraction
 Q2 = ScalarField.rationals(F(2))
@@ -439,3 +446,75 @@ def test_ye_symbolic_smoke(tsym):
     )
     assert ye.zero_order == 1
     assert ye.mode(0).get(x2=0) == 2 * vac
+
+
+# -- the module-memoized unscaled product ---------------------------------------------
+
+
+def _reference_coeff_apply(field, e, w):
+    """Coefficient of x**e in a(scale x) w, mode by mode."""
+    from fdcalc.scalars import power
+
+    if field.identity:
+        return w if e == 0 else FockVector()
+    vec = field.module.apply_mode(field.flavor, -e - field.module.spec.nu, w)
+    if vec and field.scale != 1:
+        vec = power(field.scale, e) * vec
+    return vec
+
+
+def _reference_product(outer, ov, inner, iv, w, hi_outer, hi_inner):
+    """product_on_window as a cell-by-cell loop over the scaled fields."""
+    ifloor = inner.floor(w)
+    coeffs = {}
+    for j in range(ifloor, hi_inner + 1):
+        vj = _reference_coeff_apply(inner, j, w)
+        if not vj:
+            continue
+        for i in range(outer.floor(vj), hi_outer + 1):
+            cell = _reference_coeff_apply(outer, i, vj)
+            if cell:
+                coeffs[(i, j) if ov < iv else (j, i)] = cell
+    window = {ov: (NEG_INF, hi_outer), iv: (NEG_INF, hi_inner)}
+    support = {ov: (NEG_INF, INF), iv: (ifloor, INF)}
+    return TruncatedSeries(tuple(sorted((ov, iv))), coeffs, window, support)
+
+
+def _same_series(s, t):
+    return (s.vars, s.coeffs, s.window, s.support) == (t.vars, t.coeffs, t.window, t.support)
+
+
+@pytest.mark.parametrize("fld", [Q2, QP], ids=["p2", "symbolic"])
+def test_product_on_window_matches_the_mode_by_mode_product(fld):
+    module = FockModule(t_spec(fld))
+    # an identity field keeps its identity flag in the memo key, flavor or not
+    ones = [FieldOperator(module, identity=True), FieldOperator(module, "T", identity=True)]
+    fields = [tfield(module, r) for r in (0, -2, 1, 3)] + ones
+    vectors = module.basis(2) if fld is Q2 else [module.vacuum(), module.basis(2)[-1]]
+    pairs = [(a, b) for a in fields for b in fields if not (a.identity and b.identity)]
+    for w in vectors:
+        for a, b in pairs:
+            for ov, iv in (("x1", "x2"), ("x2", "x1")):
+                got = product_on_window(a, ov, b, iv, w, 5, 4)
+                assert _same_series(got, _reference_product(a, ov, b, iv, w, 5, 4)), (a, b, w)
+                # a second call reads the memo and gives an equal series
+                assert _same_series(product_on_window(a, ov, b, iv, w, 5, 4), got)
+    # one unscaled product per vector and (flavor, identity) pattern: T T,
+    # T 1, 1 T, T 1_T and 1_T T
+    assert len(module._products) == len(vectors) * 5
+
+
+def test_product_memo_is_per_module():
+    m2, m3 = FockModule(t_spec(Q2)), FockModule(t_spec(ScalarField.rationals(F(3))))
+    vac2, vac3 = m2.vacuum(), m3.vacuum()
+    assert vac2 == vac3  # the same memo key on both modules
+    got2 = product_on_window(tfield(m2, 1), "x1", tfield(m2, -1), "x2", vac2, 6, 6)
+    assert not m3._products
+    got3 = product_on_window(tfield(m3, 1), "x1", tfield(m3, -1), "x2", vac3, 6, 6)
+    assert _same_series(got3, _reference_product(tfield(m3, 1), "x1", tfield(m3, -1), "x2", vac3, 6, 6))
+    assert not _same_series(got2, got3)
+    (cells2, _), = m2._products.values()
+    (cells3, _), = m3._products.values()
+    assert all(cells2[k] is not cells3[k] for k in cells2.keys() & cells3.keys())
+    with pytest.raises(ValueError, match="one module"):
+        product_on_window(tfield(m2, 0), "x1", tfield(m3, 0), "x2", vac2, 3, 3)

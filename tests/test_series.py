@@ -9,6 +9,7 @@ from fdcalc.series import (
     INF,
     NEG_INF,
     FactoredRational,
+    InsufficientWindow,
     NonzeroConstantTerm,
     RegionMismatch,
     TruncatedSeries,
@@ -599,3 +600,39 @@ def test_divide_linear_on_an_empty_store():
     )
     A = divide_linear(d, "x1", "x2", 1)
     assert A.is_zero_series() and A.win("x1") == (NEG_INF, INF) and A.win("x2") == (NEG_INF, 1)
+
+
+def test_render_parenthesizes_compound_roots():
+    p = RatFunc.p()
+    assert FactoredRational(p, 0, ((p - 1, 1),)).render() == "(p)*(y - (p - 1))"
+    assert FactoredRational(RatFunc(1), 0, ((1 - p, 2), (p * p + p, -1))).render() == (
+        "(y + (p - 1))^2*(y - (p^2 + p))^-1"
+    )
+    # a quotient or a single term is one term already
+    assert FactoredRational(RatFunc(1), 0, (((p + 1) / p, 1), (-p / (p - 1), 1), (2 * p, 1))).render() == (
+        "(y - (p + 1)/p)*(y + p/(p - 1))*(y - 2*p)"
+    )
+
+
+# -- divide_linear on a v1 window that starts above the v1 floor ---------------------
+
+
+def test_divide_linear_v1_window_above_the_floor():
+    # x1^2 - x2^2 = (x1 - x2)(x1 + x2) seen on x1 in [1, 6]: the cell at x1^0
+    # x2^2 is unknown, so the v2 top of the stored cells bounds nothing
+    floors = {"x1": (0, INF), "x2": (0, INF)}
+    d = TruncatedSeries(("x1", "x2"), {(2, 0): 1, (0, 2): -1}, {"x1": (1, 6)}, floors)
+    with pytest.raises(InsufficientWindow, match=r"x1:\[1,6\] x2:\[-inf,inf\]"):
+        divide_linear(d, "x1", "x2", 1)
+    # with a finite x2 top the quotient is computed from x1 = lo1 - 1 up
+    full = laurent({(1, 0): 1, (0, 1): -1}) * laurent({(1, 0): 1, (0, 1): 1, (3, 1): 1, (0, 2): 2})
+    full = full.restricted({"x2": (NEG_INF, 6)}).assert_support_floor({"x1": 0, "x2": 0})
+    for lo1 in (1, 2, 3):
+        narrow = full.restricted({"x1": (lo1, 12)})
+        A = divide_linear(narrow, "x1", "x2", 1)
+        assert A.win("x1")[0] == (lo1 - 1 if lo1 > 1 else NEG_INF)
+        ok, ce = A.eq_on_common(divide_linear(full, "x1", "x2", 1))
+        assert ok, (lo1, ce)
+    # every quotient cell reads d down to the x2 floor
+    with pytest.raises(InsufficientWindow, match="below the x2 window"):
+        divide_linear(full.restricted({"x2": (1, 6)}), "x1", "x2", 1)
