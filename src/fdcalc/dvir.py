@@ -10,6 +10,11 @@ The relation checker works with the coefficient form
 truncating the l-sum at a certified length: both T_{n+l} w and T_{m+l} w
 vanish beyond it on the restricted module, so the formally infinite sum is a
 finite one per vector, with the truncation length recorded.
+
+The words T_a T_b w in the (m, n) relation have a + b = m + n, so every pair
+with the same m + n asks for the same words, and only the f_l and the central
+term depend on the parameters.  They are read from the module's word memo
+(``FockModule.apply_word``), which keeps them for the module's lifetime.
 """
 
 from __future__ import annotations
@@ -51,6 +56,10 @@ class DVirParams:
 
     field: ScalarField
     q: object = -1
+
+    def __post_init__(self):
+        if self.q == 0:
+            raise ValueError(f"q must be nonzero: t = q/p and the f_l divide by q, got q={self.q}")
 
     @classmethod
     def symbolic(cls) -> "DVirParams":
@@ -147,26 +156,28 @@ def vir_relation_check(
     additionally recomputed with the truncation extended by ``extend`` to
     confirm the certificate.
     """
+    if extend < 0:
+        raise ValueError(f"extend must be >= 0, got extend={extend}")
     fld = params.field
     central = central_term(params, m) if m + n == 0 else fld.zero()
     worst = (FockVector(), None)
     max_len = 0
     stable = True
-    fs = f_coefficients(params, max(0, grade_bound + 1 - min(m, n)) + extend)
+    K = max(0, grade_bound + 1 - min(m, n)) + extend  # longest l-sum, certificate included
+    fs = f_coefficients(params, K)
     neg_fs = [-f for f in fs]
+    # the word keys this call stores share these tuples instead of each holding
+    # a fresh pair, which keeps the module's word memo small
+    T = {k: ("T", k) for k in range(min(m, n) - K, max(m, n) + K + 1)}
+    word = module.apply_word
     for w in module.basis(grade_bound):
+        (mono,) = w.terms  # a basis vector: one monomial, coefficient one
         bound = module.ann_bound(w)
         L = max(0, bound - min(m, n))
         max_len = max(max_len, L)
 
         def words(l):
-            t1 = module.apply_mode("T", n + l, w)
-            if t1:
-                t1 = module.apply_mode("T", m - l, t1)
-            t2 = module.apply_mode("T", m + l, w)
-            if t2:
-                t2 = module.apply_mode("T", n - l, t2)
-            return t1, t2
+            return word(T[m - l], T[n + l], mono), word(T[n - l], T[m + l], mono)
 
         pairs = []
         for l in range(0, L + 1):
@@ -182,7 +193,7 @@ def vir_relation_check(
         rhs = central * w if m + n == 0 else FockVector()
         defect = base - rhs
         if defect and worst[1] is None:
-            worst = (defect, next(iter(w.terms)))
+            worst = (defect, mono)
     return DVirRelationReport(m, n, central, max_len, worst[0], worst[1], stable)
 
 

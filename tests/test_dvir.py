@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from fdcalc.dvir import (
     DVirParams,
+    DVirRelationReport,
     central_term,
     f_coefficients,
     neighbor_locality,
@@ -15,6 +17,7 @@ from fdcalc.dvir import (
     vir_relation_check,
 )
 from fdcalc.fieldcalc import covariance_check, CovariantStructure, FieldOperator
+from fdcalc.fock import FockModule, FockVector
 from fdcalc.scalars import RatFunc, specialize
 from fdcalc.series import mul_trunc_1v
 
@@ -111,6 +114,148 @@ def test_relation_specialization_commutes():
         repr_ = vir_relation_check(Mr, AT2, m, n, 3)
         assert not reps.defect and not repr_.defect
         assert specialize(reps.central, F(2)) == repr_.central
+
+
+def reference_relation_check(module, params, m, n, grade_bound, extend=5):
+    """vir_relation_check with every word T_a T_b w built by two apply_mode
+    calls, and no word memo."""
+    fld = params.field
+    central = central_term(params, m) if m + n == 0 else fld.zero()
+    worst = (FockVector(), None)
+    max_len = 0
+    stable = True
+    fs = f_coefficients(params, max(0, grade_bound + 1 - min(m, n)) + extend)
+    neg_fs = [-f for f in fs]
+    for w in module.basis(grade_bound):
+        bound = module.ann_bound(w)
+        L = max(0, bound - min(m, n))
+        max_len = max(max_len, L)
+
+        def words(l):
+            t1 = module.apply_mode("T", n + l, w)
+            if t1:
+                t1 = module.apply_mode("T", m - l, t1)
+            t2 = module.apply_mode("T", m + l, w)
+            if t2:
+                t2 = module.apply_mode("T", n - l, t2)
+            return t1, t2
+
+        pairs = []
+        for l in range(0, L + 1):
+            t1, t2 = words(l)
+            pairs += ((fs[l], t1), (neg_fs[l], t2))
+        base = FockVector.lincomb(pairs)
+        for l in range(L + 1, L + extend + 1):
+            t1, t2 = words(l)
+            if t1 != t2:
+                stable = False
+                break
+        rhs = central * w if m + n == 0 else FockVector()
+        defect = base - rhs
+        if defect and worst[1] is None:
+            worst = (defect, next(iter(w.terms)))
+    return DVirRelationReport(m, n, central, max_len, worst[0], worst[1], stable)
+
+
+GRID = [(m, n) for m in range(-3, 4) for n in range(-3, 4)]
+MEMO_CASES = [  # (params the module is built from, params the relations are checked with)
+    (SYM, SYM),
+    (AT2, AT2),
+    (DVirParams.at(F(3, 2)), DVirParams.at(F(3, 2))),
+    (AT2, DVirParams.at(F(2), q=F(1, 2))),
+]
+
+
+def grid_reports(module, params, pairs, grade=4, extend=2):
+    return {(m, n): vir_relation_check(module, params, m, n, grade, extend) for m, n in pairs}
+
+
+@pytest.mark.parametrize("built, checked", MEMO_CASES,
+                         ids=["symbolic", "p2", "p3/2", "p2-checked-q1/2"])
+def test_word_memo_reports_equal_the_two_apply_mode_reference(built, checked):
+    ref = t_fock(built)
+    want = {(m, n): reference_relation_check(ref, checked, m, n, 4, 2) for m, n in GRID}
+    if checked.q != -1:
+        assert any(rep.defect for rep in want.values())
+    module = t_fock(built)
+    assert grid_reports(module, checked, GRID) == want  # fresh module
+    shuffled = GRID[:]
+    random.Random(7).shuffle(shuffled)
+    assert grid_reports(module, checked, shuffled) == want  # warm module
+
+
+def test_modules_never_share_word_memo_entries():
+    M_sym, M2 = t_fock(SYM), t_fock(AT2)
+    assert M_sym._words is not M2._words
+    grid_reports(M_sym, SYM, GRID)
+    assert M_sym._words and not M2._words
+    # the keys agree across fields, so a shared entry would hand Q(p)
+    # coefficients to the p = 2 module
+    ref = t_fock(AT2)
+    assert grid_reports(M2, AT2, GRID) == {
+        (m, n): reference_relation_check(ref, AT2, m, n, 4, 2) for m, n in GRID
+    }
+    assert set(M2._words) == set(M_sym._words)
+    shared = {id(v) for v in M_sym._words.values()} & {id(v) for v in M2._words.values()}
+    assert all(not v for v in M2._words.values() if id(v) in shared)
+
+
+def test_wrong_parameters_still_report_a_defect_on_a_warm_memo():
+    module = t_fock(AT2)
+    grid_reports(module, AT2, GRID, grade=6, extend=5)
+    rep = vir_relation_check(module, DVirParams.at(F(3)), 1, -1, 6, extend=5)
+    assert rep.defect and rep.defect_at is not None
+    assert rep == reference_relation_check(t_fock(AT2), DVirParams.at(F(3)), 1, -1, 6, 5)
+
+
+def test_second_grid_on_a_module_applies_no_mode(monkeypatch):
+    calls = []
+    apply_mode = FockModule.apply_mode
+
+    def counted(self, r, n, w):
+        calls.append((r, n))
+        return apply_mode(self, r, n, w)
+
+    monkeypatch.setattr(FockModule, "apply_mode", counted)
+    grade, extend = 4, 2
+    module = t_fock(SYM)
+    first = grid_reports(module, SYM, GRID, grade, extend)
+    assert len(calls) == len(module._words)
+    calls.clear()
+    assert grid_reports(module, SYM, GRID, grade, extend) == first
+    assert calls == []
+
+    # the memo holds exactly the distinct words whose first mode is nonzero
+    ref = t_fock(SYM)
+    want = set()
+    for m, n in GRID:
+        for w in ref.basis(grade):
+            (mono,) = w.terms
+            L = max(0, ref.ann_bound(w) - min(m, n))
+            for l in range(L + extend + 1):
+                for a, b in ((m - l, n + l), (n - l, m + l)):
+                    if apply_mode(ref, "T", b, w):
+                        want.add((("T", a), ("T", b), mono))
+    assert set(module._words) == want
+
+
+def test_q_zero_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="q=0"):
+        DVirParams.at(F(2), q=0)
+    with pytest.raises(ValueError, match="q=0"):
+        DVirParams(SYM.field, F(0))
+    assert DVirParams.at(F(2), q=F(1, 2)).q == F(1, 2)
+
+
+def test_relation_check_rejects_negative_grade_and_extend():
+    module = t_fock(AT2)
+    with pytest.raises(ValueError, match="grade bound"):
+        vir_relation_check(module, AT2, 1, -1, -1)
+    with pytest.raises(ValueError, match="extend"):
+        vir_relation_check(module, AT2, 1, -1, 2, extend=-1)
+    rep = vir_relation_check(module, AT2, 1, -1, 2, extend=0)
+    assert not rep.defect and rep.stable
+    assert rep == reference_relation_check(t_fock(AT2), AT2, 1, -1, 2, extend=0)
 
 
 def test_standard_annihilator_roots():

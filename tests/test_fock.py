@@ -135,6 +135,33 @@ def test_graded_dimensions_oracle(tmod):
     assert e1.graded_dimensions(3)[0] == 1  # the vacuum sits at grade 0
 
 
+def test_negative_grade_bound_is_rejected(tmod, emod):
+    for module in (tmod, emod):
+        for enumerate_ in (module.basis_monomials, module.basis, module.graded_dimensions):
+            with pytest.raises(ValueError, match="grade bound"):
+                enumerate_(-1)
+    assert tmod.basis_monomials(0) == [(), (("T", 0),)]
+    assert tmod.graded_dimensions(0) == [2]
+
+
+def test_apply_word_equals_two_apply_modes(tmod, emod):
+    for module, flavors in ((tmod, ("T",)), (emod, (0, 1))):
+        ref = FockModule(module.spec)
+        for mono in module.basis_monomials(3):
+            w = FockVector({mono: module.field.one()})
+            for r in flavors:
+                for s in flavors:
+                    for a in range(-3, 4):
+                        for b in range(-3, 4):
+                            want = ref.apply_mode(r, a, ref.apply_mode(s, b, w))
+                            assert module.apply_word((r, a), (s, b), mono) == want
+    with pytest.raises(FlavorOutOfWindow):
+        emod.apply_word((0, 1), (9, -1), ())
+    for outer, inner in (((9, 1), (0, -1)), ((9, 1), (0, 1))):  # nonzero, zero first step
+        with pytest.raises(FlavorOutOfWindow):
+            emod.apply_word(outer, inner, ())
+
+
 def test_apply_field_vacuum(tmod):
     vac = tmod.vacuum()
     s = tmod.apply_field("T", 1, vac, 3)
