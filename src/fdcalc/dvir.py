@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .distributions import delta_fit
 from .fock import FockModule, FockVector, t_spec
-from .scalars import RatFunc, ScalarField
+from .scalars import RatFunc, ScalarField, require_exact
 from .series import (
     NEG_INF,
     FactoredRational,
@@ -52,12 +52,19 @@ from .fieldcalc import (
 
 @dataclass(frozen=True)
 class DVirParams:
-    """Parameters (p, q) with t = q/p; p symbolic or a rational |p0| not 0, 1."""
+    """Parameters (p, q) with t = q/p; p symbolic or a rational |p0| not 0, 1.
+
+    p0 and q must be exact: an int, a Fraction or a string such as "1/10",
+    which is stored as its Fraction; a float or bool is refused with a
+    ValueError naming it.
+    """
 
     field: ScalarField
     q: object = -1
 
     def __post_init__(self):
+        if isinstance(require_exact(self.q, "q"), str):
+            object.__setattr__(self, "q", Fraction(self.q))
         if self.q == 0:
             raise ValueError(f"q must be nonzero: t = q/p and the f_l divide by q, got q={self.q}")
 

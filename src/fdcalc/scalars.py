@@ -1,7 +1,19 @@
 """Exact coefficient fields: Q and the rational-function field Q(p).
 
 Rationals are stdlib ``fractions.Fraction`` (exact, gcd-reduced, positive
-denominator).  ``RatFunc`` implements Q(p), the field of rational functions in
+denominator).  At a specialization point p0 whose numerator and denominator
+are both powers of 2 up to sign (p0 = 2, -2, 1/2, 4, ...), every p0**n lies in
+Z[1/2], and ``ScalarField`` builds its values as ``Dyadic``: a ``Fraction``
+subclass whose invariant is a reduced denominator 2**k.  Sums, differences,
+products and integer powers of dyadic operands reduce by stripping common
+factors of 2 (``n & -n``) instead of taking a gcd, and stay ``Dyadic``.  An
+operation whose result can leave Z[1/2] (division by an odd number, a
+``Fraction`` such as 1/t! with an odd factor in its denominator) falls back to
+``Fraction``'s own method and returns a plain ``Fraction``.  ``ScalarField``
+is the only place that creates them (``zero``, ``one``, ``from_int``,
+``p_power``, ``coerce``); every other p0 uses plain ``Fraction``.
+
+``RatFunc`` implements Q(p), the field of rational functions in
 one formal parameter ``p`` over Q, in canonical form: the denominator is monic
 and coprime to the numerator, so equality of field elements is syntactic
 equality of the representation.  A Laurent polynomial is a ``RatFunc`` whose
@@ -31,6 +43,200 @@ class PoleAtPoint(ZeroDivisionError):
 
 class ZeroToNegativePower(ZeroDivisionError):
     """0**n requested with n < 0."""
+
+
+def require_exact(x, name: str):
+    """x itself, refusing a float or bool, whose Fraction would silently be its
+    binary value (0.1 -> 3602879701896397/36028797018963968) or 0 / 1."""
+    if isinstance(x, (float, bool)):
+        raise ValueError(
+            f"{name} must be exact (an int, a Fraction or a string such as '1/10'), got {x!r}"
+        )
+    return x
+
+
+class Dyadic(Fraction):
+    """A rational in Z[1/2]: a ``Fraction`` whose reduced denominator is 2**k.
+
+    Operands of ``+ - * / **`` count as dyadic when they are an ``int``, a
+    ``Dyadic`` or a plain ``Fraction`` with a power-of-2 denominator (Python
+    tries a subclass's reflected method first, so ``Fraction(1, 2) * d`` comes
+    here too).  On dyadic operands the result is a ``Dyadic`` computed without
+    a gcd: a product of two non-integers is already reduced (both numerators
+    are odd), and otherwise the common factors of 2 are stripped with
+    ``n & -n``.  Division needs a divisor ±2**j; a negative power needs a base
+    ±2**j or 1/2**k.  Anything else falls back to ``Fraction``'s method and
+    returns a plain ``Fraction``.  ``repr`` is ``Fraction``'s, so keys built
+    from it do not depend on the subclass; the constructor (and so ``copy``
+    and pickle, which go through it) refuses a value outside Z[1/2].
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, numerator=0, denominator=None):
+        self = Fraction.__new__(cls, numerator, denominator)
+        d = self._denominator
+        if d & (d - 1):
+            raise ValueError(f"{self} is not in Z[1/2]: its denominator is not a power of 2")
+        return self
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    def __neg__(a):
+        return _dy(-a._numerator, a._denominator)
+
+    def __pow__(a, b):
+        if type(b) is int:
+            n, d = a._numerator, a._denominator
+            if b >= 0:
+                return _dy(n**b, d**b)
+            m = -n if n < 0 else n
+            if m and not m & (m - 1):
+                # (n/d)**b = (±d/m)**-b, and d/m is reduced: one of them is 1
+                return _dy((d if n > 0 else -d) ** -b, m**-b)
+        return Fraction.__pow__(a, b)
+
+    def __truediv__(a, b):
+        nb, db = _dyadic_parts(b)
+        m = -nb if nb < 0 else nb
+        if not m or m & (m - 1):
+            return Fraction.__truediv__(a, b)
+        return _mul(a._numerator, a._denominator, db if nb > 0 else -db, m)
+
+    def __rtruediv__(b, a):
+        nb = b._numerator
+        m = -nb if nb < 0 else nb
+        na, da = _dyadic_parts(a)
+        if not m or m & (m - 1) or not da:
+            return Fraction.__rtruediv__(b, a)
+        db = b._denominator
+        return _mul(na, da, db if nb > 0 else -db, m)
+
+
+_new = object.__new__
+
+
+def _dy(n: int, d: int) -> Dyadic:
+    """The Dyadic n/d, for n/d already in lowest terms with d = 2**k."""
+    r = _new(Dyadic)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+def _reduced(n: int, d: int) -> Dyadic:
+    """The Dyadic n/d in lowest terms, for d = 2**k: strip the common 2s."""
+    if d != 1:
+        if not n:
+            d = 1
+        else:
+            g = n & -n
+            if g > 1:
+                if g > d:
+                    g = d
+                n //= g
+                d //= g
+    r = _new(Dyadic)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+def _dyadic_parts(x):
+    """(numerator, denominator) of a dyadic operand, else (0, 0)."""
+    t = type(x)
+    if t is Dyadic:
+        return x._numerator, x._denominator
+    if t is int:
+        return x, 1
+    if t is Fraction:
+        d = x._denominator
+        if not d & (d - 1):
+            return x._numerator, d
+    return 0, 0
+
+
+def _mul(na, da, nb, db):
+    if da == 1 or db == 1:
+        return _reduced(na * nb, da * db)
+    return _dy(na * nb, da * db)
+
+
+def _add(na, da, nb, db):
+    if da == db:
+        return _reduced(na + nb, da)
+    # the larger denominator's numerator is odd, the shifted one even: reduced
+    if da < db:
+        return _dy(na * (db // da) + nb, db)
+    return _dy(na + nb * (da // db), da)
+
+
+def _sub(na, da, nb, db):
+    return _add(na, da, -nb, db)
+
+
+def _dyadic_operators(kernel, name):
+    """Forward and reflected methods: ``kernel`` on dyadic operands, else
+    ``Fraction``'s own method.  An operand that ``Fraction``'s operators do not
+    take (anything but int, float, complex and Fraction), such as a module
+    vector, gets NotImplemented at once, so Python moves on to its reflected
+    method without ``Fraction``'s ABC instance checks."""
+    forward_fallback = getattr(Fraction, f"__{name}__")
+    reverse_fallback = getattr(Fraction, f"__r{name}__")
+
+    def forward(a, b):
+        t = type(b)
+        if t is Dyadic:
+            return kernel(a._numerator, a._denominator, b._numerator, b._denominator)
+        if t is int:
+            return kernel(a._numerator, a._denominator, b, 1)
+        if t is Fraction:
+            db = b._denominator
+            if not db & (db - 1):
+                return kernel(a._numerator, a._denominator, b._numerator, db)
+        if isinstance(b, (int, float, complex)) or Fraction in t.__mro__:
+            return forward_fallback(a, b)
+        return NotImplemented
+
+    def reverse(b, a):
+        t = type(a)
+        if t is int:
+            return kernel(a, 1, b._numerator, b._denominator)
+        if t is Fraction:
+            da = a._denominator
+            if not da & (da - 1):
+                return kernel(a._numerator, da, b._numerator, b._denominator)
+        return reverse_fallback(b, a)
+
+    forward.__name__, reverse.__name__ = f"__{name}__", f"__r{name}__"
+    return forward, reverse
+
+
+Dyadic.__add__, Dyadic.__radd__ = _dyadic_operators(_add, "add")
+Dyadic.__sub__, Dyadic.__rsub__ = _dyadic_operators(_sub, "sub")
+Dyadic.__mul__, Dyadic.__rmul__ = _dyadic_operators(_mul, "mul")
+
+
+def _is_dyadic_point(p0: Fraction) -> bool:
+    """True when |numerator| and denominator of p0 are powers of 2, so every
+    p0**n lies in Z[1/2]."""
+    n = abs(p0.numerator)
+    d = p0.denominator
+    return not n & (n - 1) and not d & (d - 1)
+
+
+def _dyadic_or_fraction(x) -> Fraction:
+    """x as a Dyadic when its reduced denominator is a power of 2, else as a
+    plain Fraction."""
+    t = type(x)
+    if t is Dyadic:
+        return x
+    if t is int:
+        return _dy(x, 1)
+    f = Fraction(x)
+    d = f._denominator
+    return f if d & (d - 1) else _dy(f._numerator, d)
 
 
 class Poly:
@@ -459,20 +665,24 @@ class ScalarField:
     """Coefficient-field selector: symbolic Q(p) or Q at a rational point p0.
 
     The specialization map p -> p0 is a field homomorphism away from poles;
-    p0 must have |p0| not in {0, 1} so no power of p0 degenerates to +-1.
+    p0 must have |p0| not in {0, 1} so no power of p0 degenerates to +-1, and
+    must be exact: a float or bool p0 is refused.  At a dyadic p0 (numerator
+    and denominator powers of 2 up to sign) the field's values are ``Dyadic``.
     """
 
-    __slots__ = ("symbolic", "p0")
+    __slots__ = ("symbolic", "p0", "_rational")
 
     def __init__(self, symbolic: bool, p0=None):
         self.symbolic = symbolic
         if symbolic:
             self.p0 = None
+            self._rational = None
         else:
-            p0 = Fraction(p0)
+            p0 = Fraction(require_exact(p0, "specialization point p0"))
             if p0 in (0, 1, -1):
                 raise ValueError("specialization point must have |p0| not in {0, 1}")
-            self.p0 = p0
+            self._rational = _dyadic_or_fraction if _is_dyadic_point(p0) else Fraction
+            self.p0 = self._rational(p0)
 
     @classmethod
     def rationals(cls, p0) -> "ScalarField":
@@ -483,13 +693,13 @@ class ScalarField:
         return cls(True)
 
     def zero(self):
-        return RatFunc(0) if self.symbolic else Fraction(0)
+        return RatFunc(0) if self.symbolic else self._rational(0)
 
     def one(self):
-        return RatFunc(1) if self.symbolic else Fraction(1)
+        return RatFunc(1) if self.symbolic else self._rational(1)
 
     def from_int(self, n: int):
-        return RatFunc(n) if self.symbolic else Fraction(n)
+        return RatFunc(n) if self.symbolic else self._rational(n)
 
     def p_power(self, n: int):
         """p**n in this field (p0**n when specialized)."""
@@ -502,8 +712,8 @@ class ScalarField:
         if self.symbolic:
             return x if isinstance(x, RatFunc) else RatFunc(x)
         if isinstance(x, RatFunc):
-            return x.specialize(self.p0)
-        return Fraction(x)
+            return self._rational(x.specialize(self.p0))
+        return self._rational(x)
 
     def specialize_scalar(self, x):
         """Image of a symbolic scalar under p -> p0 (identity in symbolic mode)."""

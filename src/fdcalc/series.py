@@ -25,11 +25,20 @@ The constructor drops zero coefficients and coefficients outside the window.
 Every operation below relies on this: it accumulates into a plain dict with
 ``out[e] = out.get(e, 0) + c`` and leaves cancelled and out-of-window entries
 for the constructor to discard.
+
+The product and :func:`subst_exp` accumulate with one rule instead: they
+group the contributing (factor, factor) pairs by output exponent and sum each
+group once (:func:`_dot`).  A group of vector payloads goes through the
+vector's ``lincomb``, which sums into one dict and skips the multiply for unit
+coefficients, instead of building a scaled vector per pair and copying a dict
+per addition; scalars get a plain sum.  Payloads are told apart by duck typing
+(a ``lincomb`` attribute), so this module need not import the Fock layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .scalars import RatFunc, power
 
@@ -131,11 +140,17 @@ class TruncatedSeries:
         self.vars = tuple(vars)
         self.window = {v: tuple(window.get(v, (NEG_INF, INF))) for v in self.vars}
         self.support = {v: tuple(support.get(v, (NEG_INF, INF))) for v in self.vars}
+        bounds = [self.window[v] for v in self.vars]
+        if all(w == (NEG_INF, INF) for w in bounds):
+            bounds = []  # nothing to cut
         keep = {}
         for e, c in coeffs.items():
             if not c:
                 continue
-            if all(self.window[v][0] <= e[i] <= self.window[v][1] for i, v in enumerate(self.vars)):
+            for x, (lo, hi) in zip(e, bounds):
+                if not lo <= x <= hi:
+                    break
+            else:
                 keep[e] = c
         self.coeffs = keep
         self.region = tuple(region) if region else None
@@ -319,13 +334,18 @@ class TruncatedSeries:
             sa, sb = self.sup(v), other.sup(v)
             support[v] = (_support_add_lo(sa[0], sb[0]), _support_add_hi(sa[1], sb[1]))
         bounds = [window[v] for v in vars]
-        out = {}
+        groups: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                if all(lo <= x <= hi for x, (lo, hi) in zip(e, bounds)):
-                    out[e] = out.get(e, 0) + ca * cb
-        return TruncatedSeries(vars, out, window, support, region)
+                e = tuple(map(add, ea, eb))
+                for x, (lo, hi) in zip(e, bounds):
+                    if not lo <= x <= hi:
+                        break
+                else:
+                    groups.setdefault(e, []).append((ca, cb))
+        return TruncatedSeries(
+            vars, {e: _dot(pairs) for e, pairs in groups.items()}, window, support, region
+        )
 
     def map_payload(self, f) -> "TruncatedSeries":
         return TruncatedSeries(
@@ -366,6 +386,29 @@ class TruncatedSeries:
     def __repr__(self):
         n = len(self.coeffs)
         return f"TruncatedSeries({','.join(self.vars)}; {n} terms; {self.window_str()})"
+
+
+def _dot(pairs):
+    """Sum of ca * cb over the (ca, cb) pairs of one output cell.
+
+    A vector payload (one with a ``lincomb`` classmethod, such as a Fock
+    vector) is summed by its ``lincomb`` into one dict; scalars by a plain sum.
+    At most one factor of a pair is a vector, and a series holds one kind of
+    payload, so the first pair tells which.  A lone pair is its product.
+    """
+    ca, cb = pairs[0]
+    if len(pairs) == 1:
+        return ca * cb
+    lincomb = getattr(cb, "lincomb", None)
+    if lincomb is not None:
+        return lincomb(pairs)
+    lincomb = getattr(ca, "lincomb", None)
+    if lincomb is not None:
+        return lincomb([(y, x) for x, y in pairs])
+    acc = ca * cb
+    for ca, cb in pairs[1:]:
+        acc = acc + ca * cb
+    return acc
 
 
 # -- one-variable series kernels (dicts exp -> scalar, exact arithmetic) -----
@@ -788,17 +831,21 @@ def subst_exp(
         e_hi, target_win, target_sup = INF, s.win(var), s.sup(var)
     vi = s.vars.index(var)
     out_vars = tuple(sorted(set(s.vars) - {var} | {target, zvar}))
-    coeffs: dict = {}
+    exps: dict = {}  # m -> e**(m z), shared by the cells with var-exponent m
+    groups: dict = {}
     for e, c in s.coeffs.items():
         m = e[vi]
         key = {v: x for v, x in zip(s.vars, e) if v != var}
         key[target] = key.get(target, 0) + m
         if key[target] > e_hi:
             continue
-        for k, w in exp_z_dict(m, zorder).items():
+        ez = exps.get(m)
+        if ez is None:
+            ez = exps[m] = exp_z_dict(m, zorder)
+        for k, w in ez.items():
             key[zvar] = k
-            t = tuple(key[v] for v in out_vars)
-            coeffs[t] = coeffs.get(t, 0) + w * c
+            groups.setdefault(tuple(key[v] for v in out_vars), []).append((w, c))
+    coeffs = {t: _dot(pairs) for t, pairs in groups.items()}
     window = {v: s.win(v) for v in s.vars if v not in (var, target)}
     support = {v: s.sup(v) for v in s.vars if v not in (var, target)}
     window[target], support[target] = target_win, target_sup

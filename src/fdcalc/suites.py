@@ -71,6 +71,8 @@ class SuiteConfig:
         if self.flavor_lo > self.flavor_hi:
             raise ConfigError("empty flavor window")
         if self.p != "symbolic":
+            if isinstance(self.p, (float, bool)):
+                raise ConfigError(f"p must be exact (an int, a Fraction or a string), got {self.p!r}")
             p0 = Fraction(self.p)
             if p0 in (0, 1, -1):
                 raise ConfigError("rational p must have |p| not in {0, 1}")

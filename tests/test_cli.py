@@ -34,6 +34,10 @@ def test_config_validation():
         SuiteConfig(grade=0)
     with pytest.raises(ConfigError):
         SuiteConfig(p=Fraction(1))
+    for inexact in (0.5, 2.0, True):
+        with pytest.raises(ConfigError, match=f"p must be exact.*{inexact!r}"):
+            SuiteConfig(p=inexact)
+    assert SuiteConfig(p="1/2").scalar_field().p0 == Fraction(1, 2)
     with pytest.raises(ConfigError):
         SuiteConfig(flavor_lo=2, flavor_hi=1)
     with pytest.raises(ConfigError):

@@ -247,6 +247,26 @@ def test_q_zero_is_rejected_at_construction():
     assert DVirParams.at(F(2), q=F(1, 2)).q == F(1, 2)
 
 
+def test_inexact_specialization_points_are_rejected():
+    # a float would specialize at its binary value, 3602879701896397/2**55 for 0.1
+    for p0 in (0.1, 2.0, True):
+        with pytest.raises(ValueError, match=f"p0 must be exact.*{p0!r}"):
+            DVirParams.at(p0)
+    for q in (0.1, -1.0, True, False):
+        with pytest.raises(ValueError, match=f"q must be exact.*{q!r}"):
+            DVirParams.at(2, q=q)
+    with pytest.raises(ValueError, match="q must be exact"):
+        DVirParams(SYM.field, 0.5)
+    assert DVirParams.at(2, q=F(1, 10)).q == F(1, 10)
+    assert DVirParams.at("2", q="1/10").field.p0 == 2
+    # a string q is stored as its Fraction, so it compares, caches and
+    # checks q = -1 like one
+    assert DVirParams.at(2, q="1/2") == DVirParams.at(2, q=F(1, 2))
+    assert DVirParams.at(2, q="-1").is_minus_one()
+    assert f_coefficients(DVirParams(SYM.field, "-1"), 3) == f_coefficients(SYM, 3)
+    assert DVirParams.at(F(1, 2)).field.p0 == F(1, 2)
+
+
 def test_relation_check_rejects_negative_grade_and_extend():
     module = t_fock(AT2)
     with pytest.raises(ValueError, match="grade bound"):

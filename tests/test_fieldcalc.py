@@ -29,7 +29,7 @@ from fdcalc.fieldcalc import (
     ye_from_product,
     ye_product,
 )
-from fdcalc.scalars import ScalarField
+from fdcalc.scalars import ScalarField, specialize
 from fdcalc.series import (
     INF,
     NEG_INF,
@@ -518,3 +518,63 @@ def test_product_memo_is_per_module():
     assert all(cells2[k] is not cells3[k] for k in cells2.keys() & cells3.keys())
     with pytest.raises(ValueError, match="one module"):
         product_on_window(tfield(m2, 0), "x1", tfield(m3, 0), "x2", vac2, 3, 3)
+
+
+# -- the p = 2 path against symbolic p specialized at 2 ---------------------------------
+
+
+def _at2(c):
+    """A symbolic scalar or Fock vector with every scalar specialized at p = 2."""
+    if isinstance(c, FockVector):
+        return FockVector({m: specialize(x, 2) for m, x in c.terms.items()})
+    return specialize(c, 2)
+
+
+def _specialized(s):
+    """The series s with every cell specialized at p = 2; a cell that vanishes
+    there is dropped by the constructor."""
+    return TruncatedSeries(s.vars, {e: _at2(c) for e, c in s.coeffs.items()},
+                           s.window, s.support, s.region)
+
+
+def test_p2_products_defects_and_kernels_match_symbolic_specialized_at_2():
+    # Q(p) arithmetic shares no code with the Dyadic and Fraction values at
+    # p = 2, so it is an independent oracle for the p = 2 path
+    sym, at2 = FockModule(t_spec(QP)), FockModule(t_spec(Q2))
+    vectors = list(zip(sym.basis(1), at2.basis(1)))
+    assert len(vectors) > 1 and all(_at2(w) == w2 for w, w2 in vectors)
+    box = {"x1": (-4, 4), "x2": (-4, 4)}
+    for r, s in ((0, 0), (1, 0), (-1, 1)):
+        L, L2 = neighbor_locality(sym, r, s), neighbor_locality(at2, r, s)
+        for w, w2 in vectors:
+            P = product_on_window(L.a, "x1", L.b, "x2", w, 5, 5)
+            P2 = product_on_window(L2.a, "x1", L2.b, "x2", w2, 5, 5)
+            assert P2.coeffs and _same_series(_specialized(P), P2), (r, s, w2)
+            D = defect_series(L, w, 5, 5, thm_region=True)
+            D2 = defect_series(L2, w2, 5, 5, thm_region=True)
+            assert D2.coeffs and _same_series(_specialized(D), D2), (r, s, w2)
+    # one commutator formula check, and the delta kernels it compares with
+    C = CovariantStructure(lambda r: tfield(sym, r), lambda n: sym.field.p_power(n), -3, 3)
+    C2 = CovariantStructure(lambda r: tfield(at2, r), lambda n: at2.field.p_power(n), -3, 3)
+    L = LocalityDatum(tfield(sym, 1), tfield(sym, 0),
+                      ((tfield(sym, 0), tfield(sym, 1), FactoredRational(-sym.field.one())),),
+                      minimal_p(sym.field, 1, 0))
+    L2 = LocalityDatum(tfield(at2, 1), tfield(at2, 0),
+                       ((tfield(at2, 0), tfield(at2, 1), FactoredRational(-at2.field.one())),),
+                       minimal_p(at2.field, 1, 0))
+    w, w2 = vectors[-1]
+    ok, ce, contrib = commutator_formula_check(L, C, w, box, 3, 6, 6)
+    ok2, ce2, contrib2 = commutator_formula_check(L2, C2, w2, box, 3, 6, 6)
+    assert ok and ok2 and ce is None and ce2 is None
+    assert [(n, _at2(chi), js) for n, chi, js in contrib] == contrib2 and contrib2
+    base = product_on_window(L.a, "x1", L.b, "x2", w, 6, 6)
+    base2 = product_on_window(L2.a, "x1", L2.b, "x2", w2, 6, 6)
+    kernels = _commutator_kernels(L, C, base, 3, 2)
+    kernels2 = _commutator_kernels(L2, C2, base2, 3, 2)
+    assert [(n, _at2(chi), len(ts)) for n, chi, ts in kernels] == [
+        (n, chi, len(ts)) for n, chi, ts in kernels2
+    ]
+    for (_, _, terms), (_, _, terms2) in zip(kernels, kernels2):
+        for t, t2 in zip(terms, terms2):
+            assert (_at2(t.lam), t.j) == (t2.lam, t2.j)
+            assert t2.coeff.coeffs and _same_series(_specialized(t.coeff), t2.coeff)

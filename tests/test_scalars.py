@@ -1,3 +1,7 @@
+import copy
+import math
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdcalc.scalars import (
+    Dyadic,
     PoleAtPoint,
     Poly,
     RatFunc,
@@ -282,3 +287,169 @@ def test_equality_with_int_agrees_with_coerced_int(f, n):
     assert (f != n) == (not f == n)
     if f.is_constant():
         assert (f == n) == (f.as_fraction() == n)
+
+
+# -- Dyadic: Z[1/2] values against plain Fraction ---------------------------------------
+
+dyadic_values = st.builds(
+    lambda n, k: Fraction(n, 2**k), st.integers(-300, 300), st.integers(0, 7)
+) | st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-4), Fraction(1, 2)])
+# the other operand: an int, a Dyadic, a plain dyadic Fraction, a plain non-dyadic Fraction
+others = st.one_of(
+    st.integers(-40, 40),
+    dyadic_values.map(Dyadic),
+    dyadic_values,
+    st.builds(lambda n, d: Fraction(n, d), st.integers(-40, 40), st.sampled_from([3, 6, 12, 5, 7])),
+)
+ARITH = (operator.add, operator.sub, operator.mul, operator.truediv, operator.pow)
+
+
+def _is_dyadic(x) -> bool:
+    d = Fraction(x).denominator
+    return not d & (d - 1)
+
+
+def _outcome(op, a, b):
+    try:
+        return op(a, b)
+    except ArithmeticError as exc:  # division by zero, or a float power that overflows
+        return type(exc)
+
+
+def _assert_same(got, want):
+    """Same outcome as Fraction: the same value in the same reduced form (or
+    the same float, or the same error), and a Dyadic only in lowest terms
+    over a power of 2."""
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got == want and isinstance(got, Fraction) == isinstance(want, Fraction)
+    if isinstance(want, Fraction):
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    else:
+        assert type(got) is type(want)
+    if type(got) is Dyadic:
+        d = got.denominator
+        assert not d & (d - 1) and math.gcd(got.numerator, d) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadic_values, others)
+def test_dyadic_arithmetic_matches_fraction(x, y):
+    d = Dyadic(x)
+    plain = Fraction(y) if isinstance(y, Fraction) else y  # the oracle sees no Dyadic
+    for op in ARITH:
+        forward, reflected = _outcome(op, d, y), _outcome(op, y, d)
+        _assert_same(forward, _outcome(op, x, plain))
+        _assert_same(reflected, _outcome(op, plain, x))
+        if op in (operator.add, operator.sub, operator.mul) and _is_dyadic(y):
+            assert type(forward) is Dyadic and type(reflected) is Dyadic
+        if not _is_dyadic(y):
+            # a non-dyadic operand leaves Z[1/2]: Fraction's own result, plain
+            assert type(forward) is not Dyadic and type(reflected) is not Dyadic
+    assert type(-d) is Dyadic and -d == -x
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadic_values, st.integers(-6, 6))
+def test_dyadic_integer_powers_match_fraction(x, n):
+    d = Dyadic(x)
+    got, want = _outcome(operator.pow, d, n), _outcome(operator.pow, x, n)
+    _assert_same(got, want)
+    num = abs(x.numerator)
+    if n >= 0 or (num and not num & (num - 1)):
+        assert type(got) is Dyadic
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadic_values, others)
+def test_dyadic_comparison_hash_and_text_match_fraction(x, y):
+    d = Dyadic(x)
+    y0 = Fraction(y) if isinstance(y, Fraction) else y
+    assert (d == y) == (x == y0) == (y == d)
+    assert (d < y) == (x < y0) and (y < d) == (y0 < x)
+    assert (d <= y) == (x <= y0) and (d > y) == (x > y0)
+    assert hash(d) == hash(x)
+    assert bool(d) == bool(x)
+    assert str(d) == str(x)
+    assert repr(d) == repr(x) == f"Fraction({x.numerator}, {x.denominator})"
+    assert d == Dyadic(x.numerator, x.denominator) == Dyadic(str(x))
+
+
+def test_dyadic_division_by_zero():
+    for zero in (0, Fraction(0), Dyadic(0)):
+        with pytest.raises(ZeroDivisionError):
+            Dyadic(3, 4) / zero
+        with pytest.raises(ZeroDivisionError):
+            Fraction(1, 3) / Dyadic(zero)
+        with pytest.raises(ZeroDivisionError):
+            1 / Dyadic(zero)
+    with pytest.raises(ZeroDivisionError):
+        Dyadic(0) ** -1
+    with pytest.raises(ZeroToNegativePower):
+        power(Dyadic(0), -2)
+
+
+def test_dyadic_fast_paths_and_fallbacks():
+    assert type(Dyadic(3, 4) / 4) is Dyadic and Dyadic(3, 4) / 4 == Fraction(3, 16)
+    assert type(Dyadic(3, 4) / -2) is Dyadic
+    assert type(Dyadic(3, 4) / 3) is Fraction and Dyadic(3, 4) / 3 == Fraction(1, 4)
+    assert type(Dyadic(3, 4) ** -2) is Fraction  # numerator 3 is not a power of 2
+    assert type(Dyadic(-1, 8) ** -3) is Dyadic and Dyadic(-1, 8) ** -3 == -512
+    assert type(Dyadic(4) ** -3) is Dyadic and Dyadic(4) ** -3 == Fraction(1, 64)
+    assert type(Fraction(1, 6) * Dyadic(3)) is Fraction
+    assert type(Fraction(1, 2) * Dyadic(3)) is Dyadic  # the subclass's reflected method
+    assert type(Dyadic(1, 2) + 0.25) is float
+    assert type(power(Dyadic(2), -3)) is Dyadic
+    # a non-number operand gets its own reflected method
+    assert Dyadic(1, 2) * RatFunc(3) == RatFunc(Fraction(3, 2))
+
+
+def test_dyadic_cannot_hold_a_value_outside_z_half():
+    for bad in ((1, 3), ("5/6",), (Fraction(1, 10),), (Fraction(3, 4), 5)):
+        with pytest.raises(ValueError, match="not in Z"):
+            Dyadic(*bad)
+    d = Dyadic(-3, 8)
+    for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert type(twin) is Dyadic and twin == d
+    # loading goes through the constructor, so a pickle that carries a
+    # non-dyadic value is refused
+    assert pickle.dumps(d).count(b"Dyadic") == 1
+
+    class Forged:
+        def __reduce__(self):
+            return Dyadic, (-3, 7)
+
+    with pytest.raises(ValueError, match="not in Z"):
+        pickle.loads(pickle.dumps(Forged()))
+
+
+@pytest.mark.parametrize("p0", [2, -2, Fraction(1, 2), 4, "-1/2"])
+def test_scalar_field_at_a_dyadic_point_yields_dyadics(p0):
+    fld = ScalarField.rationals(p0)
+    values = [fld.zero(), fld.one(), fld.from_int(-6), fld.p_power(5), fld.p_power(-3),
+              fld.coerce(Fraction(5, 8)), fld.coerce(7), fld.coerce(p**2 - 3 * p**-1)]
+    assert all(type(v) is Dyadic for v in values)
+    assert fld.p_power(-3) == Fraction(p0) ** -3
+    assert fld.coerce(p**2 - 3 * p**-1) == (p**2 - 3 * p**-1).specialize(p0)
+    # a value outside Z[1/2] stays a plain Fraction
+    assert type(fld.coerce(Fraction(1, 3))) is Fraction
+
+
+@pytest.mark.parametrize("p0", [3, Fraction(3, 2)])
+def test_scalar_field_at_other_points_yields_plain_fractions(p0):
+    fld = ScalarField.rationals(p0)
+    values = [fld.zero(), fld.one(), fld.from_int(-6), fld.p_power(5), fld.p_power(-3),
+              fld.coerce(Fraction(5, 8)), fld.coerce(p + 1)]
+    assert all(type(v) is Fraction for v in values)
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
+def test_scalar_field_refuses_inexact_points(bad):
+    with pytest.raises(ValueError, match=repr(bad)):
+        ScalarField.rationals(bad)
+
+
+def test_scalar_field_exact_points_stay_valid():
+    for p0, want in ((2, Fraction(2)), (Fraction(1, 10), Fraction(1, 10)), ("1/10", Fraction(1, 10))):
+        assert ScalarField.rationals(p0).p0 == want

@@ -636,3 +636,115 @@ def test_divide_linear_v1_window_above_the_floor():
     # every quotient cell reads d down to the x2 floor
     with pytest.raises(InsufficientWindow, match="below the x2 window"):
         divide_linear(full.restricted({"x2": (1, 6)}), "x1", "x2", 1)
+
+
+# -- the grouped product against the pairwise accumulate it replaced -----------------
+
+
+def _pairwise_product(A, B):
+    """A * B as one ``out[e] = out.get(e, 0) + ca * cb`` per contributing pair:
+    the product's accumulate before it grouped the pairs by output cell.  The
+    window, support and region rules are the product's own."""
+    from fdcalc.series import _mul_interval, _support_add_hi, _support_add_lo
+
+    region = A._combine_region(B, strict=True)
+    vars = tuple(sorted(set(A.vars) | set(B.vars)))
+    a, b = A._aligned(vars), B._aligned(vars)
+    window, support = {}, {}
+    for v in vars:
+        window[v] = _mul_interval(A.win(v), A.sup(v), B.win(v), B.sup(v))
+        sa, sb = A.sup(v), B.sup(v)
+        support[v] = (_support_add_lo(sa[0], sb[0]), _support_add_hi(sa[1], sb[1]))
+    bounds = [window[v] for v in vars]
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if all(lo <= x <= hi for x, (lo, hi) in zip(e, bounds)):
+                out[e] = out.get(e, 0) + ca * cb
+    return TruncatedSeries(vars, out, window, support, region)
+
+
+def _same(s, t):
+    return (s.vars, s.coeffs, s.window, s.support, s.region) == (
+        t.vars, t.coeffs, t.window, t.support, t.region
+    )
+
+
+def _cut(s, rng):
+    """s on a random window that cuts some of its cells."""
+    return s.restricted({v: (rng.randint(-3, 0), rng.randint(0, 3)) for v in s.vars})
+
+
+def _dict_series(rng, vars, payload, nterms=5):
+    terms = {}
+    for _ in range(rng.randint(1, nterms)):
+        terms[tuple(rng.randint(-3, 3) for _ in vars)] = payload(rng)
+    return TruncatedSeries.exact(vars, terms)
+
+
+def test_grouped_product_matches_pairwise_on_scalars():
+    from fdcalc.scalars import ScalarField
+
+    p = RatFunc.p()
+    q2 = ScalarField.rationals(2)
+    payloads = {
+        "Q": lambda rng: F(rng.randint(-4, 4), rng.choice([1, 2, 3])),
+        "Q at p=2": lambda rng: q2.p_power(rng.randint(-3, 3)) * rng.randint(-2, 2),
+        "Q(p)": lambda rng: rng.randint(-2, 2) * p ** rng.randint(-2, 2) + rng.randint(-1, 1),
+    }
+    rng = random.Random(4101)
+    for name, payload in payloads.items():
+        for trial in range(30):
+            A = _dict_series(rng, ("x1", "x2"), payload)
+            B = _dict_series(rng, ("x2",) if trial % 3 == 0 else ("x1", "x2"), payload)
+            if trial % 2:
+                A, B = _cut(A, rng), _cut(B, rng)
+            assert _same(A * B, _pairwise_product(A, B)), (name, trial)
+
+
+def test_grouped_product_matches_pairwise_on_fock_vectors():
+    from fdcalc.fock import FockModule, t_spec
+    from fdcalc.scalars import Dyadic, ScalarField
+
+    for fld in (ScalarField.rationals(2), ScalarField.rationals(3), ScalarField.rational_functions()):
+        module = FockModule(t_spec(fld))
+        basis = module.basis(2)
+        rng = random.Random(4102)
+
+        def vector(rng):
+            return sum(
+                (fld.from_int(rng.randint(-2, 2)) * rng.choice(basis) for _ in range(3)),
+                module.vacuum() * fld.zero(),
+            )
+
+        def scalar(rng):
+            return fld.p_power(rng.randint(-2, 2)) * rng.choice([1, -1, 3])
+
+        for trial in range(24):
+            S = _dict_series(rng, ("x1",) if trial % 4 == 0 else ("x1", "x2"), scalar)
+            V = _dict_series(rng, ("x1", "x2"), vector)
+            if trial % 2:
+                S, V = _cut(S, rng), _cut(V, rng)
+            for got, want in ((S * V, _pairwise_product(S, V)), (V * S, _pairwise_product(V, S))):
+                assert _same(got, want), (fld, trial)
+                assert all(c for c in got.coeffs.values())
+            if fld.p0 == 2:  # values of Z[1/2] stay Dyadic through the product
+                assert all(type(x) is Dyadic for c in got.coeffs.values() for x in c.terms.values())
+
+
+def test_grouped_product_drops_a_cell_that_cancels_to_the_zero_vector():
+    from fdcalc.fock import FockModule, t_spec
+    from fdcalc.scalars import ScalarField
+
+    fld = ScalarField.rationals(2)
+    module = FockModule(t_spec(fld))
+    v, u = module.basis(2)[1], module.basis(2)[2]
+    S = TruncatedSeries.exact(("x1",), {(0,): fld.one(), (1,): fld.p_power(1)})
+    # cell x1^1: 1 * (2v - 2u) + 2 * (u - v) = 0; x1^0 and x1^2 keep u - v and 4v - 4u
+    two = fld.from_int(2)
+    V = TruncatedSeries.exact(("x1",), {(0,): u - v, (1,): two * v - two * u})
+    for got, want in ((S * V, _pairwise_product(S, V)), (V * S, _pairwise_product(V, S))):
+        assert _same(got, want)
+        assert set(got.coeffs) == {(0,), (2,)}
+        assert got.coeffs[(0,)] == u - v and got.coeffs[(2,)] == two * two * (v - u)
