@@ -8,8 +8,11 @@ Suites: formal-calc, clifford, dvir, phi-module, commutator, all.
 Exit codes: 0 all pass, 1 check failure, 2 undetermined, 3 configuration
 error.  Reports are JSON with wall times quarantined in a separate field, so
 identical configurations produce byte-identical comparison payloads.
-Precedence: command-line flags > config file > defaults.  The environment
-variable FDCALC_REPORT_DIR sets the default report directory.
+Precedence: command-line flags > config file > defaults.  A config file sets
+the options above by name (p, grade, modes, flavors, zorder, window-margin,
+jobs, seed); a file that cannot be read, an unknown key or a value that does
+not parse exits 3 like any other configuration error.  The environment variable FDCALC_REPORT_DIR sets
+the default report directory.
 """
 
 from __future__ import annotations
@@ -53,17 +56,35 @@ def parse_p(text: str):
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key = value lines; # starts a comment."""
+    """Flat key = value lines; # starts a comment.  Keys are the option names
+    in ``_DEFAULTS`` ('-' and '_' alike); any other key is a ConfigError."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in _DEFAULTS:
+            raise ConfigError(
+                f"{path}:{lineno}: unknown key {key!r}; expected one of {sorted(_DEFAULTS)}"
+            )
+        out[key] = value.strip()
     return out
+
+
+def _int_option(layered: dict, key: str) -> int:
+    value = layered[key]
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad {key} value {value!r}; expected an integer") from exc
 
 
 def build_config(args) -> SuiteConfig:
@@ -78,14 +99,14 @@ def build_config(args) -> SuiteConfig:
     return SuiteConfig(
         suite=args.suite,
         p=parse_p(str(layered["p"])),
-        grade=int(layered["grade"]),
-        modes=int(layered["modes"]),
+        grade=_int_option(layered, "grade"),
+        modes=_int_option(layered, "modes"),
         flavor_lo=lo,
         flavor_hi=hi,
-        zorder=int(layered["zorder"]),
-        margin=int(layered["window_margin"]),
-        jobs=int(layered["jobs"]),
-        seed=int(layered["seed"]),
+        zorder=_int_option(layered, "zorder"),
+        margin=_int_option(layered, "window_margin"),
+        jobs=_int_option(layered, "jobs"),
+        seed=_int_option(layered, "seed"),
     )
 
 

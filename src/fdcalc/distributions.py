@@ -467,7 +467,7 @@ def three_term_check(
         lhs = term if lhs is None else lhs + term
         bn2 = binom_expand(n, v2, v1, (v2, v1), limitsB)
         term2 = (bn2 * B.untagged()).shifted(**{v2: -n - 1, zvar: -n - 1}).untagged()
-        lhs = lhs - term2.scaled(Fraction((-1) ** n))
+        lhs = lhs.add_scaled(term2, (-1) ** (n + 1))
     # RHS kernel: sum_m v1^(-m-1) v2^m (1+z)^m, truncated to the z-order
     csub = subst_log1p(C.untagged(), x0, zvar, zorder)
     lo1, hi1 = lhs.win(v1)

@@ -25,7 +25,6 @@ from .series import (
     invert_unit_1v,
     scaled_cells,
     subst_exp,
-    var_scaled,
 )
 
 
@@ -222,11 +221,13 @@ def locality_check(
         rev = product_on_window(b_i, v2, a_i, v1, w, hi2, hi1)
         if f_i.factors or f_i.mexp:
             tw = f_i.ratio_series(v2, v1, (v2, v1), {v2: (NEG_INF, hi2), v1: (NEG_INF, hi1)})
-            term = (tw.untagged() * rev).untagged()
+            term = ann * (tw.untagged() * rev).untagged()
         else:
-            term = rev.scaled(f_i.const)
+            # a constant twist scales the few cells of p, not every cell of rev
+            term = ann.scaled(f_i.const) * rev
         rhs = term if rhs is None else rhs + term
-    rhs = ann * rhs if rhs is not None else lhs.scaled(0)
+    if rhs is None:
+        rhs = lhs.scaled(0)
     ok, ce = lhs.untagged().eq_on_common(rhs.untagged())
     return ok, ce
 
@@ -499,10 +500,9 @@ def defect_series(
                 tw = f_i.reciprocal_arg().ratio_series(v1, v2, (v1, v2), limits)
             else:
                 tw = f_i.ratio_series(v2, v1, (v2, v1), limits)
-            term = (tw.untagged() * rev).untagged()
+            out = out - (tw.untagged() * rev).untagged()
         else:
-            term = rev.scaled(f_i.const)
-        out = out - term
+            out = out.add_scaled(rev, -f_i.const)
     return out
 
 
@@ -561,7 +561,8 @@ def _commutator_kernels(
     The shift by g rescales x1: pg(x1/x2) = p(chi(g) x1/x2), so its product
     is F0 = p(x1/x2) base with the cell at x1-exponent i multiplied by
     chi(g)^i.  That keeps the support, hence the compatibility verdict, which
-    is therefore decided once on F0.  Only shifts whose character is a root
+    is therefore decided once on F0, and ``subst_exp`` folds chi(g)^i into
+    its exponential weights.  Only shifts whose character is a root
     of p, of order k, carry kernels; they read the modes j < k, which need
     z-order k - 1.  ``zorder`` caps that z-order.
     """
@@ -577,7 +578,7 @@ def _commutator_kernels(
             raise InsufficientWindow(
                 f"shift {n}: a zero of order {k} needs z-order {k - 1}, above the cap {zorder}"
             )
-        G = subst_exp(var_scaled(F0, "x1", chi).untagged(), "x1", "x2", "z", k - 1)
+        G = subst_exp(F0.untagged(), "x1", "x2", "z", k - 1, scale=chi)
         ye = _z_modes(G, p.scale_arg(chi), k - 1, "x2")
         terms = [
             DeltaTerm(chi, j, ye.modes[j].scaled(Fraction(1, factorial(j))))

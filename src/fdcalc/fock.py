@@ -19,7 +19,7 @@ the mode-action memo may hand the same vector to every caller.  Linear
 combinations are built by :meth:`FockVector.lincomb`, the one accumulate: it
 sums into one dict and drops zero coefficients once, at the end.
 
-A :class:`FockModule` keeps three memos for its own lifetime, sharing no
+A :class:`FockModule` keeps four memos for its own lifetime, sharing no
 entry with another module (the class docstring gives the details):
 
 * ``_memo`` (gen, monomial) -> one mode applied, owned by ``_apply_gen``;
@@ -27,7 +27,9 @@ entry with another module (the class docstring gives the details):
   ``apply_word``.  Words whose first mode gives zero are not stored: ``_memo``
   already answers them, and they are most of the words asked for;
 * ``_products`` (two fields, vector, window) -> unscaled two-field product
-  cells, owned by ``fieldcalc.product_on_window``.
+  cells, owned by ``fieldcalc.product_on_window``;
+* ``_monomials`` grade bound -> the basis monomials, owned by
+  ``basis_monomials``.
 """
 
 from __future__ import annotations
@@ -228,7 +230,7 @@ _ZERO = FockVector()  # every zero two-mode word in every module shares it
 class FockModule:
     """Universal restricted vacuum module over a :class:`CarSpec`.
 
-    Three memos live as long as the module.  Each maps a key to an immutable
+    Four memos live as long as the module.  Each maps a key to an immutable
     value that callers share, and none is ever evicted or shared between
     modules:
 
@@ -244,6 +246,9 @@ class FockModule:
     * ``_products``, owned by :func:`fieldcalc.product_on_window`: (outer
       flavor and identity flag, inner flavor and identity flag, vector, the
       two window tops) -> the unscaled product cells and the inner floor.
+    * ``_monomials``, owned by :meth:`basis_monomials`: grade bound -> the
+      tuple of basis monomials, so that checks which loop over generator
+      pairs enumerate the basis once.
     """
 
     def __init__(self, spec: CarSpec):
@@ -252,6 +257,7 @@ class FockModule:
         self._words = {}
         # unscaled two-field products, owned by fieldcalc.product_on_window
         self._products = {}
+        self._monomials = {}
 
     @property
     def field(self):
@@ -357,15 +363,19 @@ class FockModule:
         )
 
     def anticommutator_check(self, g1, g2, grade_bound: int) -> bool:
-        """{g1, g2} w == pairing * w on every basis monomial of grade <= N."""
+        """{g1, g2} w == pairing * w on every basis monomial of grade <= N.
+
+        The two words g1 g2 w and g2 g1 w are read from the word memo."""
         r, m = g1
         s, n = g2
         pair = self.spec.pairing(r, m, s, n)
-        for w in self.basis(grade_bound):
-            lhs = self.apply_mode(r, m, self.apply_mode(s, n, w)) + self.apply_mode(
-                s, n, self.apply_mode(r, m, w)
-            )
-            if lhs != pair * w:
+        for mono in self._basis_monomials(grade_bound):
+            a = self.apply_word(g1, g2, mono)
+            b = self.apply_word(g2, g1, mono)
+            if a is _ZERO and b is _ZERO and not pair:
+                continue
+            want = {mono: pair} if pair else {}
+            if (a + b).terms != want:
                 return False
         return True
 
@@ -384,7 +394,14 @@ class FockModule:
                     gens.append((r, -n))
         return sorted(gens, key=CarSpec.order_key)
 
-    def basis_monomials(self, grade_bound: int):
+    def basis_monomials(self, grade_bound: int) -> list:
+        """The basis monomials of grade <= ``grade_bound``, as a new list."""
+        return list(self._basis_monomials(grade_bound))
+
+    def _basis_monomials(self, grade_bound: int) -> tuple:
+        hit = self._monomials.get(grade_bound)
+        if hit is not None:
+            return hit
         if grade_bound < 0:
             raise ValueError(f"grade bound must be >= 0, got {grade_bound}")
         gens = self.creation_generators(grade_bound)
@@ -400,14 +417,18 @@ class FockModule:
                     acc.pop()
 
         rec(0, [], 0)
-        return [tuple(sorted(m, key=CarSpec.order_key)) for m in sorted(out, key=lambda m: (sum(CarSpec.weight(g) for g in m), m))]
+        res = self._monomials[grade_bound] = tuple(
+            tuple(sorted(m, key=CarSpec.order_key))
+            for m in sorted(out, key=lambda m: (sum(CarSpec.weight(g) for g in m), m))
+        )
+        return res
 
     def basis(self, grade_bound: int):
         one = self.field.one()
-        return [FockVector({m: one}) for m in self.basis_monomials(grade_bound)]
+        return [FockVector({m: one}) for m in self._basis_monomials(grade_bound)]
 
     def graded_dimensions(self, grade_bound: int):
         counts = [0] * (grade_bound + 1)
-        for m in self.basis_monomials(grade_bound):
+        for m in self._basis_monomials(grade_bound):
             counts[sum(CarSpec.weight(g) for g in m)] += 1
         return counts

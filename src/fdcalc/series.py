@@ -26,6 +26,14 @@ Every operation below relies on this: it accumulates into a plain dict with
 ``out[e] = out.get(e, 0) + c`` and leaves cancelled and out-of-window entries
 for the constructor to discard.
 
+A scalar that multiplies every cell is folded into the pass that already
+visits the cells, not applied in a separate scaled copy:
+:meth:`TruncatedSeries.add_scaled` adds c * other in one pass (``+`` and
+``-`` are its c = 1 and c = -1, which need no multiply), and
+:func:`subst_exp`'s ``scale`` goes into its per-exponent weights.
+``scaled(1)`` is the series itself, since series are never changed after
+construction.
+
 The product and :func:`subst_exp` accumulate with one rule instead: they
 group the contributing (factor, factor) pairs by output exponent and sum each
 group once (:func:`_dot`).  A group of vector payloads goes through the
@@ -271,7 +279,13 @@ class TruncatedSeries:
             )
         return None
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def add_scaled(self, other: "TruncatedSeries", c) -> "TruncatedSeries":
+        """self + c * other in one pass over other's cells: c = 1 adds and
+        c = -1 subtracts without a multiply.  Windows, support bounds and
+        region tags combine as for ``+`` (c * other has other's window, and
+        its support unless c is 0)."""
+        if not c:
+            other, c = other.scaled(0), 1
         region = self._combine_region(other, strict=True)
         vars = tuple(sorted(set(self.vars) | set(other.vars)))
         a, b = self._aligned(vars), other._aligned(vars)
@@ -281,9 +295,19 @@ class TruncatedSeries:
             sa, sb = self.sup(v), other.sup(v)
             support[v] = (min(sa[0], sb[0]), max(sa[1], sb[1]))
         out = dict(a)
-        for e, c in b.items():
-            out[e] = out.get(e, 0) + c
+        if c == 1:
+            for e, x in b.items():
+                out[e] = out.get(e, 0) + x
+        elif c == -1:
+            for e, x in b.items():
+                out[e] = out.get(e, 0) - x
+        else:
+            for e, x in b.items():
+                out[e] = out.get(e, 0) + c * x
         return TruncatedSeries(vars, out, window, support, region)
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self.add_scaled(other, 1)
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(
@@ -291,9 +315,11 @@ class TruncatedSeries:
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
+        return self.add_scaled(other, -1)
 
     def scaled(self, c) -> "TruncatedSeries":
+        if c == 1:
+            return self
         if not c:
             z = {v: (INF, NEG_INF) for v in self.vars}
             return TruncatedSeries(self.vars, {}, self.window, z, self.region)
@@ -809,18 +835,23 @@ def _support_floors(s: TruncatedSeries, vars, what: str) -> list:
 
 
 def subst_exp(
-    s: TruncatedSeries, var: str, target: str, zvar: str, zorder: int
+    s: TruncatedSeries, var: str, target: str, zvar: str, zorder: int, scale=1
 ) -> TruncatedSeries:
-    """Substitute var = target * e**zvar, exact to z-order ``zorder``.
+    """Substitute var = scale * target * e**zvar, exact to z-order ``zorder``.
 
-    Each monomial var^m maps to target^m * sum_k (m*zvar)^k / k!.  When
-    ``target`` is already a variable of ``s`` the substitution mixes exponent
-    diagonals, which needs certified support floors in both variables.
+    Each monomial var^m maps to scale^m * target^m * sum_k (m*zvar)^k / k!;
+    scale^m goes into the per-m weights, so each cell is multiplied once.
+    With a nonzero scale the result equals ``subst_exp(var_scaled(s, var,
+    scale), ...)``, windows and support bounds included.  When ``target`` is
+    already a variable of ``s`` the substitution mixes exponent diagonals,
+    which needs certified support floors in both variables.
     """
     if zvar in s.vars or target == zvar or var == zvar:
         raise ValueError("z-variable must be fresh")
     if var not in s.vars:
         raise ValueError(f"{var} is not a variable of the series")
+    if not scale:
+        raise ValueError("scale must be nonzero")
     if target in s.vars and target != var:
         # merge: output exponent of target is m + j, all splits must be certified
         slo, slo2 = _support_floors(s, (var, target), "diagonal substitution")
@@ -831,7 +862,7 @@ def subst_exp(
         e_hi, target_win, target_sup = INF, s.win(var), s.sup(var)
     vi = s.vars.index(var)
     out_vars = tuple(sorted(set(s.vars) - {var} | {target, zvar}))
-    exps: dict = {}  # m -> e**(m z), shared by the cells with var-exponent m
+    exps: dict = {}  # m -> scale**m * e**(m z), shared by the cells with var-exponent m
     groups: dict = {}
     for e, c in s.coeffs.items():
         m = e[vi]
@@ -841,7 +872,11 @@ def subst_exp(
             continue
         ez = exps.get(m)
         if ez is None:
-            ez = exps[m] = exp_z_dict(m, zorder)
+            ez = exp_z_dict(m, zorder)
+            if scale != 1 and m:
+                pw = power(scale, m)
+                ez = {k: pw * w for k, w in ez.items()}
+            exps[m] = ez
         for k, w in ez.items():
             key[zvar] = k
             groups.setdefault(tuple(key[v] for v in out_vars), []).append((w, c))

@@ -243,3 +243,16 @@ def test_residue_check_reports_both_ids_when_agreement_fails(monkeypatch):
     top = results["residue-top-mode"]
     assert top.status == "undetermined"
     assert "trial 0" in top.counterexample["note"]
+
+
+def test_config_file_errors_exit_3(tmp_path, capsys):
+    for text, named in (("grade = three\n", ["grade", "'three'"]), ("grde = 2\n", ["'grde'"])):
+        cfgfile = tmp_path / "verify.cfg"
+        cfgfile.write_text(text)
+        assert main(["formal-calc", "--p", "2", "--config", str(cfgfile)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and all(n in err for n in named), err
+    cfgfile.write_text("window-margin = 2\nwindow_margin = 2\n")  # both spellings of a key
+    assert read_config_file(str(cfgfile)) == {"window_margin": "2"}
+    assert main(["formal-calc", "--p", "2", "--config", str(tmp_path / "missing.cfg")]) == 3
+    assert "cannot read config file" in capsys.readouterr().err

@@ -25,7 +25,6 @@ from fdcalc.fieldcalc import (
     quadrant_verdict,
     residue_ye,
     scaled_mode_extract,
-    var_scaled,
     ye_from_product,
     ye_product,
 )
@@ -37,6 +36,7 @@ from fdcalc.series import (
     InsufficientWindow,
     TruncatedSeries,
     divide_linear,
+    var_scaled,
 )
 
 F = Fraction
@@ -578,3 +578,76 @@ def test_p2_products_defects_and_kernels_match_symbolic_specialized_at_2():
         for t, t2 in zip(terms, terms2):
             assert (_at2(t.lam), t.j) == (t2.lam, t2.j)
             assert t2.coeff.coeffs and _same_series(_specialized(t.coeff), t2.coeff)
+
+
+def _defect_reference(L, w, hi1, hi2, thm_region):
+    """defect_series as it was built before the constant twist went into the
+    accumulate: the reversed product scaled by the twist, then subtracted as
+    the sum with its negation."""
+    out = product_on_window(L.a, "x1", L.b, "x2", w, hi1, hi2).untagged()
+    for b_i, a_i, f_i in L.partners:
+        rev = product_on_window(b_i, "x2", a_i, "x1", w, hi2, hi1)
+        if f_i.factors or f_i.mexp:
+            limits = {"x1": (NEG_INF, hi1), "x2": (NEG_INF, hi2)}
+            if thm_region:
+                tw = f_i.reciprocal_arg().ratio_series("x1", "x2", ("x1", "x2"), limits)
+            else:
+                tw = f_i.ratio_series("x2", "x1", ("x2", "x1"), limits)
+            term = (tw.untagged() * rev).untagged()
+        else:
+            term = rev.scaled(f_i.const)
+        out = out + (-term)
+    return out
+
+
+@pytest.mark.parametrize("fld", [Q2, ScalarField.rationals(F(3)), QP], ids=["p=2", "p=3", "Q(p)"])
+def test_defect_series_constant_twist_matches_scaled_reference(fld):
+    module = FockModule(t_spec(fld))
+    a, b = tfield(module, 1), tfield(module, 0)
+    nonconst = FactoredRational(fld.one(), 0, ((fld.p_power(1), 1),))
+    for c in (-fld.one(), fld.one(), fld.from_int(-2), fld.coerce(F(3, 2))):
+        twists = [((b, a, FactoredRational(c)),), ((b, a, FactoredRational(c)), (a, b, nonconst))]
+        for partners in twists:
+            L = LocalityDatum(a, b, partners, witness_p(fld, 1, 0))
+            for w in module.basis(2):
+                for thm in (True, False):
+                    got = defect_series(L, w, 5, 4, thm_region=thm)
+                    want = _defect_reference(L, w, 5, 4, thm)
+                    assert (got.vars, got.coeffs, got.window, got.support, got.region) == (
+                        want.vars, want.coeffs, want.window, want.support, want.region
+                    ), (c, len(partners), w, thm)
+
+
+def _locality_reference(L, w, hi1, hi2):
+    """locality_check as it was before the constant twist went onto p: the
+    twisted reversed products summed, then multiplied by p once."""
+    ann = laurent_annihilator(L.annihilator, "x1", "x2")
+    lhs = ann * product_on_window(L.a, "x1", L.b, "x2", w, hi1, hi2)
+    rhs = None
+    for b_i, a_i, f_i in L.partners:
+        rev = product_on_window(b_i, "x2", a_i, "x1", w, hi2, hi1)
+        if f_i.factors or f_i.mexp:
+            limits = {"x2": (NEG_INF, hi2), "x1": (NEG_INF, hi1)}
+            tw = f_i.ratio_series("x2", "x1", ("x2", "x1"), limits)
+            term = (tw.untagged() * rev).untagged()
+        else:
+            term = rev.scaled(f_i.const)
+        rhs = term if rhs is None else rhs + term
+    rhs = ann * rhs if rhs is not None else lhs.scaled(0)
+    return lhs.untagged().eq_on_common(rhs.untagged())
+
+
+@pytest.mark.parametrize("fld", [Q2, QP], ids=["p=2", "Q(p)"])
+def test_locality_check_matches_reference_with_constant_and_rational_twists(fld):
+    module = FockModule(t_spec(fld))
+    a, b = tfield(module, 1), tfield(module, 0)
+    nonconst = FactoredRational(fld.one(), 0, ((fld.p_power(1), 1),))
+    verdicts = set()
+    for c in (-fld.one(), fld.from_int(-2)):
+        for partners in (((b, a, FactoredRational(c)),), ((b, a, FactoredRational(c)), (a, b, nonconst))):
+            L = LocalityDatum(a, b, partners, witness_p(fld, 1, 0))
+            for w in module.basis(2):
+                got = locality_check(L, w, 6, 5)
+                assert got == _locality_reference(L, w, 6, 5), (c, len(partners), w)
+                verdicts.add(got[0])
+    assert verdicts == {True, False}

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdcalc.fock import (
+    CarSpec,
     FlavorOutOfWindow,
     FockModule,
     FockVector,
@@ -318,3 +319,83 @@ def test_apply_mode_on_a_basis_vector_multiplies_by_no_unit(monkeypatch):
         for n in range(-5, 6):
             module.apply_mode("T", n, w)
     assert calls and not any(calls)
+
+
+def _anticommutator_reference(module, g1, g2, grade_bound):
+    """The anticommutator check before it read memoized words: two
+    ``apply_mode`` calls per order, on every basis vector."""
+    (r, m), (s, n) = g1, g2
+    pair = module.spec.pairing(r, m, s, n)
+    for w in module.basis(grade_bound):
+        lhs = module.apply_mode(r, m, module.apply_mode(s, n, w)) + module.apply_mode(
+            s, n, module.apply_mode(r, m, w)
+        )
+        if lhs != pair * w:
+            return False
+    return True
+
+
+class _WrongPairing(CarSpec):
+    """A spec whose pairing is off by one for the ordered generator pairs in
+    ``bad``.
+
+    The mode action reads pairing(annihilator, creator), so for such a pair
+    {g1, g2} still holds and the reversed order {g2, g1} fails.  For a pair of
+    two annihilators the action never reads it: both words are zero, and only
+    the pairing tells {g1, g2} from 0."""
+
+    bad = ()
+
+    def pairing(self, r, m, s, n):
+        out = super().pairing(r, m, s, n)
+        return out + 1 if ((r, m), (s, n)) in self.bad else out
+
+
+def _anticommutator_cases(fld, wrong):
+    """(module, generator pairs) for E(ell = 1, 2, flavors 0..2) and T, every
+    pair with |m| <= 3; ``wrong`` swaps in specs with wrong pairings."""
+    if wrong:
+        t = _WrongPairing("T", fld)
+        t.bad = ((("T", 1), ("T", -1)), (("T", 2), ("T", 3)))
+        specs = [t]
+        for ell in (1, 2):
+            e = _WrongPairing("E", fld, ell=ell, flavor_lo=0, flavor_hi=2)
+            e.bad = (((1, 0), (2, -1)),)
+            specs.append(e)
+    else:
+        specs = [t_spec(fld)] + [e_spec(fld, ell=ell, flavor_lo=0, flavor_hi=2) for ell in (1, 2)]
+    for spec in specs:
+        flavors = ("T",) if spec.kind == "T" else (0, 1, 2)
+        gens = [(r, m) for r in flavors for m in range(-3, 4)]
+        yield spec, [(g1, g2) for g1 in gens for g2 in gens]
+
+
+@pytest.mark.parametrize("fld", [Q2, QP], ids=["p=2", "Q(p)"])
+@pytest.mark.parametrize("wrong", [False, True], ids=["true-spec", "wrong-pairings"])
+def test_anticommutator_check_matches_two_apply_mode_reference(fld, wrong):
+    failing = set()
+    for spec, pairs in _anticommutator_cases(fld, wrong):
+        module, ref = FockModule(spec), FockModule(spec)
+        for g1, g2 in pairs:
+            got = module.anticommutator_check(g1, g2, 3)
+            assert got == _anticommutator_reference(ref, g1, g2, 3), (spec.kind, g1, g2)
+            if not got:
+                failing.add((spec.kind, g1, g2))
+    if wrong:
+        assert failing == {
+            ("T", ("T", -1), ("T", 1)),
+            ("T", ("T", 2), ("T", 3)),
+            ("E", (2, -1), (1, 0)),
+        }
+    else:
+        assert not failing
+
+
+def test_basis_monomials_is_enumerated_once_and_returned_fresh():
+    module = FockModule(e_spec(QP, ell=1, flavor_lo=-2, flavor_hi=3))
+    first = module.basis_monomials(3)
+    first.append("junk")
+    assert module.basis_monomials(3) == first[:-1]
+    assert module.basis_monomials(3) is not module.basis_monomials(3)
+    assert [w.terms for w in module.basis(3)] == [{m: QP.one()} for m in first[:-1]]
+    assert list(module._monomials) == [3]

@@ -748,3 +748,102 @@ def test_grouped_product_drops_a_cell_that_cancels_to_the_zero_vector():
         assert _same(got, want)
         assert set(got.coeffs) == {(0,), (2,)}
         assert got.coeffs[(0,)] == u - v and got.coeffs[(2,)] == two * two * (v - u)
+
+
+# -- scalars folded into the pass: subst_exp's scale and add_scaled ------------------
+
+
+def _fold_fields():
+    """(name, field, scales): p = 2 (Dyadic values), p = 3 (plain Fraction) and
+    symbolic p, each with a negative, a fractional and the unit scale."""
+    from fdcalc.scalars import ScalarField
+
+    q2, q3, qp = ScalarField.rationals(2), ScalarField.rationals(3), ScalarField.rational_functions()
+    p = RatFunc.p()
+    return [
+        ("p=2", q2, [q2.coerce(F(-1, 2)), q2.coerce(F(3, 4)), q2.from_int(-3), q2.one()]),
+        ("p=3", q3, [q3.coerce(F(-2, 3)), q3.coerce(F(5, 7)), q3.one()]),
+        ("Q(p)", qp, [-p, (p - 1) * p**-1, qp.coerce(F(-3, 2)), qp.one()]),
+    ]
+
+
+def _fold_payloads(fld):
+    """A scalar payload and a Fock-vector payload over ``fld``."""
+    from fdcalc.fock import FockModule, t_spec
+
+    module = FockModule(t_spec(fld))
+    basis = module.basis(2)
+
+    def scalar(rng):
+        return fld.p_power(rng.randint(-2, 2)) * rng.choice([1, -1, 3])
+
+    def vector(rng):
+        return sum(
+            (fld.from_int(rng.randint(-2, 2)) * rng.choice(basis) for _ in range(3)),
+            module.vacuum() * fld.zero(),
+        )
+
+    return {"scalar": scalar, "vector": vector}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 4), st.integers(-1, 4), st.integers(-1, 4))
+def test_subst_exp_scale_equals_var_scaled_first(rng, zorder, hi1, hi2):
+    # the scale folded into the weights gives the cells, windows and support of
+    # rescaling the variable first; the merge target needs certified floors, so
+    # its input is an exact Laurent polynomial on a window with known support
+    for name, fld, scales in _fold_fields():
+        for kind, payload in _fold_payloads(fld).items():
+            P = _dict_series(rng, ("x1", "x2"), payload)
+            narrow = _narrowed(P, hi1, hi2, True)
+            fresh = _cut(_dict_series(rng, ("x1", "x2"), payload), rng)
+            for c in scales:
+                for s, target in ((P, "x2"), (narrow, "x2"), (fresh, "u"), (P, "u")):
+                    got = subst_exp(s, "x1", target, "z", zorder, scale=c)
+                    want = subst_exp(var_scaled(s, "x1", c), "x1", target, "z", zorder)
+                    assert _same(got, want), (name, kind, c, target)
+
+
+def test_subst_exp_scale_hand_value_and_zero_scale():
+    # x1^2 at x1 = -x e^z: (+1) x^2 (1 + 2z + 2z^2); x1^-1 at x1 = x/2 e^z: 2 x^-1 (1 - z)
+    s = TruncatedSeries.exact(("x1",), {(2,): F(1), (-1,): F(1)})
+    out = subst_exp(s, "x1", "x", "z", 2, scale=F(-1))
+    assert [out.get(x=2, z=k) for k in range(3)] == [1, 2, 2]
+    assert [out.get(x=-1, z=k) for k in range(3)] == [-1, 1, F(-1, 2)]
+    half = subst_exp(s, "x1", "x", "z", 1, scale=F(1, 2))
+    assert half.get(x=2, z=0) == F(1, 4) and half.get(x=-1, z=1) == -2
+    with pytest.raises(ValueError, match="scale must be nonzero"):
+        subst_exp(s, "x1", "x", "z", 2, scale=F(0))
+
+
+def _tagged(rng, payload, region):
+    s = _cut(_dict_series(rng, ("x1", "x2"), payload), rng)
+    return TruncatedSeries(s.vars, s.coeffs, s.window, s.support, region)
+
+
+def test_one_pass_difference_matches_negate_then_add():
+    # a - b and a.add_scaled(b, c) in one pass against the two-pass a + (-b)
+    # and a + b.scaled(c), with tags equal, absent on one side, and different
+    regions = [None, ("x1", "x2"), ("x2", "x1")]
+    rng = random.Random(4111)
+    for name, fld, scales in _fold_fields():
+        for kind, payload in _fold_payloads(fld).items():
+            for trial in range(8):
+                for ra in regions:
+                    for rb in regions:
+                        a, b = _tagged(rng, payload, ra), _tagged(rng, payload, rb)
+                        if ra and rb and ra != rb:
+                            with pytest.raises(RegionMismatch):
+                                _ = a - b
+                            with pytest.raises(RegionMismatch):
+                                a.add_scaled(b, scales[0])
+                            continue
+                        assert _same(a - b, a + (-b)), (name, kind, ra, rb)
+                        assert _same(a - a, a + (-a)) and not (a - a).coeffs
+                        for c in scales + [-fld.one(), fld.zero()]:
+                            assert _same(a.add_scaled(b, c), a + b.scaled(c)), (name, kind, c)
+
+
+def test_scaled_by_one_is_the_series_itself():
+    s = _narrowed(laurent({(1, 2): 3, (-1, 0): F(1, 2)}), 2, 3, True)
+    assert s.scaled(1) is s and s.scaled(F(1)) is s and s.scaled(RatFunc(1)) is s
