@@ -22,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distributions import delta_fit
+from .distributions import WindowTooSmall, delta_fit
 from .fock import FockModule, FockVector, t_spec
 from .scalars import RatFunc, ScalarField, require_exact
 from .series import (
     NEG_INF,
     FactoredRational,
+    InsufficientWindow,
     TruncatedSeries,
     diagonal_collapse,
     divide_linear,
@@ -259,6 +260,27 @@ def commutator_grid(params: DVirParams, C: CovariantStructure, flavors, basis, b
                 )
 
 
+def verdict(counterexamples) -> tuple:
+    """The one verdict rule: ``(ok, detail)`` from a generator of counterexamples.
+
+    Nothing yielded passes, ``(True, None)``.  The first counterexample fails,
+    ``(False, it)``, and the generator is not resumed, so nothing after its
+    first ``yield`` runs.  A window that cannot decide (``InsufficientWindow``,
+    ``WindowTooSmall``, or a ``CompatibilityError`` whose message says
+    "undetermined") gives ``(None, message)``; any other exception fails with
+    its repr as the detail.
+    """
+    try:
+        for ce in counterexamples:
+            return False, ce
+    except Exception as exc:
+        undecided = isinstance(exc, (InsufficientWindow, WindowTooSmall)) or (
+            isinstance(exc, CompatibilityError) and "undetermined" in str(exc)
+        )
+        return (None, str(exc)) if undecided else (False, repr(exc))
+    return True, None
+
+
 def theorem58_suite(
     params: DVirParams,
     flavor_lo: int = -2,
@@ -271,97 +293,80 @@ def theorem58_suite(
     """Locality, commutator kernels, covariance, associativity and top modes
     for the realization r -> T(p^r x) on the universal restricted module.
 
-    Returns a list of (check id, ok, detail) triples.
+    Returns a list of (check id, ok, detail) triples, each decided by
+    :func:`verdict`: ok is None when a window could not decide.
     """
     module, C = realization(params)
     fld = params.field
     basis = module.basis(grade_bound)
     if hi is None:
         hi = grade_bound + 3
-    results = []
-
-    ok_all, detail = True, None
-    for r in range(flavor_lo, flavor_hi + 1):
-        for s in range(flavor_lo, flavor_hi + 1):
-            L = neighbor_locality(params, module, r, s)
-            for w in basis:
-                ok, ce = locality_check(L, w, hi, hi)
-                if not ok:
-                    ok_all, detail = False, (r, s, repr(w), ce)
-                    break
-            if not ok_all:
-                break
-        if not ok_all:
-            break
-    results.append(("trig-locality", ok_all, detail))
-
-    ok_all, detail = True, None
-    box = {"x1": (-hi, hi), "x2": (-hi, hi)}
     flavors = range(flavor_lo, flavor_hi + 1)
-    for r, s, w, want, (ok, ce, contrib) in commutator_grid(
-        params, C, flavors, basis, box, zorder, hi + 2, margin
-    ):
-        got = sorted(nn for nn, _, _ in contrib)
-        if not ok or got != want:
-            ok_all, detail = False, (r, s, repr(w), ce, got, want)
-            break
-    results.append(("anticommutator-delta-kernel", ok_all, detail))
 
-    ok_all, detail = True, None
-    for r in range(flavor_lo, flavor_hi + 1):
-        for shift in range(flavor_lo - r, flavor_hi - r + 1):
-            ok, ce = covariance_check(C, r, shift, min(grade_bound, 3), hi)
-            if not ok:
-                ok_all, detail = False, (r, shift, ce)
-                break
-        if not ok_all:
-            break
-    results.append(("covariance-rescaling", ok_all, detail))
+    def locality():
+        for r in flavors:
+            for s in flavors:
+                L = neighbor_locality(params, module, r, s)
+                for w in basis:
+                    ok, ce = locality_check(L, w, hi, hi)
+                    if not ok:
+                        yield r, s, repr(w), ce
 
-    ok_all, detail = True, None
-    for r in range(flavor_lo, flavor_hi + 1):
-        s = r - 1
-        if s < flavor_lo:
-            continue
-        u = FieldOperator(module, "T", fld.p_power(r))
-        v = FieldOperator(module, "T", fld.p_power(s))
-        p_inner = standard_annihilator(params, r, s, with_extra=False)
-        p_outer = standard_annihilator(params, r, s, with_extra=True)
-        for w in basis[: max(4, len(basis) // 3)]:
-            try:
+    def delta_kernels():
+        box = {"x1": (-hi, hi), "x2": (-hi, hi)}
+        for r, s, w, want, (ok, ce, contrib) in commutator_grid(
+            params, C, flavors, basis, box, zorder, hi + 2, margin
+        ):
+            got = sorted(nn for nn, _, _ in contrib)
+            if not ok or got != want:
+                yield r, s, repr(w), ce, got, want
+
+    def covariance():
+        for r in flavors:
+            for shift in range(flavor_lo - r, flavor_hi - r + 1):
+                ok, ce = covariance_check(C, r, shift, min(grade_bound, 3), hi)
+                if not ok:
+                    yield r, shift, ce
+
+    def associativity():
+        for r in range(flavor_lo + 1, flavor_hi + 1):
+            s = r - 1
+            u = FieldOperator(module, "T", fld.p_power(r))
+            v = FieldOperator(module, "T", fld.p_power(s))
+            p_inner = standard_annihilator(params, r, s, with_extra=False)
+            p_outer = standard_annihilator(params, r, s, with_extra=True)
+            for w in basis[: max(4, len(basis) // 3)]:
                 ok, ce = assoc_check(u, v, p_inner, p_outer, w, zorder, hi + 2, hi + 2, margin)
-            except CompatibilityError as exc:
-                ok, ce = False, str(exc)
-            if not ok:
-                ok_all, detail = False, (r, s, repr(w), ce)
-                break
-        if not ok_all:
-            break
-    results.append(("exp-substitution-associativity", ok_all, detail))
+                if not ok:
+                    yield r, s, repr(w), ce
 
-    ok_all, detail = True, None
-    for s in range(flavor_lo, flavor_hi):
-        r = s + 1
-        u = FieldOperator(module, "T", fld.p_power(r))
-        v = FieldOperator(module, "T", fld.p_power(s))
-        p_wit = standard_annihilator(params, r, s, with_extra=True)
-        for w in basis:
-            ye = ye_product(u, v, p_wit, zorder, w, hi + 2, hi + 2, margin=margin, xvar="x2")
-            if ye.zero_order != 1:
-                ok_all, detail = False, (r, s, "zero order", ye.zero_order)
-                break
-            m0 = ye.mode(0)
-            expected = TruncatedSeries(
-                ("x2",), {(0,): 2 * w}, {"x2": (NEG_INF, hi)}, {"x2": (0, 0)}
-            )
-            ok, ce = m0.eq_on_common(expected)
-            if not ok:
-                ok_all, detail = False, (r, s, repr(w), ce)
-                break
-        if not ok_all:
-            break
-    results.append(("top-mode-identity", ok_all, detail))
-    return results
+    def top_modes():
+        for s in range(flavor_lo, flavor_hi):
+            r = s + 1
+            u = FieldOperator(module, "T", fld.p_power(r))
+            v = FieldOperator(module, "T", fld.p_power(s))
+            p_wit = standard_annihilator(params, r, s, with_extra=True)
+            for w in basis:
+                ye = ye_product(u, v, p_wit, zorder, w, hi + 2, hi + 2, margin=margin, xvar="x2")
+                if ye.zero_order != 1:
+                    yield r, s, "zero order", ye.zero_order
+                expected = TruncatedSeries(
+                    ("x2",), {(0,): 2 * w}, {"x2": (NEG_INF, hi)}, {"x2": (0, 0)}
+                )
+                ok, ce = ye.mode(0).eq_on_common(expected)
+                if not ok:
+                    yield r, s, repr(w), ce
+
+    return [
+        (cid, *verdict(failures()))
+        for cid, failures in (
+            ("trig-locality", locality),
+            ("anticommutator-delta-kernel", delta_kernels),
+            ("covariance-rescaling", covariance),
+            ("exp-substitution-associativity", associativity),
+            ("top-mode-identity", top_modes),
+        )
+    ]
 
 
 def theorem59_suite(
@@ -374,93 +379,85 @@ def theorem59_suite(
     """Relations of the realized field T(x) := Y(e_(1), x) = T(p x), the
     intermediate two-variable factorization, and the mode-extracted pairing.
 
-    Returns a list of (check id, ok, detail) triples.
+    Returns a list of (check id, ok, detail) triples, each decided by
+    :func:`verdict`: ok is None when a window could not decide.
     """
     module, C = realization(params)
     fld = params.field
     p = fld.p_power(1)
     if hi is None:
         hi = grade_bound + 3
-    results = []
 
-    # realized field modes satisfy the defining relations
-    ok_all, detail = True, None
-    for m in range(-mode_bound, mode_bound + 1):
-        for n in range(-mode_bound, mode_bound + 1):
-            rep = vir_relation_check(module, params, m, n, grade_bound, extend=2)
-            if rep.defect or not rep.stable:
-                ok_all, detail = False, (m, n, repr(rep.defect), rep.defect_at)
-                break
-        if not ok_all:
-            break
-    results.append(("realized-field-relations", ok_all, detail))
+    def relations():
+        # realized field modes satisfy the defining relations
+        for m in range(-mode_bound, mode_bound + 1):
+            for n in range(-mode_bound, mode_bound + 1):
+                rep = vir_relation_check(module, params, m, n, grade_bound, extend=2)
+                if rep.defect or not rep.stable:
+                    yield m, n, repr(rep.defect), rep.defect_at
 
-    # (x1 - p x2)(p x1 - x2) T'(x1) T'(x2) = (x1 - x2) A(x1, x2) and the two
-    # diagonal evaluations of A
-    ok_all, detail = True, None
-    a = C.realize(1)
-    g4 = min(grade_bound, 4)
-    hi_loc = 3 * g4 + 9
-    cap = g4 + 5
-    for w in module.basis(g4):
-        prod = product_on_window(a, "x1", a, "x2", w, hi_loc, hi_loc)
-        two_roots = FactoredRational(fld.one(), 0, ((p, 1), (fld.p_power(-1), 1)))
-        F = laurent_annihilator(two_roots, "x1", "x2") * prod
-        F = F.scaled(p).shifted(x2=2)  # (x1 - p x2)(p x1 - x2) = p x2^2 (y-p)(y-1/p)
-        verdict = quadrant_verdict(F, "x1", "x2", margin)
-        if verdict.status != "compatible":
-            ok_all, detail = False, (repr(w), "compat", verdict.status)
-            break
-        if verdict.bound is not None:
-            F = F.assert_support_floor({"x1": verdict.bound[0], "x2": verdict.bound[1]})
-        A = divide_linear(F.untagged(), "x1", "x2", fld.one(), hi2_cap=cap)
-        lin = TruncatedSeries.exact(("x1", "x2"), {(1, 0): fld.one(), (0, 1): -fld.one()})
-        ok, ce = (lin * A).eq_on_common(F)
-        if not ok:
-            ok_all, detail = False, (repr(w), "divisibility", ce)
-            break
-        # A(p x2, x2) = 2(p+1) p x2 w  and  A(x1, p x1) = 2(p+1) p x1 w
-        d1 = diagonal_collapse(A, "x1", "x2", p)
-        d2 = diagonal_collapse(A, "x2", "x1", p)
-        if d1.win("x2")[1] < 3 or d2.win("x1")[1] < 3:
-            ok_all, detail = False, (repr(w), "diagonal window too small",
-                                     (d1.win("x2"), d2.win("x1")))
-            break
-        w1 = TruncatedSeries(
-            ("x2",), {(1,): (2 * (p + 1) * p) * w}, {"x2": d1.win("x2")}, {"x2": (1, 1)}
+    def factorization():
+        # (x1 - p x2)(p x1 - x2) T'(x1) T'(x2) = (x1 - x2) A(x1, x2) and the two
+        # diagonal evaluations of A
+        a = C.realize(1)
+        g4 = min(grade_bound, 4)
+        hi_loc = 3 * g4 + 9
+        cap = g4 + 5
+        for w in module.basis(g4):
+            prod = product_on_window(a, "x1", a, "x2", w, hi_loc, hi_loc)
+            two_roots = FactoredRational(fld.one(), 0, ((p, 1), (fld.p_power(-1), 1)))
+            F = laurent_annihilator(two_roots, "x1", "x2") * prod
+            F = F.scaled(p).shifted(x2=2)  # (x1 - p x2)(p x1 - x2) = p x2^2 (y-p)(y-1/p)
+            compat = quadrant_verdict(F, "x1", "x2", margin)
+            if compat.status != "compatible":
+                yield repr(w), "compat", compat.status
+            if compat.bound is not None:
+                F = F.assert_support_floor({"x1": compat.bound[0], "x2": compat.bound[1]})
+            A = divide_linear(F.untagged(), "x1", "x2", fld.one(), hi2_cap=cap)
+            lin = TruncatedSeries.exact(("x1", "x2"), {(1, 0): fld.one(), (0, 1): -fld.one()})
+            ok, ce = (lin * A).eq_on_common(F)
+            if not ok:
+                yield repr(w), "divisibility", ce
+            # A(p x2, x2) = 2(p+1) p x2 w  and  A(x1, p x1) = 2(p+1) p x1 w
+            d1 = diagonal_collapse(A, "x1", "x2", p)
+            d2 = diagonal_collapse(A, "x2", "x1", p)
+            if d1.win("x2")[1] < 3 or d2.win("x1")[1] < 3:
+                yield repr(w), "diagonal window too small", (d1.win("x2"), d2.win("x1"))
+            w1 = TruncatedSeries(
+                ("x2",), {(1,): (2 * (p + 1) * p) * w}, {"x2": d1.win("x2")}, {"x2": (1, 1)}
+            )
+            ok1, ce1 = d1.eq_on_common(w1)
+            w2 = TruncatedSeries(
+                ("x1",), {(1,): (2 * (p + 1) * p) * w}, {"x1": d2.win("x1")}, {"x1": (1, 1)}
+            )
+            ok2, ce2 = d2.eq_on_common(w2)
+            if not (ok1 and ok2):
+                yield repr(w), "delta evaluation", ce1 or ce2
+
+    def pairing():
+        # mode-extracted anticommutator == the pairing the module was built from
+        Lself = neighbor_locality(params, module, 1, 1)
+        box = {"x1": (-hi, hi), "x2": (-hi, hi)}
+        for w in module.basis(min(grade_bound, 4)):
+            D = defect_series(Lself, w, hi + 2, hi + 2).restricted(box)
+            terms = delta_fit(D, [p, fld.p_power(-1)], 0, "x1", "x2")
+            expect = {repr(p): 2 * w, repr(fld.p_power(-1)): 2 * w}
+            got = {}
+            for t in terms:
+                if t.j != 0:
+                    yield repr(w), "unexpected derivative kernel", t.j
+                got[repr(t.lam)] = t.coeff.get(**{t.coeff.vars[0]: 0}) if t.coeff.vars else 0
+                nonconst = [e for e in t.coeff.coeffs if any(x != 0 for x in e)]
+                if nonconst:
+                    yield repr(w), "kernel not constant", nonconst
+            if got != expect:
+                yield repr(w), "pairing mismatch", repr(got)
+
+    return [
+        (cid, *verdict(failures()))
+        for cid, failures in (
+            ("realized-field-relations", relations),
+            ("defect-factorization", factorization),
+            ("mode-extracted-pairing", pairing),
         )
-        ok1, ce1 = d1.eq_on_common(w1)
-        w2 = TruncatedSeries(
-            ("x1",), {(1,): (2 * (p + 1) * p) * w}, {"x1": d2.win("x1")}, {"x1": (1, 1)}
-        )
-        ok2, ce2 = d2.eq_on_common(w2)
-        if not (ok1 and ok2):
-            ok_all, detail = False, (repr(w), "delta evaluation", ce1 or ce2)
-            break
-    results.append(("defect-factorization", ok_all, detail))
-
-    # mode-extracted anticommutator == the pairing the module was built from
-    ok_all, detail = True, None
-    Lself = neighbor_locality(params, module, 1, 1)
-    box = {"x1": (-hi, hi), "x2": (-hi, hi)}
-    for w in module.basis(min(grade_bound, 4)):
-        D = defect_series(Lself, w, hi + 2, hi + 2).restricted(box)
-        terms = delta_fit(D, [p, fld.p_power(-1)], 0, "x1", "x2")
-        expect = {repr(p): 2 * w, repr(fld.p_power(-1)): 2 * w}
-        got = {}
-        for t in terms:
-            if t.j != 0:
-                ok_all, detail = False, (repr(w), "unexpected derivative kernel", t.j)
-                break
-            got[repr(t.lam)] = t.coeff.get(**{t.coeff.vars[0]: 0}) if t.coeff.vars else 0
-            nonconst = [e for e in t.coeff.coeffs if any(x != 0 for x in e)]
-            if nonconst:
-                ok_all, detail = False, (repr(w), "kernel not constant", nonconst)
-                break
-        if not ok_all:
-            break
-        if got != expect:
-            ok_all, detail = False, (repr(w), "pairing mismatch", repr(got))
-            break
-    results.append(("mode-extracted-pairing", ok_all, detail))
-    return results
+    ]

@@ -1,12 +1,15 @@
 """Named verification suites with machine-readable results.
 
-Each check is a pure callable returning a :class:`CheckResult`; a suite is an
-ordered list of named checks.  Randomized instance checks use a fixed seed so
-identical configurations produce identical reports.
+Each check is a pure callable returning a :class:`CheckResult` (or a list of
+them); a suite is an ordered list of named checks.  Every verdict comes from
+one rule, :func:`dvir.verdict`: a check's body yields counterexamples, and the
+first one decides.  Randomized instance checks use a fixed seed so identical
+configurations produce identical reports.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -39,6 +42,7 @@ from .series import (
     INF,
     NEG_INF,
     FactoredRational,
+    InsufficientWindow,
     TruncatedSeries,
     iota_expand,
     partial_fractions,
@@ -147,13 +151,45 @@ def _rand_scalar(rng, fld, allow_zero=False):
     return fld.coerce(Fraction(num, den))
 
 
+_STATUS = {True: "pass", False: "fail", None: "undetermined"}
+
+
+def _result(check_id: str, window, ok, detail) -> CheckResult:
+    """The CheckResult of a :func:`dvir.verdict`.  A yielded ``_ce`` dict is
+    the counterexample; any other detail (a dvir tuple, an exception's
+    message) becomes its note."""
+    if not ok and not isinstance(detail, dict):
+        detail = _ce(note=detail)
+    return CheckResult(check_id, _STATUS[ok], window, detail)
+
+
+def _check(check_id: str, window=None):
+    """Register a generator of ``_ce`` counterexamples as the check ``check_id``.
+
+    The verdict is :func:`dvir.verdict`'s: the first counterexample decides,
+    and the body is not resumed after it.  The body runs entirely inside the
+    rule, so whatever it raises is reported under ``check_id``.  ``window``,
+    a string or a function of the config, is reported with every verdict.
+    """
+
+    def register(failures):
+        @functools.wraps(failures)
+        def check(cfg: SuiteConfig) -> CheckResult:
+            win = window(cfg) if callable(window) else window
+            return _result(check_id, win, *dv.verdict(failures(cfg)))
+
+        return check
+
+    return register
+
+
 # -- formal-calc checks --------------------------------------------------------
 
 
-def check_delta_annihilation(cfg: SuiteConfig) -> CheckResult:
+@_check("delta-annihilation-exhaustive", "radius 20")
+def check_delta_annihilation(cfg: SuiteConfig):
     fld = cfg.scalar_field()
-    radius = 20
-    lim = _box(radius)
+    lim = _box(20)
     lams = [Fraction(1), Fraction(2), Fraction(-3)]
     if fld.symbolic:
         lams.append(RatFunc.p())
@@ -163,17 +199,10 @@ def check_delta_annihilation(cfg: SuiteConfig) -> CheckResult:
         for k in range(1, 5):
             for j in range(0, k):
                 if not annihilation_check(lam, k, j, "x1", "x2", lim):
-                    return CheckResult(
-                        "delta-annihilation-exhaustive", "fail", f"radius {radius}",
-                        _ce(note=f"lambda={_render(lam)} k={k} j={j}"),
-                    )
+                    yield _ce(note=f"lambda={_render(lam)} k={k} j={j}")
     # negative control: j = k is not annihilated
     if annihilation_check(Fraction(1), 1, 1, "x1", "x2", lim):
-        return CheckResult(
-            "delta-annihilation-exhaustive", "fail", f"radius {radius}",
-            _ce(note="j = k control unexpectedly annihilated"),
-        )
-    return CheckResult("delta-annihilation-exhaustive", "pass", f"radius {radius}")
+        yield _ce(note="j = k control unexpectedly annihilated")
 
 
 def _random_delta_sum(rng, fld, v2="x2"):
@@ -196,11 +225,11 @@ def _random_delta_sum(rng, fld, v2="x2"):
     return lams, DeltaSum(terms).merged()
 
 
-def check_delta_fit_roundtrip(cfg: SuiteConfig) -> CheckResult:
+@_check("delta-fit-roundtrip", "radius 18, 50 trials")
+def check_delta_fit_roundtrip(cfg: SuiteConfig):
     fld = cfg.scalar_field()
     rng = random.Random(cfg.seed)
-    radius = 18
-    lim = {"x1": (-radius, radius), "x2": (-radius - 6, radius + 6)}
+    lim = {"x1": (-18, 18), "x2": (-24, 24)}
     for trial in range(50):
         lams, ds = _random_delta_sum(rng, fld)
         expanded = ds.expand("x1", "x2", lim)
@@ -208,45 +237,30 @@ def check_delta_fit_roundtrip(cfg: SuiteConfig) -> CheckResult:
         try:
             fit = delta_fit(expanded, lams, max(jmax, 1), "x1", "x2")
         except NotDeltaSum as exc:
-            return CheckResult(
-                "delta-fit-roundtrip", "fail", f"radius {radius}", _ce(note=f"trial {trial}: {exc}")
-            )
+            yield _ce(note=f"trial {trial}: {exc}")
         refit = DeltaSum(fit).expand("x1", "x2", lim)
         ok, ce = refit.eq_on_common(expanded)
         if not ok:
-            return CheckResult(
-                "delta-fit-roundtrip", "fail", f"radius {radius}",
-                _ce(ce[0], ce[1], f"trial {trial}"),
-            )
+            yield _ce(ce[0], ce[1], f"trial {trial}")
         # recovered coefficients match the originals on their windows
         orig = {(repr(t.lam), t.j): t for t in ds.terms}
         for t in fit:
             o = orig.pop((repr(t.lam), t.j), None)
             if o is None:
-                return CheckResult(
-                    "delta-fit-roundtrip", "fail", f"radius {radius}",
-                    _ce(note=f"trial {trial}: spurious term ({_render(t.lam)}, {t.j})"),
-                )
+                yield _ce(note=f"trial {trial}: spurious term ({_render(t.lam)}, {t.j})")
             ok, ce = t.coeff.eq_on_common(o.coeff)
             if not ok:
-                return CheckResult(
-                    "delta-fit-roundtrip", "fail", f"radius {radius}",
-                    _ce(ce[0], ce[1], f"trial {trial}"),
-                )
+                yield _ce(ce[0], ce[1], f"trial {trial}")
         if orig:
-            return CheckResult(
-                "delta-fit-roundtrip", "fail", f"radius {radius}",
-                _ce(note=f"trial {trial}: missing terms {sorted(orig)}"),
-            )
-    return CheckResult("delta-fit-roundtrip", "pass", f"radius {radius}, 50 trials")
+            yield _ce(note=f"trial {trial}: missing terms {sorted(orig)}")
 
 
-def check_delta_fit_zero(cfg: SuiteConfig) -> CheckResult:
+@_check("delta-fit-zero", "radius 12")
+def check_delta_fit_zero(cfg: SuiteConfig):
     zero = TruncatedSeries(("x1", "x2"), {}, _box(12), {"x1": (INF, NEG_INF), "x2": (INF, NEG_INF)})
     fit = delta_fit(zero, [Fraction(1), Fraction(2)], 3, "x1", "x2")
     if fit:
-        return CheckResult("delta-fit-zero", "fail", "radius 12", _ce(note=f"{len(fit)} terms"))
-    return CheckResult("delta-fit-zero", "pass", "radius 12")
+        yield _ce(note=f"{len(fit)} terms")
 
 
 def _predicted_decomposition(p: FactoredRational, v2="x2") -> DeltaSum:
@@ -271,11 +285,11 @@ def _predicted_decomposition(p: FactoredRational, v2="x2") -> DeltaSum:
     return acc.merged()
 
 
-def check_delta_decompose(cfg: SuiteConfig) -> CheckResult:
+@_check("delta-decompose-rational", "radius 16, 20 trials")
+def check_delta_decompose(cfg: SuiteConfig):
     fld = cfg.scalar_field()
     rng = random.Random(cfg.seed + 1)
-    radius = 16
-    lim = {"x1": (-radius, radius), "x2": (-radius - 8, radius + 8)}
+    lim = {"x1": (-16, 16), "x2": (-24, 24)}
     pool = [Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(3)]
     for trial in range(20):
         nroots = rng.randint(1, 2)
@@ -291,14 +305,11 @@ def check_delta_decompose(cfg: SuiteConfig) -> CheckResult:
         want = _predicted_decomposition(p).expand("x1", "x2", _box(10))
         ok, ce = got.eq_on_common(want)
         if not ok:
-            return CheckResult(
-                "delta-decompose-rational", "fail", f"radius {radius}",
-                _ce(ce[0], ce[1], f"trial {trial}: p = {p.render()}"),
-            )
-    return CheckResult("delta-decompose-rational", "pass", f"radius {radius}, 20 trials")
+            yield _ce(ce[0], ce[1], f"trial {trial}: p = {p.render()}")
 
 
-def check_vanishing_order(cfg: SuiteConfig) -> CheckResult:
+@_check("vanishing-order", "30 trials")
+def check_vanishing_order(cfg: SuiteConfig):
     fld = cfg.scalar_field()
     rng = random.Random(cfg.seed + 2)
     for trial in range(30):
@@ -321,14 +332,11 @@ def check_vanishing_order(cfg: SuiteConfig) -> CheckResult:
             A = A * lin
         got = vanishing_order(A, lam, "x1", "x2")
         if got != k:
-            return CheckResult(
-                "vanishing-order", "fail", None,
-                _ce(note=f"trial {trial}: lambda={_render(lam)} expected {k} got {got}"),
-            )
-    return CheckResult("vanishing-order", "pass", "30 trials")
+            yield _ce(note=f"trial {trial}: lambda={_render(lam)} expected {k} got {got}")
 
 
-def check_three_term(cfg: SuiteConfig) -> CheckResult:
+@_check("three-term-delta-log", "radius 7")
+def check_three_term(cfg: SuiteConfig):
     one2 = TruncatedSeries(
         ("x1", "x2"), {(0, 0): Fraction(1)}, _box(7), {"x1": (0, 0), "x2": (0, 0)}
     )
@@ -337,7 +345,7 @@ def check_three_term(cfg: SuiteConfig) -> CheckResult:
         {"x0": (NEG_INF, 7), "x2": (-7, 7)}, {"x0": (0, 0), "x2": (0, 0)},
     )
     if not three_term_check(one2, one2, oneC, 0, 4):
-        return CheckResult("three-term-delta-log", "fail", "radius 7", _ce(note="kernel identity"))
+        yield _ce(note="kernel identity")
     # polynomial instance: A = B = x1 x2, so C = x2^2 e^(x0)
     AB = TruncatedSeries(
         ("x1", "x2"), {(1, 1): Fraction(1)}, _box(7), {"x1": (1, 1), "x2": (1, 1)}
@@ -352,60 +360,50 @@ def check_three_term(cfg: SuiteConfig) -> CheckResult:
         ("x0", "x2"), cco, {"x0": (NEG_INF, 7), "x2": (-7, 7)}, {"x0": (0, INF), "x2": (2, 2)}
     )
     if not three_term_check(AB, AB, C2, 0, 4):
-        return CheckResult("three-term-delta-log", "fail", "radius 7", _ce(note="monomial instance"))
+        yield _ce(note="monomial instance")
     bad = one2 + TruncatedSeries.exact(("x1", "x2"), {(2, 1): Fraction(1)})
     if three_term_check(one2, bad, oneC, 0, 4):
-        return CheckResult(
-            "three-term-delta-log", "fail", "radius 7", _ce(note="corrupted control passed")
-        )
-    return CheckResult("three-term-delta-log", "pass", "radius 7")
+        yield _ce(note="corrupted control passed")
 
 
 # -- clifford checks -----------------------------------------------------------
 
 
-def check_car_anticommutators(cfg: SuiteConfig) -> CheckResult:
+@_check("car-anticommutators", lambda cfg: f"grade {min(cfg.grade, 4)}, |modes| <= 3")
+def check_car_anticommutators(cfg: SuiteConfig):
     fld = cfg.scalar_field()
-    mode_w = 3
+    modes = range(-3, 4)
     grade = min(cfg.grade, 4)
     for ell in (1, 2):
         E = FockModule(e_spec(fld, ell=ell, flavor_lo=0, flavor_hi=2))
-        gens = [(r, m) for r in (0, 1, 2) for m in range(-mode_w, mode_w + 1)]
+        gens = [(r, m) for r in (0, 1, 2) for m in modes]
         for g1 in gens:
             for g2 in gens:
                 if not E.anticommutator_check(g1, g2, grade):
-                    return CheckResult(
-                        "car-anticommutators", "fail", f"grade {grade}",
-                        _ce(note=f"E(ell={ell}) {g1} {g2}"),
-                    )
+                    yield _ce(note=f"E(ell={ell}) {g1} {g2}")
     M = FockModule(t_spec(fld))
-    for m in range(-mode_w, mode_w + 1):
-        for n in range(-mode_w, mode_w + 1):
+    for m in modes:
+        for n in modes:
             if not M.anticommutator_check(("T", m), ("T", n), grade):
-                return CheckResult(
-                    "car-anticommutators", "fail", f"grade {grade}", _ce(note=f"T {m} {n}")
-                )
-    return CheckResult("car-anticommutators", "pass", f"grade {grade}, |modes| <= {mode_w}")
+                yield _ce(note=f"T {m} {n}")
 
 
-def check_mode_square(cfg: SuiteConfig) -> CheckResult:
+@_check("mode-square", lambda cfg: f"grade {min(cfg.grade, 4)}")
+def check_mode_square(cfg: SuiteConfig):
     fld = cfg.scalar_field()
-    grade = min(cfg.grade, 4)
     M = FockModule(t_spec(fld))
     half = Fraction(1, 2)
     for m in range(-4, 5):
         pair = M.spec.pairing("T", m, "T", m)
-        for w in M.basis(grade):
+        for w in M.basis(min(cfg.grade, 4)):
             got = M.apply_mode("T", m, M.apply_mode("T", m, w))
             want = (half * pair) * w if pair else FockVector()
             if got != want:
-                return CheckResult(
-                    "mode-square", "fail", f"grade {grade}", _ce(note=f"T_{m} on {w!r}")
-                )
-    return CheckResult("mode-square", "pass", f"grade {grade}")
+                yield _ce(note=f"T_{m} on {w!r}")
 
 
-def check_restriction(cfg: SuiteConfig) -> CheckResult:
+@_check("restriction-certificate", lambda cfg: f"grade {min(cfg.grade, 4)}")
+def check_restriction(cfg: SuiteConfig):
     fld = cfg.scalar_field()
     M = FockModule(t_spec(fld))
     E = FockModule(e_spec(fld, flavor_lo=0, flavor_hi=1))
@@ -415,29 +413,26 @@ def check_restriction(cfg: SuiteConfig) -> CheckResult:
             for r in flavors:
                 for n in range(bound, bound + 5):
                     if module.apply_mode(r, n, w):
-                        return CheckResult(
-                            "restriction-certificate", "fail", None,
-                            _ce(note=f"{r}_{n} on {w!r} nonzero beyond bound {bound}"),
-                        )
-    return CheckResult("restriction-certificate", "pass", f"grade {min(cfg.grade, 4)}")
+                        yield _ce(note=f"{r}_{n} on {w!r} nonzero beyond bound {bound}")
 
 
-def check_graded_dimensions(cfg: SuiteConfig) -> CheckResult:
+@_check("graded-dimensions", "grades 0..6")
+def check_graded_dimensions(cfg: SuiteConfig):
     fld = cfg.scalar_field()
     M = FockModule(t_spec(fld))
     # distinct-part partition counts, doubled by the optional zero mode
     got = M.graded_dimensions(6)
     want = [2, 2, 2, 4, 4, 6, 8]
     if got != want:
-        return CheckResult("graded-dimensions", "fail", None, _ce(note=f"T: {got} != {want}"))
+        yield _ce(note=f"T: {got} != {want}")
     E1 = FockModule(e_spec(fld, flavor_lo=0, flavor_hi=0))
     got = E1.graded_dimensions(3)
     if got != [1, 1, 1, 2]:
-        return CheckResult("graded-dimensions", "fail", None, _ce(note=f"E1: {got}"))
-    return CheckResult("graded-dimensions", "pass", "grades 0..6")
+        yield _ce(note=f"E1: {got}")
 
 
-def check_clifford_mode_products(cfg: SuiteConfig) -> CheckResult:
+@_check("clifford-mode-products", "flavors -2..3")
+def check_clifford_mode_products(cfg: SuiteConfig):
     fld = cfg.scalar_field()
     E = FockModule(e_spec(fld, flavor_lo=-2, flavor_hi=3))
     vac = E.vacuum()
@@ -448,46 +443,38 @@ def check_clifford_mode_products(cfg: SuiteConfig) -> CheckResult:
                 got = E.apply_mode(r, n, es)
                 want = (2 * E.spec.ell) * vac if (n == 0 and abs(r - s) == 1) else FockVector()
                 if got != want:
-                    return CheckResult(
-                        "clifford-mode-products", "fail", None, _ce(note=f"e({r})_{n} e({s})")
-                    )
+                    yield _ce(note=f"e({r})_{n} e({s})")
             if E.apply_mode(r, -1, E.apply_mode(r, -1, vac)):
-                return CheckResult(
-                    "clifford-mode-products", "fail", None, _ce(note=f"e({r})_-1 e({r}) != 0")
-                )
-    return CheckResult("clifford-mode-products", "pass", "flavors -2..3")
+                yield _ce(note=f"e({r})_-1 e({r}) != 0")
 
 
-def check_field_scaling(cfg: SuiteConfig) -> CheckResult:
+@_check("field-scaling", "hi 5")
+def check_field_scaling(cfg: SuiteConfig):
     fld = cfg.scalar_field()
     M = FockModule(t_spec(fld))
     lam = fld.p_power(1)
-    hi = 5
     for w in M.basis(3):
-        direct = M.apply_field("T", lam, w, hi)
-        unscaled = M.apply_field("T", 1, w, hi)
+        direct = M.apply_field("T", lam, w, 5)
+        unscaled = M.apply_field("T", 1, w, 5)
         ok, ce = direct.eq_on_common(var_scaled(unscaled, "x", lam))
         if not ok:
-            return CheckResult("field-scaling", "fail", f"hi {hi}", _ce(ce[0], None, repr(w)))
-    return CheckResult("field-scaling", "pass", f"hi {hi}")
+            yield _ce(ce[0], None, repr(w))
 
 
 # -- dvir checks ----------------------------------------------------------------
 
 
-def check_structure_series(cfg: SuiteConfig) -> CheckResult:
+@_check("structure-series-closed-form", "order 12")
+def check_structure_series(cfg: SuiteConfig):
     # The verdict depends on the values only; the check's time is in the
     # report's timings, and criterion 1 holds the 1 s bound.
     fs = dv.f_coefficients(dv.DVirParams.symbolic(), 12)
     if fs[0] != 1 or any(x != 2 for x in fs[1:]):
-        return CheckResult(
-            "structure-series-closed-form", "fail", None,
-            _ce(note=f"[{', '.join(_render(x) for x in fs[:4])}, ...]"),
-        )
-    return CheckResult("structure-series-closed-form", "pass", "order 12")
+        yield _ce(note=f"[{', '.join(_render(x) for x in fs[:4])}, ...]")
 
 
-def check_central_term_oracle(cfg: SuiteConfig) -> CheckResult:
+@_check("central-term-hand-oracle")
+def check_central_term_oracle(cfg: SuiteConfig):
     ps = dv.DVirParams.symbolic()
     p = RatFunc.p()
     module = dv.t_fock(ps)
@@ -497,16 +484,19 @@ def check_central_term_oracle(cfg: SuiteConfig) -> CheckResult:
     lhs = lhs + 2 * module.apply_mode("T", 0, module.apply_mode("T", 0, vac))
     want = (2 * (p + p**-1) + 4) * vac
     if lhs != want:
-        return CheckResult("central-term-hand-oracle", "fail", None, _ce(note=repr(lhs)))
+        yield _ce(note=repr(lhs))
     c = dv.central_term(ps, 1)
     if c != 2 * (p + 2 + p**-1):
-        return CheckResult("central-term-hand-oracle", "fail", None, _ce(value=c))
+        yield _ce(value=c)
     if lhs != c * vac:
-        return CheckResult("central-term-hand-oracle", "fail", None, _ce(note="sides differ"))
-    return CheckResult("central-term-hand-oracle", "pass")
+        yield _ce(note="sides differ")
 
 
-def check_tfock_relations(cfg: SuiteConfig) -> CheckResult:
+@_check(
+    "tfock-relations",
+    lambda cfg: f"grade {cfg.grade}, |m|,|n| <= {cfg.modes}, truncation +5 stable",
+)
+def check_tfock_relations(cfg: SuiteConfig):
     params = cfg.params()
     module = dv.t_fock(params)
     M = cfg.modes
@@ -514,51 +504,28 @@ def check_tfock_relations(cfg: SuiteConfig) -> CheckResult:
         for n in range(-M, M + 1):
             rep = dv.vir_relation_check(module, params, m, n, cfg.grade, extend=5)
             if rep.defect:
-                return CheckResult(
-                    "tfock-relations", "fail", f"grade {cfg.grade}",
-                    _ce(note=f"(m,n)=({m},{n}) at {rep.defect_at}: {rep.defect!r}"),
-                )
+                yield _ce(note=f"(m,n)=({m},{n}) at {rep.defect_at}: {rep.defect!r}")
             if not rep.stable:
-                return CheckResult(
-                    "tfock-relations", "fail", f"grade {cfg.grade}",
-                    _ce(note=f"(m,n)=({m},{n}): truncation certificate violated"),
-                )
-    return CheckResult(
-        "tfock-relations", "pass", f"grade {cfg.grade}, |m|,|n| <= {M}, truncation +5 stable"
-    )
+                yield _ce(note=f"(m,n)=({m},{n}): truncation certificate violated")
 
 
 # -- phi-module / commutator checks ---------------------------------------------
 
 
-def _suite_results_to_checks(results, prefix="") -> list:
-    out = []
-    for cid, ok, detail in results:
-        out.append(
-            CheckResult(
-                prefix + cid,
-                "pass" if ok else "fail",
-                None,
-                None if ok else _ce(note=repr(detail)),
-            )
-        )
-    return out
-
-
 def check_phi_module(cfg: SuiteConfig) -> list:
-    params = cfg.params()
     results = dv.theorem58_suite(
-        params,
+        cfg.params(),
         flavor_lo=cfg.flavor_lo,
         flavor_hi=cfg.flavor_hi,
         grade_bound=cfg.grade,
         zorder=cfg.zorder,
         margin=cfg.margin,
     )
-    return _suite_results_to_checks(results)
+    return [_result(cid, None, ok, detail) for cid, ok, detail in results]
 
 
-def check_mode_product_well_defined(cfg: SuiteConfig) -> CheckResult:
+@_check("mode-product-well-defined", lambda cfg: f"hi {min(cfg.grade, 3) + 4}, 20 trials")
+def check_mode_product_well_defined(cfg: SuiteConfig):
     params = cfg.params()
     fld = params.field
     module = dv.t_fock(params)
@@ -579,11 +546,7 @@ def check_mode_product_well_defined(cfg: SuiteConfig) -> CheckResult:
         y2 = ye_product(a, b, p2, cfg.zorder, w, hi + 1, hi + 1, cfg.margin, xvar="x2")
         ok, det = modes_agree(y1, y2)
         if not ok:
-            return CheckResult(
-                "mode-product-well-defined", "fail", f"hi {hi}",
-                _ce(note=f"trial {trial} (r,s)=({r},{s}) mode {det[0]}"),
-            )
-    return CheckResult("mode-product-well-defined", "pass", f"hi {hi}, 20 trials")
+            yield _ce(note=f"trial {trial} (r,s)=({r},{s}) mode {det[0]}")
 
 
 def check_residue_agreement(cfg: SuiteConfig) -> list:
@@ -593,38 +556,58 @@ def check_residue_agreement(cfg: SuiteConfig) -> list:
     rng = random.Random(cfg.seed + 4)
     basis = module.basis(min(cfg.grade, 3))
     hi = min(cfg.grade, 3) + 4
-    agree = CheckResult("residue-formula-agreement", "pass", f"hi {hi}, 20 trials")
-    top_status, top_ce = "pass", None
-    for trial in range(20):
-        r = rng.randint(cfg.flavor_lo, cfg.flavor_hi)
-        s = rng.randint(cfg.flavor_lo, cfg.flavor_hi)
-        w = rng.choice(basis)
+    flavors = (cfg.flavor_lo, cfg.flavor_hi)
+    draws = [(rng.randint(*flavors), rng.randint(*flavors), rng.choice(basis)) for _ in range(20)]
+
+    @functools.cache
+    def trial(t):
+        """Trial t's residue-formula disagreement and top-mode mismatch, each
+        a counterexample or None; both verdicts read this one computation."""
+        r, s, w = draws[t]
         L = dv.neighbor_locality(params, module, r, s)
         y1 = ye_product(L.a, L.b, L.annihilator, cfg.zorder, w, hi, hi, cfg.margin, xvar="x2")
         y2, top = residue_ye(L, cfg.zorder, w, hi, hi, xvar="x2")
         ok, det = modes_agree(y1, y2)
         if not ok:
-            agree = CheckResult(
-                "residue-formula-agreement", "fail", f"hi {hi}",
-                _ce(note=f"trial {trial} (r,s)=({r},{s}) mode {det[0]}"),
-            )
-            if top_status == "pass":
-                # the trials from here on were never run: no verdict either way
-                top_status = "undetermined"
-                top_ce = _ce(note=f"stopped at trial {trial} when residue-formula-agreement failed")
-            break
+            return _ce(note=f"trial {t} (r,s)=({r},{s}) mode {det[0]}"), None
         # top-mode closed form: (1/k!) p^(k)(1) a_(k-1) b
         k = y1.zero_order
         lead = L.annihilator.shifted_value_at(fld.one()) if k else L.annihilator.value_at(fld.one())
-        mk = y1.mode(k - 1) if (k - 1) in y1.modes else None
-        if mk is not None and top_status == "pass":
-            ok, ce = top.eq_on_common(mk.scaled(lead))
+        if (k - 1) in y1.modes:
+            ok, ce = top.eq_on_common(y1.mode(k - 1).scaled(lead))
             if not ok:
-                top_status, top_ce = "fail", _ce(ce[0], None, f"trial {trial} (r,s)=({r},{s})")
-    return [agree, CheckResult("residue-top-mode", top_status, f"hi {hi}", top_ce)]
+                return None, _ce(ce[0], None, f"trial {t} (r,s)=({r},{s})")
+        return None, None
+
+    def disagreements():
+        for t in range(20):
+            bad, _ = trial(t)
+            if bad is not None:
+                yield bad
+
+    def top_mismatches():
+        for t in range(20):
+            bad, mismatch = trial(t)
+            if bad is not None:
+                # the trials from here on were never run: too few to decide
+                raise InsufficientWindow(
+                    f"stopped at trial {t} when residue-formula-agreement failed"
+                )
+            if mismatch is not None:
+                yield mismatch
+
+    return [
+        _result("residue-formula-agreement", f"hi {hi}, 20 trials", *dv.verdict(disagreements())),
+        _result("residue-top-mode", f"hi {hi}", *dv.verdict(top_mismatches())),
+    ]
 
 
-def check_commutator_matrix(cfg: SuiteConfig) -> CheckResult:
+@_check(
+    "commutator-formula-matrix",
+    lambda cfg: f"flavors {cfg.flavor_lo}..{cfg.flavor_hi}, grade {min(cfg.grade, 3)}, "
+    f"box {min(cfg.grade, 3) + 4}",
+)
+def check_commutator_matrix(cfg: SuiteConfig):
     params = cfg.params()
     fld = params.field
     module, C = dv.realization(params)
@@ -636,31 +619,22 @@ def check_commutator_matrix(cfg: SuiteConfig) -> CheckResult:
         params, C, flavors, module.basis(grade), box, cfg.zorder, hi, cfg.margin
     ):
         if not ok:
-            return CheckResult(
-                "commutator-formula-matrix", "fail", f"box {hi - 1}",
-                _ce(ce[0] if ce else None, None, f"(r,s)=({r},{s})"),
-            )
+            yield _ce(ce[0] if ce else None, None, f"(r,s)=({r},{s})")
         got = sorted(nn for nn, _, _ in contrib)
         if got != want:
-            return CheckResult(
-                "commutator-formula-matrix", "fail", f"box {hi - 1}",
-                _ce(note=f"(r,s)=({r},{s}): kernels at shifts {got}, expected {want}"),
-            )
+            yield _ce(note=f"(r,s)=({r},{s}): kernels at shifts {got}, expected {want}")
         if r == s:
             chis = sorted(_render(c) for _, c, _ in contrib)
             expect = sorted([_render(fld.p_power(1)), _render(fld.p_power(-1))])
             if chis != expect:
-                return CheckResult(
-                    "commutator-formula-matrix", "fail", f"box {hi - 1}",
-                    _ce(note=f"diagonal pair kernels at {chis}"),
-                )
-    return CheckResult(
-        "commutator-formula-matrix", "pass",
-        f"flavors {cfg.flavor_lo}..{cfg.flavor_hi}, grade {grade}, box {hi - 1}",
-    )
+                yield _ce(note=f"diagonal pair kernels at {chis}")
 
 
-def check_adjoint_module_kernels(cfg: SuiteConfig) -> CheckResult:
+@_check(
+    "adjoint-module-kernels",
+    lambda cfg: f"flavors {cfg.flavor_lo}..{cfg.flavor_hi}, grade {min(cfg.grade, 2)}",
+)
+def check_adjoint_module_kernels(cfg: SuiteConfig):
     """Neighbor pairs on the loop-Clifford vacuum module produce the single
     unscaled delta kernel; non-neighbor pairs give zero defect and empty sum."""
     fld = cfg.scalar_field()
@@ -684,28 +658,17 @@ def check_adjoint_module_kernels(cfg: SuiteConfig) -> CheckResult:
                     L, trivial, w, box, cfg.zorder, hi, hi, cfg.margin
                 )
                 if not ok:
-                    return CheckResult(
-                        "adjoint-module-kernels", "fail", f"box {hi - 1}",
-                        _ce(ce[0] if ce else None, None, f"(r,s)=({r},{s})"),
-                    )
+                    yield _ce(ce[0] if ce else None, None, f"(r,s)=({r},{s})")
                 neighbor = abs(r - s) == 1
                 if bool(contrib) != neighbor:
-                    return CheckResult(
-                        "adjoint-module-kernels", "fail", f"box {hi - 1}",
-                        _ce(note=f"(r,s)=({r},{s}): contributions {contrib}"),
-                    )
-    return CheckResult(
-        "adjoint-module-kernels", "pass",
-        f"flavors {cfg.flavor_lo}..{cfg.flavor_hi}, grade {grade}",
-    )
+                    yield _ce(note=f"(r,s)=({r},{s}): contributions {contrib}")
 
 
 def check_theorem59(cfg: SuiteConfig) -> list:
-    params = cfg.params()
     results = dv.theorem59_suite(
-        params, mode_bound=cfg.modes, grade_bound=cfg.grade, margin=cfg.margin
+        cfg.params(), mode_bound=cfg.modes, grade_bound=cfg.grade, margin=cfg.margin
     )
-    return _suite_results_to_checks(results)
+    return [_result(cid, None, ok, detail) for cid, ok, detail in results]
 
 
 SUITES = {
@@ -754,28 +717,17 @@ def _run_check(cfg: SuiteConfig, index: int) -> list:
     """Run check ``index`` of ``cfg.suite``; a raising check becomes a result.
 
     Workers receive only ``(cfg, index)`` and look the check up in their own
-    copy of ``SUITES``, so no check function is ever pickled.
+    copy of ``SUITES``, so no check function is ever pickled.  The suite's
+    checks decide every verdict by :func:`dvir.verdict` and do not raise; the
+    catch-all here is for any other callable put into ``SUITES``.
     """
-    from .distributions import InsufficientWindow, WindowTooSmall
-    from .fieldcalc import CompatibilityError
-
     fn = SUITES[cfg.suite][index]
     t0 = time.perf_counter()
     try:
         res = fn(cfg)
-    except (InsufficientWindow, WindowTooSmall) as exc:
-        res = CheckResult(
-            fn.__name__.replace("check_", ""), "undetermined", None, _ce(note=str(exc))
-        )
-    except CompatibilityError as exc:
-        status = "undetermined" if "undetermined" in str(exc) else "fail"
-        res = CheckResult(
-            fn.__name__.replace("check_", ""), status, None, _ce(note=str(exc))
-        )
-    except Exception as exc:  # any other crash is a failed check
-        res = CheckResult(
-            fn.__name__.replace("check_", "crash-"), "fail", None, _ce(note=repr(exc))
-        )
+    except Exception as exc:
+        crash_id = fn.__name__.replace("check_", "crash-")
+        res = CheckResult(crash_id, "fail", None, _ce(note=repr(exc)))
     elapsed = (time.perf_counter() - t0) * 1000.0
     results = res if isinstance(res, list) else [res]
     for r in results:
@@ -810,7 +762,11 @@ def run_suite(cfg: SuiteConfig) -> list:
 
 
 def report_document(cfg: SuiteConfig, results: list) -> dict:
-    """The serializable report; wall times quarantined under "timings"."""
+    """The serializable report; wall times quarantined under "timings".
+
+    A check that reports several ids (the theorem58 and theorem59 triples, the
+    residue pair) has its wall time split evenly over them.
+    """
     return {
         "config": cfg.as_dict(),
         "checks": [r.payload() for r in results],

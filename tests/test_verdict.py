@@ -1,0 +1,127 @@
+"""The one verdict rule (``dvir.verdict``) and the report ids it keeps fixed."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+import fdcalc.dvir as dv
+import fdcalc.suites as suites
+from fdcalc.cli import main
+from fdcalc.distributions import WindowTooSmall
+from fdcalc.fieldcalc import CompatibilityError
+from fdcalc.series import InsufficientWindow
+from fdcalc.suites import SuiteConfig, run_suite
+
+PHI_IDS = {
+    "trig-locality",
+    "anticommutator-delta-kernel",
+    "covariance-rescaling",
+    "exp-substitution-associativity",
+    "top-mode-identity",
+}
+SMALL_PHI = SuiteConfig(
+    suite="phi-module", p=Fraction(2), grade=1, flavor_lo=0, flavor_hi=1, zorder=3
+)
+
+
+def test_nothing_yielded_passes():
+    assert dv.verdict(iter(())) == (True, None)
+
+
+@pytest.mark.parametrize("ce", [0, (), {}])
+def test_a_falsy_counterexample_still_fails(ce):
+    assert dv.verdict(iter([ce])) == (False, ce)
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        InsufficientWindow("window x1 <= 3 too low"),
+        WindowTooSmall("order exceeds 4"),
+        CompatibilityError("undetermined on box 3: None"),
+    ],
+)
+def test_a_window_that_cannot_decide_is_undetermined(exc):
+    def failures():
+        raise exc
+        yield
+
+    assert dv.verdict(failures()) == (None, str(exc))
+
+
+def test_a_compatibility_error_that_decides_fails():
+    def failures():
+        raise CompatibilityError("incompatible on box 3: (1, 2)")
+        yield
+
+    ok, detail = dv.verdict(failures())
+    assert ok is False and "incompatible on box 3" in detail
+
+
+def test_nothing_after_the_first_counterexample_runs():
+    ran = []
+
+    def failures():
+        yield "first"
+        ran.append("after")
+        yield "second"
+
+    assert dv.verdict(failures()) == (False, "first")
+    assert ran == []
+
+
+def _undetermined_assoc(*args, **kwargs):
+    raise CompatibilityError("undetermined on box {'x1': (-5, 5)}: None")
+
+
+def test_undecided_associativity_is_undetermined(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(dv, "assoc_check", _undetermined_assoc)
+    triples = dv.theorem58_suite(dv.DVirParams.at(2), flavor_lo=0, flavor_hi=1,
+                                 grade_bound=1, zorder=3)
+    assert {cid: ok for cid, ok, _ in triples}["exp-substitution-associativity"] is None
+    report = tmp_path / "phi.json"
+    rc = main(["phi-module", "--p", "2", "--grade", "1", "--flavors", "0..1", "--zorder", "3",
+               "--report", str(report)])
+    assert rc == 2
+    assert "UNDETERMINED exp-substitution-associativity" in capsys.readouterr().out
+    status = {c["id"]: c["status"] for c in json.loads(report.read_text())["checks"]}
+    assert status.pop("exp-substitution-associativity") == "undetermined"
+    assert all(status[cid] == "pass" for cid in PHI_IDS - {"exp-substitution-associativity"})
+
+
+def test_a_window_error_in_one_theorem58_verdict_keeps_every_id(monkeypatch):
+    def covariance_check(*args):
+        raise InsufficientWindow("covariance window too small")
+
+    monkeypatch.setattr(dv, "covariance_check", covariance_check)
+    results = {r.check_id: r for r in run_suite(SMALL_PHI)}
+    assert PHI_IDS <= set(results)
+    cov = results["covariance-rescaling"]
+    assert cov.status == "undetermined"
+    assert cov.counterexample == {"note": "covariance window too small"}
+    assert all(results[cid].status == "pass" for cid in PHI_IDS - {"covariance-rescaling"})
+
+
+def test_a_crash_in_the_residue_check_fails_both_ids(monkeypatch):
+    def residue_ye(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(suites, "residue_ye", residue_ye)
+    results = {r.check_id: r for r in run_suite(SMALL_PHI)}
+    assert not any(cid.startswith("crash-") for cid in results)
+    for cid in ("residue-formula-agreement", "residue-top-mode"):
+        assert results[cid].status == "fail"
+        assert results[cid].counterexample == {"note": repr(RuntimeError("boom"))}
+
+
+def test_a_window_error_in_a_single_check_keeps_its_id(monkeypatch):
+    def delta_fit(*args):
+        raise InsufficientWindow("delta fit needs a finite x1 ceiling")
+
+    monkeypatch.setattr(suites, "delta_fit", delta_fit)
+    monkeypatch.setitem(suites.SUITES, "fixture", [suites.check_delta_fit_roundtrip])
+    (res,) = run_suite(SuiteConfig(suite="fixture", p=Fraction(2)))
+    assert (res.check_id, res.status) == ("delta-fit-roundtrip", "undetermined")
+    assert res.window == "radius 18, 50 trials"
+    assert res.counterexample == {"note": "delta fit needs a finite x1 ceiling"}
