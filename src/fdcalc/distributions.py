@@ -194,17 +194,10 @@ def _series_derivative(s: TruncatedSeries, v: str) -> TruncatedSeries:
 
 def laurent_annihilator(p: FactoredRational, v1: str, v2: str) -> TruncatedSeries:
     """p(v1/v2) as an exact two-variable Laurent polynomial (all mults > 0)."""
-    if not p.is_laurent():
-        raise ValueError("annihilator must be a polynomial in the ratio")
-    out = TruncatedSeries.exact((v1, v2), {(p.mexp, -p.mexp): p.const})
-    for r, m in p.factors:
-        lin = {}
-        for i in range(m + 1):
-            c = binom(m, i) * power(-r, i)
-            if c:
-                lin[(m - i, i - m)] = c
-        out = out * TruncatedSeries.exact((v1, v2), lin)
-    return out
+    coeffs = p.ratio_coeffs_exact()
+    if v1 > v2:  # variables stay sorted
+        return TruncatedSeries.exact((v2, v1), {(-t, t): c for t, c in coeffs.items()})
+    return TruncatedSeries.exact((v1, v2), {(t, -t): c for t, c in coeffs.items()})
 
 
 def annihilation_check(lam, k: int, j: int, v1: str, v2: str, limits: dict) -> bool:

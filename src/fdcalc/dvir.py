@@ -39,6 +39,7 @@ from .fieldcalc import (
     CovariantStructure,
     FieldOperator,
     LocalityDatum,
+    _certified_floor,
     assoc_check,
     commutator_formula_check,
     covariance_check,
@@ -46,7 +47,6 @@ from .fieldcalc import (
     laurent_annihilator,
     locality_check,
     product_on_window,
-    quadrant_verdict,
     ye_product,
 )
 
@@ -408,11 +408,7 @@ def theorem59_suite(
             two_roots = FactoredRational(fld.one(), 0, ((p, 1), (fld.p_power(-1), 1)))
             F = laurent_annihilator(two_roots, "x1", "x2") * prod
             F = F.scaled(p).shifted(x2=2)  # (x1 - p x2)(p x1 - x2) = p x2^2 (y-p)(y-1/p)
-            compat = quadrant_verdict(F, "x1", "x2", margin)
-            if compat.status != "compatible":
-                yield repr(w), "compat", compat.status
-            if compat.bound is not None:
-                F = F.assert_support_floor({"x1": compat.bound[0], "x2": compat.bound[1]})
+            F = _certified_floor(F, "x2", margin)
             A = divide_linear(F.untagged(), "x1", "x2", fld.one(), hi2_cap=cap)
             lin = TruncatedSeries.exact(("x1", "x2"), {(1, 0): fld.one(), (0, 1): -fld.one()})
             ok, ce = (lin * A).eq_on_common(F)

@@ -6,6 +6,11 @@ Every operation is window-exact: products are materialized on explicit finite
 boxes, quadrant (joint lower-truncation) claims are certified by a stability
 test against margin-shrunken boxes, and any verdict records the box it was
 obtained on.
+
+The twisted reversed product is built in one place, :func:`defect_series`:
+locality is p(x1/x2) times that defect, and the commutator formula compares
+the defect with its delta kernels.  The residue formula builds its bracket
+once; the top mode is the bracket's z^0 slice.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from .series import (
     FactoredRational,
     InsufficientWindow,
     TruncatedSeries,
+    _dot,
+    exp_z_dict,
     invert_unit_1v,
     scaled_cells,
     subst_exp,
@@ -213,23 +220,12 @@ def locality_check(
     v1: str = "x1",
     v2: str = "x2",
 ):
-    """Compare both sides of the trigonometric locality relation on the box."""
+    """Trigonometric locality on the box: p(v1/v2) times the defect of
+    :func:`defect_series` must vanish.  Returns (ok, counterexample), the
+    counterexample being the first cell where the two sides differ and the
+    difference lhs - rhs there."""
     ann = laurent_annihilator(L.annihilator, v1, v2)
-    lhs = ann * product_on_window(L.a, v1, L.b, v2, w, hi1, hi2)
-    rhs = None
-    for b_i, a_i, f_i in L.partners:
-        rev = product_on_window(b_i, v2, a_i, v1, w, hi2, hi1)
-        if f_i.factors or f_i.mexp:
-            tw = f_i.ratio_series(v2, v1, (v2, v1), {v2: (NEG_INF, hi2), v1: (NEG_INF, hi1)})
-            term = ann * (tw.untagged() * rev).untagged()
-        else:
-            # a constant twist scales the few cells of p, not every cell of rev
-            term = ann.scaled(f_i.const) * rev
-        rhs = term if rhs is None else rhs + term
-    if rhs is None:
-        rhs = lhs.scaled(0)
-    ok, ce = lhs.untagged().eq_on_common(rhs.untagged())
-    return ok, ce
+    return (ann * defect_series(L, w, hi1, hi2, v1, v2)).is_zero_on_window()
 
 
 @dataclass(frozen=True)
@@ -328,7 +324,30 @@ def ye_product(
     return ye_from_product(prod, p, zorder, margin, xvar)
 
 
-def _residue_plus(F: TruncatedSeries, v1: str, xvar: str, zvar: str, zorder: int) -> TruncatedSeries:
+def _residue_series(cells, xvar: str, zorder: int, e_hi) -> TruncatedSeries:
+    """Sum of c * x^e * e^(g z) over the (e, g, c) in ``cells``, to
+    z-order ``zorder``, as an (x, z) series certified for x-exponents <= e_hi.
+
+    The weights e^(g z) are made once per g, and each output cell is summed
+    once by ``_dot``.
+    """
+    exps: dict = {}
+    groups: dict = {}
+    for e, g, c in cells:
+        ez = exps.get(g)
+        if ez is None:
+            ez = exps[g] = exp_z_dict(g, zorder)
+        for t, wgt in ez.items():
+            groups.setdefault((e, t) if xvar < "z" else (t, e), []).append((wgt, c))
+    return TruncatedSeries(
+        tuple(sorted((xvar, "z"))),
+        {key: _dot(pairs) for key, pairs in groups.items()},
+        {xvar: (NEG_INF, e_hi), "z": (NEG_INF, zorder)},
+        {xvar: (NEG_INF, INF), "z": (0, INF)},
+    )
+
+
+def _residue_plus(F: TruncatedSeries, v1: str, xvar: str, zorder: int) -> TruncatedSeries:
     """Res_{v1} (x e^z - side kernel) applied to F: sum_{i>=0} (x e^z)^i F[v1=i]."""
     i1 = F.vars.index(v1)
     ix = F.vars.index(xvar)
@@ -336,36 +355,16 @@ def _residue_plus(F: TruncatedSeries, v1: str, xvar: str, zvar: str, zorder: int
     hi2 = F.win(xvar)[1]
     slo2 = F.sup(xvar)[0]
     e_hi = min((hi1 + slo2) if (hi1 != INF and slo2 != NEG_INF) else INF, hi2)
-    coeffs: dict = {}
-    for e, c in F.coeffs.items():
-        i = e[i1]
-        if i < 0:
-            continue
-        out_e = i + e[ix]
-        if out_e > e_hi:
-            continue
-        for t in range(0, zorder + 1):
-            wgt = Fraction(i**t, factorial(t))
-            if not wgt:
-                continue
-            key = (out_e, t) if xvar < zvar else (t, out_e)
-            coeffs[key] = coeffs.get(key, 0) + wgt * c
-    vars = tuple(sorted((xvar, zvar)))
-    return TruncatedSeries(
-        vars,
-        coeffs,
-        {xvar: (NEG_INF, e_hi), zvar: (NEG_INF, zorder)},
-        {xvar: (NEG_INF, INF), zvar: (0, INF)},
+    cells = (
+        (e[i1] + e[ix], e[i1], c)
+        for e, c in F.coeffs.items()
+        if e[i1] >= 0 and e[i1] + e[ix] <= e_hi
     )
+    return _residue_series(cells, xvar, zorder, e_hi)
 
 
 def _residue_minus_twisted(
-    rev: TruncatedSeries,
-    qd: dict,
-    v1: str,
-    xvar: str,
-    zvar: str,
-    zorder: int,
+    rev: TruncatedSeries, qd: dict, v1: str, xvar: str, zorder: int
 ) -> TruncatedSeries:
     """Res_{v1} of the opposite kernel against a twisted reversed product.
 
@@ -387,27 +386,16 @@ def _residue_minus_twisted(
     if hi1 < need:
         raise InsufficientWindow(f"reversed-product {v1} ceiling {hi1} too low for the twist, which needs {need}")
     e_hi = (hi2 + slo1) if hi2 != INF else INF
-    coeffs: dict = {}
-    for e, c in rev.coeffs.items():
-        c1, c2 = e[i1], e[ix]
-        out_e = c1 + c2  # residue against the antidiagonal kernel
-        if out_e > e_hi:
-            continue
-        for tq, qc in qd.items():
-            g1 = c1 + tq  # v1-exponent of the twisted cell; pairs at -1-i
-            if g1 > -1:
-                continue
-            val = qc * c
-            for t in range(0, zorder + 1):
-                key = (out_e, t) if xvar < zvar else (t, out_e)
-                coeffs[key] = coeffs.get(key, 0) + Fraction(-(g1**t), factorial(t)) * val
-    vars = tuple(sorted((xvar, zvar)))
-    return TruncatedSeries(
-        vars,
-        coeffs,
-        {xvar: (NEG_INF, e_hi), zvar: (NEG_INF, zorder)},
-        {xvar: (NEG_INF, INF), zvar: (0, INF)},
+    # the residue against the antidiagonal kernel puts cell (c1, c2) at x^(c1+c2);
+    # the twisted cell's v1-exponent c1 + tq pairs with the kernel at -1-i
+    cells = (
+        (e[i1] + e[ix], e[i1] + tq, (-qc) * c)
+        for e, c in rev.coeffs.items()
+        if e[i1] + e[ix] <= e_hi
+        for tq, qc in qd.items()
+        if e[i1] + tq <= -1
     )
+    return _residue_series(cells, xvar, zorder, e_hi)
 
 
 def residue_ye(
@@ -420,56 +408,49 @@ def residue_ye(
 ) -> tuple[YeModes, TruncatedSeries]:
     """Mode data via the residue formula, plus the top-mode residue series.
 
-    Returns (modes, top) where ``top`` equals (1/k!) p^(k)(1) (a_{k-1}^e b) w
-    when p has a zero of order k at 1 (the z-free residue evaluation).
+    The bracket Res_{x1} of the two kernels against p(x1/x) a(x1) b(x) w and
+    the twisted reversed products is built once; the modes are its division
+    by p(e^z), and ``top``, its z^0 slice (the z-free residue evaluation),
+    equals (1/k!) p^(k)(1) (a_{k-1}^e b) w when p has a zero of order k at 1.
     """
     p = L.annihilator
+    if not L.partners:
+        raise ValueError("locality datum has no partners")
     prod = product_on_window(L.a, "x1", L.b, xvar, w, hi1, hi2)
     F = laurent_annihilator(p, "x1", xvar) * prod
-
-    def minus_side(zz, zord):
-        acc = None
-        for b_i, a_i, f_i in L.partners:
-            rev = product_on_window(b_i, xvar, a_i, "x1", w, hi2, hi1)
-            q = p * f_i.reciprocal_arg()  # q(y) = p(y) f_i(1/y), y = x1/x
-            s = -1 - int(rev.sup("x1")[0])  # kernel indices pair v1-exps <= -1
-            qd = q.ratio_coeffs_ascending(max(s, q.mexp))
-            term = _residue_minus_twisted(rev, qd, "x1", xvar, zz, zord)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            raise ValueError("locality datum has no partners")
-        return acc
-
-    bracket = _residue_plus(F.untagged(), "x1", xvar, "z", zorder) - minus_side("z", zorder)
+    bracket = _residue_plus(F.untagged(), "x1", xvar, zorder)
+    for b_i, a_i, f_i in L.partners:
+        rev = product_on_window(b_i, xvar, a_i, "x1", w, hi2, hi1)
+        q = p * f_i.reciprocal_arg()  # q(y) = p(y) f_i(1/y), y = x1/x
+        s = -1 - int(rev.sup("x1")[0])  # kernel indices pair v1-exps <= -1
+        qd = q.ratio_coeffs_ascending(max(s, q.mexp))
+        bracket = bracket - _residue_minus_twisted(rev, qd, "x1", xvar, zorder)
     modes = _z_modes(bracket, p, zorder, xvar)
-    # z-free residue evaluation: the top-mode closed form
-    top = _residue_plus(F.untagged(), "x1", xvar, "z0", 0) - minus_side("z0", 0)
-    txi = top.vars.index(xvar)
-    top_coeffs = {(e[txi],): c for e, c in top.coeffs.items()}
-    top_series = TruncatedSeries(
-        (xvar,), top_coeffs, {xvar: top.win(xvar)}, {xvar: (NEG_INF, INF)}
+    zi, xi = bracket.vars.index("z"), bracket.vars.index(xvar)
+    top = TruncatedSeries(
+        (xvar,),
+        {(e[xi],): c for e, c in bracket.coeffs.items() if e[zi] == 0},
+        {xvar: bracket.win(xvar)},
+        {xvar: (NEG_INF, INF)},
     )
-    return modes, top_series
+    return modes, top
+
+
+def _mode_agree(s1: TruncatedSeries | None, s2: TruncatedSeries | None):
+    """(ok, counterexample) for two mode series, None being a certified zero."""
+    if s1 is None:
+        return (True, None) if s2 is None else s2.is_zero_on_window()
+    return s1.is_zero_on_window() if s2 is None else s1.eq_on_common(s2)
 
 
 def modes_agree(y1: YeModes, y2: YeModes):
     """Compare two mode families on their common n-range and windows."""
+    lo = max(y1.n_min, y2.n_min)
     for n in sorted(set(y1.modes) | set(y2.modes)):
-        lo = max(y1.n_min, y2.n_min)
-        if n < lo:
-            continue
-        s1 = y1.mode(n) if n < y1.zero_order else None
-        s2 = y2.mode(n) if n < y2.zero_order else None
-        if s1 is None and s2 is None:
-            continue
-        if s1 is None:
-            ok, ce = s2.is_zero_on_window()
-        elif s2 is None:
-            ok, ce = s1.is_zero_on_window()
-        else:
-            ok, ce = s1.eq_on_common(s2)
-        if not ok:
-            return False, (n, ce)
+        if n >= lo:
+            ok, ce = _mode_agree(y1.mode(n), y2.mode(n))
+            if not ok:
+                return False, (n, ce)
     return True, None
 
 
@@ -483,7 +464,9 @@ def defect_series(
     thm_region: bool = False,
     direct: TruncatedSeries | None = None,
 ) -> TruncatedSeries:
-    """a(v1) b(v2) w minus the twisted reversed product, on the box.
+    """a(v1) b(v2) w minus the twisted reversed products sum_i f_i b_i(v2) a_i(v1) w,
+    on the box: the one place they are built, for locality and the commutator
+    formula.
 
     ``thm_region`` selects the commutator-theorem expansion of the twist
     (descending in v1/v2) instead of the locality-definition one (descending
@@ -540,15 +523,7 @@ def scaled_mode_extract(
         for j in range(0, jmax + 1):
             t = fitted.get((repr(lam), j))
             expected = t.coeff.scaled(factorial(j)) if t is not None else None
-            got = ye.mode(j) if j < ye.zero_order else None
-            if expected is None and got is None:
-                agreements[(repr(lam), j)] = True
-            elif expected is None:
-                agreements[(repr(lam), j)] = got.is_zero_on_window()[0]
-            elif got is None:
-                agreements[(repr(lam), j)] = expected.is_zero_on_window()[0]
-            else:
-                agreements[(repr(lam), j)] = expected.eq_on_common(got)[0]
+            agreements[(repr(lam), j)] = _mode_agree(expected, ye.mode(j))[0]
     return terms, agreements
 
 

@@ -715,12 +715,6 @@ class ScalarField:
             return self._rational(x.specialize(self.p0))
         return self._rational(x)
 
-    def specialize_scalar(self, x):
-        """Image of a symbolic scalar under p -> p0 (identity in symbolic mode)."""
-        if self.symbolic:
-            return x
-        return specialize(x, self.p0)
-
     def render(self, x) -> str:
         if isinstance(x, RatFunc):
             return x.render()

@@ -373,16 +373,7 @@ class TruncatedSeries:
             vars, {e: _dot(pairs) for e, pairs in groups.items()}, window, support, region
         )
 
-    def map_payload(self, f) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.vars, {e: f(c) for e, c in self.coeffs.items()}, self.window, self.support, self.region
-        )
-
     # -- comparisons ----------------------------------------------------------
-
-    def common_window(self, other: "TruncatedSeries") -> dict:
-        vars = tuple(sorted(set(self.vars) | set(other.vars)))
-        return {v: _isect(self.win(v), other.win(v)) for v in vars}
 
     def eq_on_common(self, other: "TruncatedSeries"):
         """Compare on the intersected window; return (bool, counterexample)."""

@@ -16,6 +16,7 @@ from fdcalc.distributions import (
     delta_decompose,
     delta_expand,
     delta_fit,
+    laurent_annihilator,
     shifted_delta_term,
     solve_exact,
     substitute_diag,
@@ -23,7 +24,7 @@ from fdcalc.distributions import (
     unit_coeff,
     vanishing_order,
 )
-from fdcalc.scalars import RatFunc
+from fdcalc.scalars import RatFunc, ScalarField
 from fdcalc.series import (
     INF,
     NEG_INF,
@@ -430,3 +431,44 @@ def test_solve_exact_several_right_hand_sides():
         assert [sum(M[r][c] * sols[k][c] for c in range(3)) for r in range(3)] == b
     with pytest.raises(SingularSystem):
         solve_exact([[F(1), F(1)], [F(1), F(1)]], {"a": [F(1), F(2)], "b": [F(0), F(0)]})
+
+
+# -- sympy as an independent oracle ---------------------------------------------
+
+
+def _sympy_scalar(sp, ps, x):
+    if isinstance(x, RatFunc):
+        num, den = (sum(sp.Rational(c.numerator, c.denominator) * ps**i
+                        for i, c in enumerate(poly.coeffs)) for poly in (x.num, x.den))
+        return num / den
+    x = Fraction(x)
+    return sp.Rational(x.numerator, x.denominator)
+
+
+@pytest.mark.parametrize("v1, v2", [("x1", "x2"), ("x1", "x")])
+@pytest.mark.parametrize(
+    "fld",
+    [ScalarField.rationals(F(2)), ScalarField.rationals(F(3)), ScalarField.rational_functions()],
+    ids=["p=2", "p=3", "Q(p)"],
+)
+def test_laurent_annihilator_against_sympy_expansion(fld, v1, v2):
+    sp = pytest.importorskip("sympy")
+    y, ps = sp.symbols("y p")
+    cases = [
+        FactoredRational(fld.one()),
+        FactoredRational(fld.from_int(3), 2, ((fld.p_power(1), 2), (fld.p_power(-1), 1))),
+        FactoredRational(fld.coerce(F(-1, 2)), -3, ((fld.one(), 3), (fld.from_int(-2), 1))),
+    ]
+    for f in cases:
+        got = laurent_annihilator(f, v1, v2)
+        assert got.vars == tuple(sorted((v1, v2))) and got.is_exact()
+        expr = _sympy_scalar(sp, ps, f.const)
+        for r, k in f.factors:
+            expr = expr * (y - _sympy_scalar(sp, ps, r)) ** k
+        want = {e[0] + f.mexp: c for e, c in sp.Poly(sp.expand(expr), y).as_dict().items()}
+        cells = {e[got.vars.index(v1)]: e for e in got.coeffs}
+        assert len(cells) == len(got.coeffs) == len(want), f
+        for t, c in want.items():
+            e = cells[t]
+            assert e[got.vars.index(v2)] == -t
+            assert sp.cancel(_sympy_scalar(sp, ps, got.coeffs[e]) - c) == 0, (f, t)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fdcalc import fieldcalc
 from fdcalc.distributions import delta_fit
 from fdcalc.fock import FockModule, FockVector, e_spec, t_spec
 from fdcalc.fieldcalc import (
@@ -204,6 +205,59 @@ def test_residue_matches_ye_and_top_mode(tmod):
         if mk is not None:
             ok, ce = top.eq_on_common(mk.scaled(lead))
             assert ok, (trial, r, s, ce)
+
+
+def _top_reference(L, w, hi1, hi2, xvar):
+    """The top-mode series as residue_ye computed it before it read the z^0
+    slice of its bracket: both kernels rerun at z-order 0."""
+    p = L.annihilator
+    prod = product_on_window(L.a, "x1", L.b, xvar, w, hi1, hi2)
+    top = fieldcalc._residue_plus(
+        (laurent_annihilator(p, "x1", xvar) * prod).untagged(), "x1", xvar, 0
+    )
+    for b_i, a_i, f_i in L.partners:
+        rev = product_on_window(b_i, xvar, a_i, "x1", w, hi2, hi1)
+        q = p * f_i.reciprocal_arg()
+        qd = q.ratio_coeffs_ascending(max(-1 - int(rev.sup("x1")[0]), q.mexp))
+        top = top - fieldcalc._residue_minus_twisted(rev, qd, "x1", xvar, 0)
+    xi = top.vars.index(xvar)
+    return TruncatedSeries(
+        (xvar,), {(e[xi],): c for e, c in top.coeffs.items()}, {xvar: top.win(xvar)},
+        {xvar: (NEG_INF, INF)},
+    )
+
+
+@pytest.mark.parametrize("fld", [Q2, ScalarField.rationals(F(3)), QP], ids=["p=2", "p=3", "Q(p)"])
+def test_residue_ye_runs_each_kernel_once_and_top_is_the_z0_slice(fld, monkeypatch):
+    module = FockModule(t_spec(fld))
+    calls = []
+
+    def counting(name):
+        original = getattr(fieldcalc, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fieldcalc, name, wrapper)
+
+    counting("_residue_plus")
+    counting("_residue_minus_twisted")
+    a, b = tfield(module, 1), tfield(module, 0)
+    nonconst = FactoredRational(fld.one(), 0, ((fld.p_power(1), 1),))
+    data = [neighbor_locality(module, r, s) for r, s in ((1, 0), (0, 1), (1, 1))]
+    data.append(LocalityDatum(a, b, ((b, a, FactoredRational(-fld.one())), (a, b, nonconst)),
+                              witness_p(fld, 1, 0)))
+    for L in data:
+        for w in module.basis(2):
+            calls.clear()
+            _, top = residue_ye(L, 4, w, 7, 7, xvar="x2")
+            n = len(L.partners)
+            assert calls == ["_residue_plus"] + ["_residue_minus_twisted"] * n
+            want = _top_reference(L, w, 7, 7, "x2")
+            assert (top.vars, top.coeffs, top.window, top.support) == (
+                want.vars, want.coeffs, want.window, want.support
+            ), (w, n)
 
 
 def test_scaled_mode_extract(tmod):
@@ -619,8 +673,9 @@ def test_defect_series_constant_twist_matches_scaled_reference(fld):
 
 
 def _locality_reference(L, w, hi1, hi2):
-    """locality_check as it was before the constant twist went onto p: the
-    twisted reversed products summed, then multiplied by p once."""
+    """locality_check as it was before it read defect_series: the twisted
+    reversed products summed, then multiplied by p once, and both sides
+    compared cell by cell; a failure names (cell, lhs, rhs)."""
     ann = laurent_annihilator(L.annihilator, "x1", "x2")
     lhs = ann * product_on_window(L.a, "x1", L.b, "x2", w, hi1, hi2)
     rhs = None
@@ -637,17 +692,30 @@ def _locality_reference(L, w, hi1, hi2):
     return lhs.untagged().eq_on_common(rhs.untagged())
 
 
+def _assert_locality_matches_reference(L, w, hi1, hi2):
+    """The verdict, the first failing cell and lhs - rhs there agree with the
+    reference; returns the verdict."""
+    ok, ce = locality_check(L, w, hi1, hi2)
+    want_ok, want_ce = _locality_reference(L, w, hi1, hi2)
+    assert ok == want_ok, (w, ce, want_ce)
+    if not ok:
+        cell, lhs, rhs = want_ce
+        assert ce == (cell, lhs - rhs), (w, ce, want_ce)
+    return ok
+
+
 @pytest.mark.parametrize("fld", [Q2, QP], ids=["p=2", "Q(p)"])
 def test_locality_check_matches_reference_with_constant_and_rational_twists(fld):
     module = FockModule(t_spec(fld))
     a, b = tfield(module, 1), tfield(module, 0)
     nonconst = FactoredRational(fld.one(), 0, ((fld.p_power(1), 1),))
-    verdicts = set()
+    verdicts = {}
     for c in (-fld.one(), fld.from_int(-2)):
         for partners in (((b, a, FactoredRational(c)),), ((b, a, FactoredRational(c)), (a, b, nonconst))):
             L = LocalityDatum(a, b, partners, witness_p(fld, 1, 0))
             for w in module.basis(2):
-                got = locality_check(L, w, 6, 5)
-                assert got == _locality_reference(L, w, 6, 5), (c, len(partners), w)
-                verdicts.add(got[0])
-    assert verdicts == {True, False}
+                ok = _assert_locality_matches_reference(L, w, 6, 5)
+                verdicts.setdefault((repr(c), len(partners)), set()).add(ok)
+    # the true twist -1 passes on every vector; -2 is the negative control
+    assert verdicts[(repr(-fld.one()), 1)] == {True}
+    assert verdicts[(repr(fld.from_int(-2)), 1)] == {False}

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import fdcalc.dvir as dv
+import fdcalc.fieldcalc as fc
 import fdcalc.suites as suites
 from fdcalc.cli import main
 from fdcalc.distributions import WindowTooSmall
@@ -125,3 +126,28 @@ def test_a_window_error_in_a_single_check_keeps_its_id(monkeypatch):
     assert (res.check_id, res.status) == ("delta-fit-roundtrip", "undetermined")
     assert res.window == "radius 18, 50 trials"
     assert res.counterexample == {"note": "delta fit needs a finite x1 ceiling"}
+
+
+def test_an_undecided_factorization_window_is_undetermined(tmp_path, capsys):
+    # a margin wider than the box leaves the quadrant verdict undecided
+    triples = dv.theorem59_suite(dv.DVirParams.at(2), mode_bound=1, grade_bound=1, margin=60)
+    ok, detail = {cid: (ok, d) for cid, ok, d in triples}["defect-factorization"]
+    assert ok is None and detail.startswith("undetermined on box")
+    report = tmp_path / "dvir.json"
+    rc = main(["dvir", "--p", "2", "--grade", "1", "--modes", "1", "--window-margin", "60",
+               "--report", str(report)])
+    assert rc == 2
+    assert "UNDETERMINED defect-factorization" in capsys.readouterr().out
+    status = {c["id"]: c["status"] for c in json.loads(report.read_text())["checks"]}
+    assert status.pop("defect-factorization") == "undetermined"
+    assert set(status.values()) == {"pass"}
+
+
+def test_an_incompatible_factorization_still_fails(monkeypatch):
+    def incompatible(F, v1, v2, margin=2):
+        return fc.CompatVerdict("incompatible", None, {}, {"x1": -9, "x2": 0})
+
+    monkeypatch.setattr(fc, "quadrant_verdict", incompatible)
+    triples = dv.theorem59_suite(dv.DVirParams.at(2), mode_bound=1, grade_bound=1)
+    ok, detail = {cid: (ok, d) for cid, ok, d in triples}["defect-factorization"]
+    assert ok is False and "incompatible on box" in detail
