@@ -32,6 +32,7 @@ from .series import (
     binom_expand,
     diagonal_collapse,
     divide_linear,
+    ratio_cells,
     subst_log1p,
 )
 
@@ -194,10 +195,7 @@ def _series_derivative(s: TruncatedSeries, v: str) -> TruncatedSeries:
 
 def laurent_annihilator(p: FactoredRational, v1: str, v2: str) -> TruncatedSeries:
     """p(v1/v2) as an exact two-variable Laurent polynomial (all mults > 0)."""
-    coeffs = p.ratio_coeffs_exact()
-    if v1 > v2:  # variables stay sorted
-        return TruncatedSeries.exact((v2, v1), {(-t, t): c for t, c in coeffs.items()})
-    return TruncatedSeries.exact((v1, v2), {(t, -t): c for t, c in coeffs.items()})
+    return TruncatedSeries.exact(*ratio_cells(p.ratio_coeffs_exact(), v1, v2))
 
 
 def annihilation_check(lam, k: int, j: int, v1: str, v2: str, limits: dict) -> bool:
@@ -223,14 +221,6 @@ def substitute_diag(f: TruncatedSeries, t: DeltaTerm, v1: str, v2: str) -> Delta
     return DeltaTerm(t.lam, 0, t.coeff * diag)
 
 
-def _scalar_inv(x):
-    if isinstance(x, Fraction):
-        return 1 / x
-    if isinstance(x, int):
-        return Fraction(1, x)
-    return x.inverse()
-
-
 def solve_exact(matrix, rhs):
     """Solve M x = b by Gauss-Jordan elimination; scalar M, payload b.
 
@@ -248,7 +238,7 @@ def solve_exact(matrix, rhs):
             raise SingularSystem("pivot vanished; lambdas not distinct?")
         m[col], m[piv] = m[piv], m[col]
         b[col], b[piv] = b[piv], b[col]
-        inv = _scalar_inv(m[col][col])
+        inv = power(m[col][col], -1)
         m[col] = [inv * x for x in m[col]]
         b[col] = [inv * y for y in b[col]]
         for r in range(n):
@@ -435,7 +425,6 @@ def three_term_check(
     A: TruncatedSeries,
     B: TruncatedSeries,
     C: TruncatedSeries,
-    k: int,
     zorder: int,
     v1: str = "x1",
     v2: str = "x2",
@@ -446,11 +435,10 @@ def three_term_check(
 
     LHS: (z v2)^-1 delta((v1-v2)/(z v2)) A - (z v2)^-1 delta((v2-v1)/(-z v2)) B;
     RHS: v1^-1 delta(v2(1+z)/v1) C(log(1+z), v2); both expanded as windowed
-    three-variable series and compared coefficient-wise.  ``k`` is the
-    hypothesis exponent; the caller guarantees the matching-product and
-    substitution hypotheses when generating (A, B, C).
+    three-variable series and compared coefficient-wise.  The caller
+    guarantees the matching-product and substitution hypotheses when
+    generating (A, B, C).
     """
-    del k
     limitsA = {v: A.win(v) for v in A.vars}
     limitsB = {v: B.win(v) for v in B.vars}
     lhs = None

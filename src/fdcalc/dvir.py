@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .distributions import WindowTooSmall, delta_fit
 from .fock import FockModule, FockVector, t_spec
-from .scalars import RatFunc, ScalarField, require_exact
+from .scalars import ScalarField, exact_fraction, power, require_exact
 from .series import (
     NEG_INF,
     FactoredRational,
@@ -65,7 +65,7 @@ class DVirParams:
 
     def __post_init__(self):
         if isinstance(require_exact(self.q, "q"), str):
-            object.__setattr__(self, "q", Fraction(self.q))
+            object.__setattr__(self, "q", exact_fraction(self.q, "q"))
         if self.q == 0:
             raise ValueError(f"q must be nonzero: t = q/p and the f_l divide by q, got q={self.q}")
 
@@ -106,13 +106,13 @@ def _f_coefficients(params: DVirParams, N: int):
     g = {}
     one = fld.one()
     for n in range(1, N + 1):
-        qn = q**n if isinstance(q, RatFunc) else Fraction(q) ** n
-        tn = (fld.p_power(n)) * (q**-n if isinstance(q, RatFunc) else Fraction(q) ** -n)
+        qn = power(q, n)
+        tn = fld.p_power(n) * power(q, -n)
         num = (one - qn) * (one - tn)
         if not num:
             continue
         den = one + fld.p_power(n)
-        g[n] = num * (den**-1 if isinstance(den, RatFunc) else 1 / den) * Fraction(1, n)
+        g[n] = num * power(den, -1) * Fraction(1, n)
     e = exp_1v(g, N)
     return [fld.coerce(e.get(l, 0)) for l in range(N + 1)]
 
@@ -125,10 +125,8 @@ def central_term(params: DVirParams, m: int):
     one = fld.one()
     q = fld.coerce(params.q)
     p = fld.p_power(1)
-    qinv = q**-1 if isinstance(q, RatFunc) else 1 / Fraction(q)
-    factor = (one - q) * (one - p * qinv)
-    inv = (one - p) ** -1 if fld.symbolic else 1 / (one - p)
-    return -factor * inv * (fld.p_power(m) - fld.p_power(-m))
+    factor = (one - q) * (one - p * power(q, -1))
+    return -factor * power(one - p, -1) * (fld.p_power(m) - fld.p_power(-m))
 
 
 def t_fock(params: DVirParams) -> FockModule:

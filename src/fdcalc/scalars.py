@@ -55,6 +55,17 @@ def require_exact(x, name: str):
     return x
 
 
+def exact_fraction(x, name: str) -> Fraction:
+    """Fraction(x) for an exact x (see :func:`require_exact`), with a
+    ValueError naming the value, not a stray ZeroDivisionError, for a string
+    that is not a rational such as "abc" or "1/0"."""
+    require_exact(x, name)
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{name} must be a rational, got {x!r}") from exc
+
+
 class Dyadic(Fraction):
     """A rational in Z[1/2]: a ``Fraction`` whose reduced denominator is 2**k.
 
@@ -637,27 +648,30 @@ def specialize(f, p0) -> Fraction:
 
 
 def power(f, n: int):
-    """Exact n-th power for n in Z, valid for Fraction, RatFunc, and int."""
+    """Exact n-th power for n in Z, valid for Fraction, RatFunc, and int.
+
+    This is the one place that tells Q from Q(p): a negative power of an int
+    or Fraction is a power of 1 / f, one of a RatFunc a power of its inverse.
+    Squaring starts from f itself, so power(f, 1) is f and power(f, -1) is
+    just the inverse."""
     if n >= 0:
-        if isinstance(f, int):
+        if isinstance(f, (int, Fraction)):
             return f**n
-        if isinstance(f, Fraction):
-            return f**n
-        out = RatFunc(1)
-        base = f
-        m = n
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
+        out = None
+        while n:
+            if n & 1:
+                out = f if out is None else out * f
+            n >>= 1
+            if n:
+                f = f * f
+        return RatFunc(1) if out is None else out
     if not f:
         raise ZeroToNegativePower(f"0**{n}")
     if isinstance(f, int):
         f = Fraction(f)
     if isinstance(f, Fraction):
-        return (1 / f) ** (-n)
+        inv = 1 / f
+        return inv if n == -1 else inv ** (-n)
     return power(f.inverse(), -n)
 
 
@@ -678,7 +692,7 @@ class ScalarField:
             self.p0 = None
             self._rational = None
         else:
-            p0 = Fraction(require_exact(p0, "specialization point p0"))
+            p0 = exact_fraction(p0, "specialization point p0")
             if p0 in (0, 1, -1):
                 raise ValueError("specialization point must have |p0| not in {0, 1}")
             self._rational = _dyadic_or_fraction if _is_dyadic_point(p0) else Fraction

@@ -41,6 +41,13 @@ vector's ``lincomb``, which sums into one dict and skips the multiply for unit
 coefficients, instead of building a scaled vector per pair and copying a dict
 per addition; scalars get a plain sum.  Payloads are told apart by duck typing
 (a ``lincomb`` attribute), so this module need not import the Fock layer.
+
+Rational functions of a ratio y = v1/v2 (:class:`FactoredRational`) are
+expanded in one direction only, ascending powers of y, one binomial series per
+factor (``_factor_asc``).  The descending expansion of f(y) is the ascending
+expansion of f(1/u) in u = 1/y, read back with y^t = u^-t; the exact
+coefficients of a Laurent polynomial and the Taylor factors of
+:func:`partial_fractions` are ascending expansions too.
 """
 
 from __future__ import annotations
@@ -446,7 +453,7 @@ def invert_unit_1v(u: dict, order: int) -> dict:
     u0 = u.get(0, 0)
     if not u0:
         raise ZeroDivisionError("series has no constant term")
-    inv0 = Fraction(1) / u0 if isinstance(u0, (int, Fraction)) else u0.inverse()
+    inv0 = power(u0, -1)
     out = {0: inv0}
     for n in range(1, order + 1):
         acc = 0
@@ -541,6 +548,9 @@ class FactoredRational:
     Roots are pairwise distinct nonzero exact scalars; multiplicities are
     nonzero integers (negative for denominator factors).  This is the only
     rational-function input format: roots are always given, never computed.
+    Coefficients come from the ascending expansion around y = 0 alone: the
+    descending one (around y = oo) is the ascending expansion of
+    ``reciprocal_arg()``.
     """
 
     __slots__ = ("const", "mexp", "factors")
@@ -619,18 +629,14 @@ class FactoredRational:
         return all(m > 0 for _, m in self.factors)
 
     def ratio_coeffs_exact(self) -> dict:
-        """Coefficient dict of a Laurent-polynomial ratio function."""
+        """Coefficient dict of a Laurent-polynomial ratio function: its
+        ascending expansion up to the top degree mexp + sum of mults."""
         if not self.is_laurent():
             raise ValueError("not a Laurent polynomial in the ratio")
-        d = {self.mexp: self.const}
-        for r, m in self.factors:
-            d = mul_trunc_1v(d, _factor_desc(r, m, m), INF)
-        return d
+        return self.ratio_coeffs_ascending(self.mexp + sum(m for _, m in self.factors))
 
     def ratio_coeffs_ascending(self, thi: int) -> dict:
         """Coefficients of the ascending (around 0) expansion up to y**thi."""
-        if self.is_laurent():
-            return {t: c for t, c in self.ratio_coeffs_exact().items() if t <= thi}
         span = int(thi - self.mexp)
         d = {self.mexp: self.const}
         for r, m in self.factors:
@@ -659,25 +665,20 @@ class FactoredRational:
         """Expansion of f(v1/v2) in the given region, on a window.
 
         region (v1, v2): descending powers of the ratio (|v1| > |v2|);
-        region (v2, v1): ascending powers (|v2| > |v1|).
+        region (v2, v1): ascending powers (|v2| > |v1|).  The descending
+        expansion of f(y) is the ascending expansion of f(1/u) in u = 1/y.
         """
         region = tuple(region)
-        if region == (v1, v2):
-            descending = True
-        elif region == (v2, v1):
-            descending = False
-        else:
+        if region not in ((v1, v2), (v2, v1)):
             raise ValueError(f"region {region} does not name the pair ({v1}, {v2})")
         if self.is_laurent():
             # a Laurent polynomial in the ratio: the expansion is exact and
             # region-independent
-            d = self.ratio_coeffs_exact()
-            coeffs = {(t, -t) if v1 < v2 else (-t, t): c for t, c in d.items()}
-            return TruncatedSeries.exact(tuple(sorted((v1, v2))), coeffs, region)
+            return TruncatedSeries.exact(*ratio_cells(self.ratio_coeffs_exact(), v1, v2), region)
         lo1, hi1 = limits.get(v1, (NEG_INF, INF))
         lo2, hi2 = limits.get(v2, (NEG_INF, INF))
         # exponent of the ratio: t -> v1^t v2^-t
-        if descending:
+        if region == (v1, v2):
             tmax = self.mexp + sum(m for _, m in self.factors)
             tlo = max(lo1, -hi2 if hi2 != INF else NEG_INF)
             if tlo == NEG_INF:
@@ -685,33 +686,21 @@ class FactoredRational:
                     "descending expansion needs a finite floor; "
                     f"limits {v1}:{(lo1, hi1)} {v2}:{(lo2, hi2)}"
                 )
-            span = int(tmax - tlo)
-            d = {self.mexp: self.const}
-            remaining = sum(m for _, m in self.factors)
-            for r, m in self.factors:
-                remaining -= m
-                # unprocessed factors can still shift exponents up by `remaining`
-                d = mul_trunc_1v(d, _factor_desc(r, m, span), INF, tlo - max(remaining, 0))
+            u = self.reciprocal_arg().ratio_coeffs_ascending(-tlo)
+            d = {-s: c for s, c in u.items()}
             window = {v1: (tlo, INF), v2: (NEG_INF, INF)}
             support = {v1: (NEG_INF, tmax), v2: (-tmax, INF)}
         else:
-            tmin = self.mexp
             thi = min(hi1, -lo2 if lo2 != NEG_INF else INF)
             if thi == INF:
                 raise InsufficientWindow(
                     "ascending expansion needs a finite ceiling; "
                     f"limits {v1}:{(lo1, hi1)} {v2}:{(lo2, hi2)}"
                 )
-            span = int(thi - tmin)
-            d = {self.mexp: self.const}
-            for r, m in self.factors:
-                d = mul_trunc_1v(d, _factor_asc(r, m, span), thi)
+            d = self.ratio_coeffs_ascending(thi)
             window = {v1: (NEG_INF, thi), v2: (-thi, INF)}
-            support = {v1: (tmin, INF), v2: (NEG_INF, -tmin)}
-        coeffs = {(t, -t): c for t, c in d.items()}
-        if v1 > v2:
-            coeffs = {(e[1], e[0]): c for e, c in coeffs.items()}
-        return TruncatedSeries(tuple(sorted((v1, v2))), coeffs, window, support, region)
+            support = {v1: (self.mexp, INF), v2: (NEG_INF, -self.mexp)}
+        return TruncatedSeries(*ratio_cells(d, v1, v2), window, support, region)
 
     def render(self, var: str = "y") -> str:
         parts = []
@@ -758,25 +747,28 @@ def _root_term(r) -> str:
     return s
 
 
-def _factor_desc(root, mult: int, span: int) -> dict:
-    """(y-root)**mult descending: sum_i C(mult,i)(-root)^i y^(mult-i), i in [0, span]."""
-    out = {}
-    for i in range(span + 1):
-        c = binom(mult, i) * power(-root, i)
-        if c:
-            out[mult - i] = c
-    return out
-
-
 def _factor_asc(root, mult: int, span: int) -> dict:
-    """(y-root)**mult ascending: (-root)^mult * sum_i C(mult,i) (-1/root)^i y^i."""
-    lead = power(-root, mult)
+    """(y-root)**mult ascending: sum_i C(mult,i) (-root)^(mult-i) y^i for i in
+    [0, span], and i <= mult when mult > 0 (the binomial vanishes beyond)."""
+    top = min(span, mult) if mult > 0 else span
+    neg = -root
+    pw = power(neg, mult - top)
     out = {}
-    for i in range(span + 1):
-        c = binom(mult, i) * ((-1) ** i) * lead * power(root, -i)
+    for i in range(top, -1, -1):
+        c = binom(mult, i) * pw
         if c:
             out[i] = c
+        if i:
+            pw = pw * neg
     return out
+
+
+def ratio_cells(d: dict, v1: str, v2: str) -> tuple:
+    """(vars, cells) of sum_t d[t] (v1/v2)**t: the cell v1^t v2^-t, with the
+    variables in sorted order."""
+    if v1 < v2:
+        return (v1, v2), {(t, -t): c for t, c in d.items()}
+    return (v2, v1), {(-t, t): c for t, c in d.items()}
 
 
 # -- the iota / binomial expansion operations ---------------------------------
@@ -1063,14 +1055,8 @@ def partial_fractions(f: FactoredRational):
         # Taylor-expand c / prod_{other}(y-mu)^(k_mu) at y = root to order k-1
         taylor = {0: f.const}
         for mu, mm in f.factors:
-            if mu == root:
-                continue
-            base = {}
-            for i in range(k):
-                c = binom(mm, i) * power(root - mu, mm - i)
-                if c:
-                    base[i] = c
-            taylor = mul_trunc_1v(taylor, base, k - 1)
+            if mu != root:
+                taylor = mul_trunc_1v(taylor, _factor_asc(mu - root, mm, k - 1), k - 1)
         for j in range(k, 0, -1):
             out.append((root, j, taylor.get(k - j, 0)))
     return out

@@ -44,6 +44,12 @@ def test_config_validation():
         run_suite(SuiteConfig(suite="nope"))
 
 
+def test_config_names_a_p_string_that_is_not_a_rational():
+    for bad in ("1/0", "abc", "2/"):
+        with pytest.raises(ConfigError, match=f"p must be a rational.*{bad!r}"):
+            SuiteConfig(p=bad)
+
+
 def test_exit_status_contract():
     ok = CheckResult("a", "pass")
     bad = CheckResult("b", "fail")

@@ -174,14 +174,14 @@ def test_three_term_symmetry_with_generated_data():
         ("x0", "x2"), cco, {"x0": (NEG_INF, 7), "x2": (-7, 7)},
         {"x0": (0, INF), "x2": (0, 2)},
     )
-    assert three_term_check(AB, AB, C, 0, 4)
+    assert three_term_check(AB, AB, C, 4)
     # corrupting any single coefficient breaks it
     for corrupt in ((2, 1), (0, 0)):
         bad = AB + TruncatedSeries.exact(("x1", "x2"), {corrupt: F(1)})
-        assert not three_term_check(AB, bad, C, 0, 4)
-        assert not three_term_check(bad, AB, C, 0, 4)
+        assert not three_term_check(AB, bad, C, 4)
+        assert not three_term_check(bad, AB, C, 4)
     badC = C + TruncatedSeries.exact(("x0", "x2"), {(1, 0): F(1)})
-    assert not three_term_check(AB, AB, badC, 0, 4)
+    assert not three_term_check(AB, AB, badC, 4)
 
 
 def test_formal_distribution_key_invariant():

@@ -64,6 +64,15 @@ def test_f_specialization_commutes():
     sym = f_coefficients(SYM, 8)
     rat = f_coefficients(AT2, 8)
     assert [specialize(x, F(2)) for x in sym] == list(rat)
+    rat3 = f_coefficients(DVirParams.at(F(3)), 8)
+    assert [specialize(x, F(3)) for x in sym] == list(rat3)
+
+
+def test_central_terms_specialize_at_two_and_three():
+    for p0 in (F(2), F(3)):
+        at = DVirParams.at(p0)
+        for m in range(-3, 4):
+            assert central_term(at, m) == specialize(central_term(SYM, m), p0), (p0, m)
 
 
 def test_central_term_values():
@@ -265,6 +274,16 @@ def test_inexact_specialization_points_are_rejected():
     assert DVirParams.at(2, q="-1").is_minus_one()
     assert f_coefficients(DVirParams(SYM.field, "-1"), 3) == f_coefficients(SYM, 3)
     assert DVirParams.at(F(1, 2)).field.p0 == F(1, 2)
+
+
+def test_non_rational_p_or_q_strings_are_refused_with_their_value():
+    for bad in ("1/0", "abc"):
+        with pytest.raises(ValueError, match=f"p0 must be a rational.*{bad!r}"):
+            DVirParams.at(bad)
+        with pytest.raises(ValueError, match=f"q must be a rational.*{bad!r}"):
+            DVirParams(SYM.field, q=bad)
+        with pytest.raises(ValueError, match=f"q must be a rational.*{bad!r}"):
+            DVirParams.at(2, q=bad)
 
 
 def test_relation_check_rejects_negative_grade_and_extend():

@@ -91,6 +91,24 @@ def test_power_examples():
         power(Fraction(0), -2)
 
 
+def test_power_multiplies_only_what_the_exponent_needs(monkeypatch):
+    # power(f, 1) is f and power(f, -1) is f's inverse: no product by RatFunc(1)
+    f = (p - 1) / (p + 2)
+    f5 = f * f * f * f * f
+    calls = []
+    mul = RatFunc.__mul__
+    monkeypatch.setattr(RatFunc, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert power(f, 1) is f
+    assert power(f, -1) == f.inverse()
+    assert power(f, 0) == 1
+    assert not calls
+    # f^5 = f * (f^2)^2: two squarings and one product
+    assert power(f, 5) == f5 and len(calls) == 3
+    half = Dyadic(1, 2)
+    assert type(power(half, -1)) is Dyadic and power(half, -1) == 2
+    assert power(3, -1) == Fraction(1, 3) and power(Fraction(-2, 3), -1) == Fraction(-3, 2)
+
+
 def test_canonical_form_syntactic_equality():
     a = (p**2 - 1) / (p - 1)
     assert a.num == (p + 1).num and a.den == (p + 1).den

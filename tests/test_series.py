@@ -27,7 +27,7 @@ from fdcalc.series import (
     subst_exp,
     var_scaled,
 )
-from fdcalc.scalars import RatFunc
+from fdcalc.scalars import RatFunc, ScalarField, power
 
 F = Fraction
 BOX = {"x1": (-8, 8), "x2": (-8, 8)}
@@ -539,6 +539,111 @@ def test_partial_fractions_against_sympy_apart(const, factors):
         want[(F(str(root)), j)] = F(str(num / den.LC()))
     got = {(r, j): a for r, j, a in partial_fractions(FactoredRational(const, 0, factors)) if a}
     assert got == want
+
+
+# -- the descending expansion is the ascending expansion of f(1/y) -----------
+
+
+def _factor_desc(root, mult, span):
+    """(y-root)**mult descending: sum_i C(mult,i)(-root)^i y^(mult-i), i in [0, span]."""
+    out = {}
+    for i in range(span + 1):
+        c = binom(mult, i) * power(-root, i)
+        if c:
+            out[mult - i] = c
+    return out
+
+
+def _descending_reference(f, v1, v2, limits):
+    """The region (v1, v2) expansion of f(v1/v2) by a descending product of
+    the factors, each cut below where the factors still to come can no
+    longer lift an exponent back into the window."""
+    tmax = f.mexp + sum(m for _, m in f.factors)
+    if f.is_laurent():
+        d = {f.mexp: f.const}
+        for r, m in f.factors:
+            d = mul_trunc_1v(d, _factor_desc(r, m, m), INF)
+        cells = {(t, -t) if v1 < v2 else (-t, t): c for t, c in d.items()}
+        return TruncatedSeries.exact(tuple(sorted((v1, v2))), cells, (v1, v2))
+    lo1, _ = limits.get(v1, (NEG_INF, INF))
+    _, hi2 = limits.get(v2, (NEG_INF, INF))
+    tlo = max(lo1, -hi2 if hi2 != INF else NEG_INF)
+    d = {f.mexp: f.const}
+    remaining = sum(m for _, m in f.factors)
+    for r, m in f.factors:
+        remaining -= m
+        d = mul_trunc_1v(d, _factor_desc(r, m, int(tmax - tlo)), INF, tlo - max(remaining, 0))
+    cells = {(t, -t) if v1 < v2 else (-t, t): c for t, c in d.items()}
+    return TruncatedSeries(
+        tuple(sorted((v1, v2))),
+        cells,
+        {v1: (tlo, INF), v2: (NEG_INF, INF)},
+        {v1: (NEG_INF, tmax), v2: (-tmax, INF)},
+        (v1, v2),
+    )
+
+
+def _reference_fields():
+    p = RatFunc.p()
+    at2, at3 = ScalarField.rationals(F(2)), ScalarField.rationals(F(3))
+    return [
+        ("p=2", at2.one(), [at2.coerce(x) for x in (F(2), F(-3), F(1, 2))]),
+        ("p=3", at3.one(), [at3.coerce(x) for x in (F(3), F(-2, 3), F(5))]),
+        ("Q(p)", RatFunc(1), [p, -p * p, p - 1]),
+    ]
+
+
+@pytest.mark.parametrize("mults", [(-1, -2, -1), (2, 1, 3), (-2, 3, -1), (1, -3, 2)])
+@pytest.mark.parametrize("v1, v2", [("x1", "x2"), ("x2", "x1"), ("x1", "x")])
+def test_descending_expansion_matches_the_descending_factor_product(mults, v1, v2):
+    for name, one, roots in _reference_fields():
+        for mexp in (0, 2, -3):
+            f = FactoredRational(one * 3, mexp, tuple(zip(roots, mults)))
+            tmax = mexp + sum(mults)
+            limit_sets = [
+                {v1: (tmax - 9, 20), v2: (-20, 20)},
+                {v1: (tmax - 3, 20), v2: (-20, 20)},  # v1's floor cuts terms
+                {v1: (-20, 20), v2: (-20, 4 - tmax)},  # v2's top cuts terms
+            ]
+            for limits in limit_sets:
+                got = iota_expand(f, v1, v2, (v1, v2), limits)
+                want = _descending_reference(f, v1, v2, limits)
+                where = (name, f.render(), limits)
+                assert got.vars == want.vars and got.coeffs == want.coeffs, where
+                assert got.window == want.window and got.support == want.support, where
+                assert got.region == want.region == (v1, v2), where
+                assert got.coeffs, where
+
+
+def test_ascending_coefficients_of_a_laurent_polynomial_are_its_truncation():
+    p = RatFunc.p()
+    for name, one, roots in _reference_fields():
+        f = FactoredRational(one, -2, ((roots[0], 2), (roots[2], 3)))
+        exact = f.ratio_coeffs_exact()
+        assert min(exact) == -2 and max(exact) == 3, name
+        for thi in (-3, -2, 0, 2, 3, 7):
+            assert f.ratio_coeffs_ascending(thi) == {
+                t: c for t, c in exact.items() if t <= thi
+            }, (name, thi)
+    # (y - p)^2 = y^2 - 2p y + p^2
+    assert FactoredRational(RatFunc(1), 0, ((p, 2),)).ratio_coeffs_exact() == {
+        0: p * p, 1: -2 * p, 2: RatFunc(1)
+    }
+
+
+def test_partial_fractions_recombine_over_qp():
+    # sum a / (y - lam)^j is 1/p(y) at rational points, with Q(p) roots
+    p = RatFunc.p()
+    f = FactoredRational(RatFunc(2), 0, ((p, -2), (-p * p, -1), (p - 1, -3)))
+    terms = partial_fractions(f)
+    assert sorted((str(lam), j) for lam, j, _ in terms) == sorted(
+        (str(lam), j) for lam, k in ((p, 2), (-p * p, 1), (p - 1, 3)) for j in range(1, k + 1)
+    )
+    for y in (RatFunc(F(1, 3)), RatFunc(5), RatFunc(F(-7, 2))):
+        total = RatFunc(0)
+        for lam, j, a in terms:
+            total = total + a * power(y - lam, -j)
+        assert total == f.value_at(y), y
 
 
 
