@@ -2,7 +2,7 @@
 
     verify <suite> [--p <rational|symbolic>] [--grade N] [--modes M]
                    [--flavors a..b] [--zorder K] [--window-margin W]
-                   [--report PATH] [--jobs J] [--config FILE]
+                   [--report PATH] [--jobs J] [--config FILE] [--seed S]
 
 Suites: formal-calc, clifford, dvir, phi-module, commutator, all.
 Exit codes: 0 all pass, 1 check failure, 2 undetermined, 3 configuration
@@ -26,16 +26,7 @@ from pathlib import Path
 
 from .suites import ConfigError, SuiteConfig, exit_status, report_document, run_suite
 
-_DEFAULTS = {
-    "p": "symbolic",
-    "grade": 5,
-    "modes": 4,
-    "flavors": "-2..3",
-    "zorder": 6,
-    "window_margin": 2,
-    "jobs": 1,
-    "seed": 20240811,
-}
+_DEFAULTS = {k: v for k, v in SuiteConfig().as_dict().items() if k != "suite"}
 
 
 def parse_flavors(text: str) -> tuple[int, int]:
@@ -91,7 +82,7 @@ def build_config(args) -> SuiteConfig:
     layered = dict(_DEFAULTS)
     if args.config:
         layered.update(read_config_file(args.config))
-    for key in ("p", "grade", "modes", "flavors", "zorder", "window_margin", "jobs", "seed"):
+    for key in _DEFAULTS:
         v = getattr(args, key, None)
         if v is not None:
             layered[key] = v

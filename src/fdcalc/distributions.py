@@ -97,10 +97,7 @@ def delta_expand(term: DeltaTerm, v1: str, v2: str, limits: dict) -> TruncatedSe
     if A.vars not in ((v2,), ()):
         raise ValueError(f"delta coefficient must be a series in {v2}")
     loA, hiA = A.win(v2) if A.vars else (NEG_INF, INF)
-    win2 = (
-        max(lo2, loA - lo1 if loA != NEG_INF else NEG_INF),
-        min(hi2, hiA - hi1 if hiA != INF else INF),
-    )
+    win2 = (max(lo2, loA - lo1), min(hi2, hiA - hi1))
     coeffs = {}
     for n in range(int(-hi1), int(-lo1) + 1):
         wn = (n**term.j) * power(term.lam, n)
@@ -125,9 +122,9 @@ def unit_coeff(v2: str, value=Fraction(1)) -> TruncatedSeries:
     return TruncatedSeries.exact((v2,), {(0,): value})
 
 
-def shifted_delta_term(lam, v2: str, value=Fraction(1)) -> DeltaTerm:
+def shifted_delta_term(lam, v2: str) -> DeltaTerm:
     """v1^(-1) delta(lam v2/v1) in canonical form: (lam^-1 v2^-1) delta."""
-    c = TruncatedSeries.exact((v2,), {(-1,): value * power(lam, -1)})
+    c = TruncatedSeries.exact((v2,), {(-1,): power(lam, -1)})
     return DeltaTerm(lam, 0, c)
 
 
@@ -189,7 +186,7 @@ def _series_derivative(s: TruncatedSeries, v: str) -> TruncatedSeries:
         coeffs[key] = e[i] * c
     lo, hi = s.win(v)
     window = dict(s.window)
-    window[v] = (lo - 1 if lo != NEG_INF else lo, hi - 1 if hi != INF else hi)
+    window[v] = (lo - 1, hi - 1)
     return TruncatedSeries(s.vars, coeffs, window, s.support, s.region)
 
 
@@ -292,9 +289,7 @@ def delta_fit(D: TruncatedSeries, lambdas, jmax: int, v1: str, v2: str):
     params = [(l, j) for l in lambdas for j in range(jmax + 1)]
 
     def n_interval(d):
-        lo = max(-hi1, (lo2 - d) if lo2 != NEG_INF else NEG_INF)
-        hi = min((-lo1) if lo1 != NEG_INF else INF, (hi2 - d) if hi2 != INF else INF)
-        return lo, hi
+        return max(-hi1, lo2 - d), min(-lo1, hi2 - d)
 
     diagonals: dict = {}
     for e, c in D.coeffs.items():
@@ -393,14 +388,13 @@ def delta_decompose(
         ) from exc
 
 
-def vanishing_order(A: TruncatedSeries, lam, v1: str, v2: str, max_order: int = 64) -> int:
+def vanishing_order(A: TruncatedSeries, lam, v1: str, v2: str) -> int:
     """Largest k with A = (v1 - lam v2)^k B and B(lam v2, v2) != 0, on windows."""
     ok, _ = A.is_zero_on_window()
     if ok:
         raise ValueError("vanishing order of the zero series is undefined")
-    k = 0
     cur = A.untagged()
-    while k <= max_order:
+    for k in range(65):
         try:
             diag = diagonal_collapse(cur, v1, v2, lam)
         except UnboundedExponent as exc:
@@ -417,28 +411,19 @@ def vanishing_order(A: TruncatedSeries, lam, v1: str, v2: str, max_order: int = 
             raise WindowTooSmall(str(exc)) from exc
         if cur.is_zero_series():
             raise WindowTooSmall(f"quotient vanished on the remaining window {cur.window_str()}")
-        k += 1
-    raise WindowTooSmall(f"order exceeds {max_order}")
+    raise WindowTooSmall("order exceeds 64")
 
 
-def three_term_check(
-    A: TruncatedSeries,
-    B: TruncatedSeries,
-    C: TruncatedSeries,
-    zorder: int,
-    v1: str = "x1",
-    v2: str = "x2",
-    x0: str = "x0",
-    zvar: str = "z",
-) -> bool:
+def three_term_check(A: TruncatedSeries, B: TruncatedSeries, C: TruncatedSeries, zorder: int) -> bool:
     """Compare the two sides of the three-term delta/log identity.
 
-    LHS: (z v2)^-1 delta((v1-v2)/(z v2)) A - (z v2)^-1 delta((v2-v1)/(-z v2)) B;
-    RHS: v1^-1 delta(v2(1+z)/v1) C(log(1+z), v2); both expanded as windowed
-    three-variable series and compared coefficient-wise.  The caller
-    guarantees the matching-product and substitution hypotheses when
-    generating (A, B, C).
+    LHS: (z x2)^-1 delta((x1-x2)/(z x2)) A - (z x2)^-1 delta((x2-x1)/(-z x2)) B;
+    RHS: x1^-1 delta(x2(1+z)/x1) C(log(1+z), x2), with A, B series in (x1, x2)
+    and C in (x0, x2); both expanded as windowed three-variable series in
+    (x1, x2, z) and compared coefficient-wise.  The caller guarantees the
+    matching-product and substitution hypotheses when generating (A, B, C).
     """
+    v1, v2, x0, zvar = "x1", "x2", "x0", "z"
     limitsA = {v: A.win(v) for v in A.vars}
     limitsB = {v: B.win(v) for v in B.vars}
     lhs = None

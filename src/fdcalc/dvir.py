@@ -214,9 +214,10 @@ def standard_annihilator(params: DVirParams, r: int, s: int, with_extra: bool = 
     return FactoredRational(one, 0, tuple(factors))
 
 
-def realization(params: DVirParams, module: FockModule | None = None):
-    """The covariant realization r -> T(p^r x) with character n -> p^n."""
-    module = module or t_fock(params)
+def realization(params: DVirParams):
+    """The covariant realization r -> T(p^r x) on a new universal restricted
+    module, with character n -> p^n."""
+    module = t_fock(params)
     fld = params.field
 
     def realize(r: int) -> FieldOperator:
@@ -285,21 +286,27 @@ def theorem58_suite(
     flavor_hi: int = 3,
     grade_bound: int = 5,
     zorder: int = 6,
-    hi: int | None = None,
     margin: int = 2,
 ):
     """Locality, commutator kernels, covariance, associativity and top modes
     for the realization r -> T(p^r x) on the universal restricted module.
+    Windows reach exponent hi = grade_bound + 3 (hi + 2 for the products
+    that are fitted or mode-split).
 
     Returns a list of (check id, ok, detail) triples, each decided by
-    :func:`verdict`: ok is None when a window could not decide.
+    :func:`verdict`: ok is None when a window could not decide.  A one-flavor
+    window has no neighbor pair and no nonzero shift, so covariance,
+    associativity and top modes are undetermined there.
     """
     module, C = realization(params)
     fld = params.field
     basis = module.basis(grade_bound)
-    if hi is None:
-        hi = grade_bound + 3
+    hi = grade_bound + 3
     flavors = range(flavor_lo, flavor_hi + 1)
+
+    def need_two_flavors(what):
+        if flavor_lo == flavor_hi:
+            raise InsufficientWindow(f"flavor window {flavor_lo}..{flavor_hi} has no {what}")
 
     def locality():
         for r in flavors:
@@ -320,6 +327,7 @@ def theorem58_suite(
                 yield r, s, repr(w), ce, got, want
 
     def covariance():
+        need_two_flavors("nonzero shift")
         for r in flavors:
             for shift in range(flavor_lo - r, flavor_hi - r + 1):
                 ok, ce = covariance_check(C, r, shift, min(grade_bound, 3), hi)
@@ -327,6 +335,7 @@ def theorem58_suite(
                     yield r, shift, ce
 
     def associativity():
+        need_two_flavors("neighbor pair")
         for r in range(flavor_lo + 1, flavor_hi + 1):
             s = r - 1
             u = FieldOperator(module, "T", fld.p_power(r))
@@ -339,6 +348,7 @@ def theorem58_suite(
                     yield r, s, repr(w), ce
 
     def top_modes():
+        need_two_flavors("neighbor pair")
         for s in range(flavor_lo, flavor_hi):
             r = s + 1
             u = FieldOperator(module, "T", fld.p_power(r))
@@ -371,11 +381,11 @@ def theorem59_suite(
     params: DVirParams,
     mode_bound: int = 4,
     grade_bound: int = 5,
-    hi: int | None = None,
     margin: int = 2,
 ):
     """Relations of the realized field T(x) := Y(e_(1), x) = T(p x), the
     intermediate two-variable factorization, and the mode-extracted pairing.
+    The pairing is fitted on the box |x1|, |x2| <= grade_bound + 3.
 
     Returns a list of (check id, ok, detail) triples, each decided by
     :func:`verdict`: ok is None when a window could not decide.
@@ -383,8 +393,7 @@ def theorem59_suite(
     module, C = realization(params)
     fld = params.field
     p = fld.p_power(1)
-    if hi is None:
-        hi = grade_bound + 3
+    hi = grade_bound + 3
 
     def relations():
         # realized field modes satisfy the defining relations

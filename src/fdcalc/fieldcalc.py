@@ -65,12 +65,11 @@ class FieldOperator:
             return 0
         return -self.module.ann_bound(w) - self.module.spec.nu + 1
 
-    def series(self, w: FockVector, hi: int, var: str = "x") -> TruncatedSeries:
+    def series(self, w: FockVector, hi: int) -> TruncatedSeries:
+        """The field applied to w, as a series in x up to x**hi."""
         if self.identity:
-            return TruncatedSeries(
-                (var,), {(0,): w} if w else {}, {var: (NEG_INF, hi)}, {var: (0, 0)}
-            )
-        return self.module.apply_field(self.flavor, self.scale, w, hi, var)
+            return TruncatedSeries(("x",), {(0,): w} if w else {}, {"x": (NEG_INF, hi)}, {"x": (0, 0)})
+        return self.module.apply_field(self.flavor, self.scale, w, hi)
 
 
 @dataclass(frozen=True)
@@ -200,32 +199,23 @@ def compat_check(
     hi1: int,
     hi2: int,
     margin: int = 2,
-    v1: str = "x1",
-    v2: str = "x2",
 ) -> CompatVerdict:
-    """Three-valued window verdict on p(v1/v2) a(v1) b(v2) w being jointly
+    """Three-valued window verdict on p(x1/x2) a(x1) b(x2) w being jointly
     lower truncated."""
     if not p.is_laurent():
         raise ValueError("annihilator must be a polynomial in the ratio")
-    prod = product_on_window(a, v1, b, v2, w, hi1, hi2)
-    F = laurent_annihilator(p, v1, v2) * prod
-    return quadrant_verdict(F, v1, v2, margin)
+    prod = product_on_window(a, "x1", b, "x2", w, hi1, hi2)
+    F = laurent_annihilator(p, "x1", "x2") * prod
+    return quadrant_verdict(F, "x1", "x2", margin)
 
 
-def locality_check(
-    L: LocalityDatum,
-    w: FockVector,
-    hi1: int,
-    hi2: int,
-    v1: str = "x1",
-    v2: str = "x2",
-):
-    """Trigonometric locality on the box: p(v1/v2) times the defect of
+def locality_check(L: LocalityDatum, w: FockVector, hi1: int, hi2: int):
+    """Trigonometric locality on the box: p(x1/x2) times the defect of
     :func:`defect_series` must vanish.  Returns (ok, counterexample), the
     counterexample being the first cell where the two sides differ and the
     difference lhs - rhs there."""
-    ann = laurent_annihilator(L.annihilator, v1, v2)
-    return (ann * defect_series(L, w, hi1, hi2, v1, v2)).is_zero_on_window()
+    ann = laurent_annihilator(L.annihilator, "x1", "x2")
+    return (ann * defect_series(L, w, hi1, hi2)).is_zero_on_window()
 
 
 @dataclass(frozen=True)
@@ -385,7 +375,7 @@ def _residue_minus_twisted(
     need = -1 - min(qd, default=0)
     if hi1 < need:
         raise InsufficientWindow(f"reversed-product {v1} ceiling {hi1} too low for the twist, which needs {need}")
-    e_hi = (hi2 + slo1) if hi2 != INF else INF
+    e_hi = hi2 + slo1
     # the residue against the antidiagonal kernel puts cell (c1, c2) at x^(c1+c2);
     # the twisted cell's v1-exponent c1 + tq pairs with the kernel at -1-i
     cells = (
@@ -459,19 +449,18 @@ def defect_series(
     w: FockVector,
     hi1: int,
     hi2: int,
-    v1: str = "x1",
-    v2: str = "x2",
     thm_region: bool = False,
     direct: TruncatedSeries | None = None,
 ) -> TruncatedSeries:
-    """a(v1) b(v2) w minus the twisted reversed products sum_i f_i b_i(v2) a_i(v1) w,
+    """a(x1) b(x2) w minus the twisted reversed products sum_i f_i b_i(x2) a_i(x1) w,
     on the box: the one place they are built, for locality and the commutator
     formula.
 
     ``thm_region`` selects the commutator-theorem expansion of the twist
-    (descending in v1/v2) instead of the locality-definition one (descending
-    in v2/v1); the two coincide for constant twists.
+    (descending in x1/x2) instead of the locality-definition one (descending
+    in x2/x1); the two coincide for constant twists.
     """
+    v1, v2 = "x1", "x2"
     if direct is None:
         direct = product_on_window(L.a, v1, L.b, v2, w, hi1, hi2)
     out = direct.untagged()
@@ -497,7 +486,6 @@ def scaled_mode_extract(
     zorder: int,
     hi1: int,
     hi2: int,
-    margin: int = 2,
 ):
     """Fit the locality defect as delta terms and cross-check each coefficient
     against the exponential-substitution modes of the correspondingly scaled
@@ -517,8 +505,7 @@ def scaled_mode_extract(
     agreements = {}
     for lam in lambdas:
         ye = ye_product(
-            L.a.scaled(lam), L.b, L.annihilator.scale_arg(lam), zorder, w, hi1, hi2,
-            margin=margin, xvar="x2",
+            L.a.scaled(lam), L.b, L.annihilator.scale_arg(lam), zorder, w, hi1, hi2, xvar="x2"
         )
         for j in range(0, jmax + 1):
             t = fitted.get((repr(lam), j))
@@ -640,31 +627,20 @@ def covariance_check(
     return True, None
 
 
-def find_annihilator(
-    a: FieldOperator,
-    b: FieldOperator,
-    vectors,
-    roots,
-    hi1: int,
-    hi2: int,
-    margin: int = 2,
-    max_degree: int = 4,
-    max_mult: int = 2,
-):
-    """Smallest product of (y - root)^k over the given candidate roots (k <=
-    max_mult) whose compatibility verdict is positive on every vector."""
+def find_annihilator(a: FieldOperator, b: FieldOperator, vectors, roots, hi1: int, hi2: int):
+    """Smallest product of (y - root)^k over the given candidate roots, of
+    degree at most 4 with every k <= 2, whose compatibility verdict is
+    positive on every vector."""
     from itertools import combinations_with_replacement
 
-    for deg in range(0, max_degree + 1):
+    for deg in range(0, 5):
         for combo in combinations_with_replacement(range(len(roots)), deg):
             counts = {}
             for i in combo:
                 counts[i] = counts.get(i, 0) + 1
-            if any(c > max_mult for c in counts.values()):
+            if any(c > 2 for c in counts.values()):
                 continue
             p = FactoredRational(Fraction(1), 0, tuple((roots[i], m) for i, m in counts.items()))
-            if all(
-                compat_check(a, b, p, w, hi1, hi2, margin=margin) for w in vectors
-            ):
+            if all(compat_check(a, b, p, w, hi1, hi2) for w in vectors):
                 return p
     return None

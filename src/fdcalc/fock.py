@@ -20,16 +20,7 @@ combinations are built by :meth:`FockVector.lincomb`, the one accumulate: it
 sums into one dict and drops zero coefficients once, at the end.
 
 A :class:`FockModule` keeps four memos for its own lifetime, sharing no
-entry with another module (the class docstring gives the details):
-
-* ``_memo`` (gen, monomial) -> one mode applied, owned by ``_apply_gen``;
-* ``_words`` (outer gen, inner gen, monomial) -> a two-mode word, owned by
-  ``apply_word``.  Words whose first mode gives zero are not stored: ``_memo``
-  already answers them, and they are most of the words asked for;
-* ``_products`` (two fields, vector, window) -> unscaled two-field product
-  cells, owned by ``fieldcalc.product_on_window``;
-* ``_monomials`` grade bound -> the basis monomials, owned by
-  ``basis_monomials``.
+entry with another module; its class docstring lists them.
 """
 
 from __future__ import annotations
@@ -210,10 +201,6 @@ class FockVector:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def grade(self) -> int:
-        """Maximum grade over the monomials (0 for the zero vector)."""
-        return max((sum(CarSpec.weight(g) for g in m) for m in self.terms), default=0)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -246,7 +233,7 @@ class FockModule:
     * ``_products``, owned by :func:`fieldcalc.product_on_window`: (outer
       flavor and identity flag, inner flavor and identity flag, vector, the
       two window tops) -> the unscaled product cells and the inner floor.
-    * ``_monomials``, owned by :meth:`basis_monomials`: grade bound -> the
+    * ``_monomials``, owned by :meth:`_basis_monomials`: grade bound -> the
       tuple of basis monomials, so that checks which loop over generator
       pairs enumerate the basis once.
     """
@@ -341,8 +328,9 @@ class FockModule:
             out = max(out, top + 1 if spec.kind == "T" else top)
         return out
 
-    def apply_field(self, r, scale, w: FockVector, hi: int, var: str = "x") -> TruncatedSeries:
-        """a(scale * x) w = sum_e scale^e (a_{-e-nu} w) x^e, up to x**hi.
+    def apply_field(self, r, scale, w: FockVector, hi: int) -> TruncatedSeries:
+        """a(scale * x) w = sum_e scale^e (a_{-e-nu} w) x^e, a series in x up
+        to x**hi.
 
         Lower-truncated by restriction: exponents below -ann_bound(w) - nu + 1
         vanish, so the window is open below.
@@ -358,9 +346,7 @@ class FockModule:
                 if scale != 1:
                     vec = power(scale, e) * vec
                 coeffs[(e,)] = vec
-        return TruncatedSeries(
-            (var,), coeffs, {var: (NEG_INF, hi)}, {var: (floor, INF)}
-        )
+        return TruncatedSeries(("x",), coeffs, {"x": (NEG_INF, hi)}, {"x": (floor, INF)})
 
     def anticommutator_check(self, g1, g2, grade_bound: int) -> bool:
         """{g1, g2} w == pairing * w on every basis monomial of grade <= N.

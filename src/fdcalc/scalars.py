@@ -388,18 +388,6 @@ class Poly:
             a, b = b, a.divmod(b)[1]
         return a.monic()
 
-    def pow(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def eval_at(self, x) -> Fraction:
         x = Fraction(x)
         acc = Fraction(0)
@@ -407,7 +395,7 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def render(self, var: str = "p") -> str:
+    def render(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -419,7 +407,7 @@ class Poly:
                 parts.append(str(c))
             else:
                 head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                parts.append(f"{head}{var}" + (f"^{e}" if e != 1 else ""))
+                parts.append(f"{head}p" + (f"^{e}" if e != 1 else ""))
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):
@@ -611,7 +599,7 @@ class RatFunc:
             raise PoleAtPoint(f"denominator vanishes at p = {p0}")
         return self.num.eval_at(p0) / d
 
-    def render(self, var: str = "p") -> str:
+    def render(self) -> str:
         """Canonical string: integer-coefficient polynomials, descending degree."""
         n, mn = _clear_denominators(self.num)
         d, md = _clear_denominators(self.den)
@@ -624,12 +612,12 @@ class RatFunc:
         if d.lc() < 0:
             n, d = n.scale(-1), d.scale(-1)
         if d == Poly.const(1):
-            return n.render(var)
+            return n.render()
 
         def wrap(s: str) -> str:
             return s if (" " not in s and "*" not in s and "/" not in s) else f"({s})"
 
-        return f"{wrap(n.render(var))}/{wrap(d.render(var))}"
+        return f"{wrap(n.render())}/{wrap(d.render())}"
 
     def __repr__(self):
         return self.render()
@@ -728,11 +716,6 @@ class ScalarField:
         if isinstance(x, RatFunc):
             return self._rational(x.specialize(self.p0))
         return self._rational(x)
-
-    def render(self, x) -> str:
-        if isinstance(x, RatFunc):
-            return x.render()
-        return str(Fraction(x))
 
     def __repr__(self):
         return "ScalarField(Qp)" if self.symbolic else f"ScalarField(Q, p0={self.p0})"

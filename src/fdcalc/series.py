@@ -73,10 +73,6 @@ class NonzeroConstantTerm(ValueError):
     """exp() of a series whose constant term is nonzero or uncertified."""
 
 
-class RepeatedRoot(ValueError):
-    """Partial fractions require pairwise distinct roots."""
-
-
 class InsufficientWindow(ValueError):
     """The certified window is too small to perform the requested check."""
 
@@ -183,14 +179,6 @@ class TruncatedSeries:
             support[v] = (min(exps), max(exps)) if exps else (INF, NEG_INF)
         window = {v: (NEG_INF, INF) for v in vars}
         return cls(vars, coeffs, window, support, region)
-
-    @classmethod
-    def constant(cls, c) -> "TruncatedSeries":
-        return cls.exact((), {(): c} if c else {})
-
-    @classmethod
-    def zero(cls) -> "TruncatedSeries":
-        return cls.exact((), {})
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -347,11 +335,8 @@ class TruncatedSeries:
             d = shifts.get(v, 0)
             lo, hi = self.win(v)
             slo, shi = self.sup(v)
-            window[v] = (lo + d if lo != NEG_INF else lo, hi + d if hi != INF else hi)
-            support[v] = (
-                slo + d if slo not in (NEG_INF, INF) else slo,
-                shi + d if shi not in (NEG_INF, INF) else shi,
-            )
+            window[v] = (lo + d, hi + d)
+            support[v] = (slo + d, shi + d)
         out = {}
         for e, c in coeffs.items():
             out[tuple(x + shifts.get(v, 0) for x, v in zip(e, vars))] = c
@@ -511,17 +496,17 @@ def log1p_dict(order: int) -> dict:
     return {n: Fraction((-1) ** (n - 1), n) for n in range(1, order + 1)}
 
 
-def _one_var_series(d: dict, var: str, hi, slo=NEG_INF, shi=INF) -> TruncatedSeries:
+def _one_var_series(d: dict, var: str, hi, slo=NEG_INF) -> TruncatedSeries:
     return TruncatedSeries(
-        (var,), {(e,): c for e, c in d.items()}, {var: (NEG_INF, hi)}, {var: (slo, shi)}
+        (var,), {(e,): c for e, c in d.items()}, {var: (NEG_INF, hi)}, {var: (slo, INF)}
     )
 
 
-def log_series(order: int, var: str = "z") -> TruncatedSeries:
+def log_series(order: int) -> TruncatedSeries:
     """log(1+z) = z - z^2/2 + z^3/3 - ... truncated at z**order."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _one_var_series(log1p_dict(order), var, order, slo=1)
+    return _one_var_series(log1p_dict(order), "z", order, slo=1)
 
 
 def exp_of_series(g: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -534,7 +519,7 @@ def exp_of_series(g: TruncatedSeries, order: int) -> TruncatedSeries:
         raise NonzeroConstantTerm("constant term of the exponent is not certified")
     if g.support_min(v) < 1 or any(e[0] < 1 for e in g.coeffs):
         raise NonzeroConstantTerm("exponent series has terms of degree < 1")
-    order = int(min(order, hi)) if hi != INF else order
+    order = int(min(order, hi))
     d = {e[0]: c for e, c in g.coeffs.items() if e[0] <= order}
     return _one_var_series(exp_1v(d, order), v, order, slo=0)
 
@@ -680,7 +665,7 @@ class FactoredRational:
         # exponent of the ratio: t -> v1^t v2^-t
         if region == (v1, v2):
             tmax = self.mexp + sum(m for _, m in self.factors)
-            tlo = max(lo1, -hi2 if hi2 != INF else NEG_INF)
+            tlo = max(lo1, -hi2)
             if tlo == NEG_INF:
                 raise InsufficientWindow(
                     "descending expansion needs a finite floor; "
@@ -691,7 +676,7 @@ class FactoredRational:
             window = {v1: (tlo, INF), v2: (NEG_INF, INF)}
             support = {v1: (NEG_INF, tmax), v2: (-tmax, INF)}
         else:
-            thi = min(hi1, -lo2 if lo2 != NEG_INF else INF)
+            thi = min(hi1, -lo2)
             if thi == INF:
                 raise InsufficientWindow(
                     "ascending expansion needs a finite ceiling; "
@@ -702,15 +687,15 @@ class FactoredRational:
             support = {v1: (self.mexp, INF), v2: (NEG_INF, -self.mexp)}
         return TruncatedSeries(*ratio_cells(d, v1, v2), window, support, region)
 
-    def render(self, var: str = "y") -> str:
+    def render(self) -> str:
         parts = []
         if self.const != 1 or (not self.factors and not self.mexp):
             parts.append(f"({self.const})" if isinstance(self.const, RatFunc) else str(self.const))
         if self.mexp:
-            parts.append(f"{var}^{self.mexp}")
+            parts.append(f"y^{self.mexp}")
         for r, m in self.factors:
             sign, root = ("-", r) if _root_positive(r) else ("+", -r)
-            base = f"({var} {sign} {_root_term(root)})"
+            base = f"(y {sign} {_root_term(root)})"
             parts.append(base + (f"^{m}" if m != 1 else ""))
         return "*".join(parts) or "1"
 
@@ -787,7 +772,7 @@ def _shift_limits(limits: dict, v: str, d: int) -> dict:
     out = {k: tuple(iv) for k, iv in limits.items()}
     if v in out:
         lo, hi = out[v]
-        out[v] = (lo + d if lo != NEG_INF else lo, hi + d if hi != INF else hi)
+        out[v] = (lo + d, hi + d)
     return out
 
 
@@ -899,7 +884,7 @@ def subst_log1p(s: TruncatedSeries, var: str, zvar: str, zorder: int) -> Truncat
             coeffs[t] = coeffs.get(t, 0) + w * c
     window = {v: s.win(v) for v in s.vars if v != var}
     support = {v: s.sup(v) for v in s.vars if v != var}
-    window[zvar] = (NEG_INF, min(zorder, hi if hi != INF else INF))
+    window[zvar] = (NEG_INF, min(zorder, hi))
     support[zvar] = (s.sup(var)[0], INF)
     return TruncatedSeries(out_vars, coeffs, window, support)
 
@@ -1006,8 +991,7 @@ def divide_linear(d: TruncatedSeries, v1: str, v2: str, lam, hi2_cap=None) -> Tr
     enum_hi2 = top2 if hi2 == INF else hi2
     enum_hi1 = top1 - 1 if hi1 == INF else hi1
     depth = int(enum_hi2 - slo2 + 1)
-    out_hi1 = INF if hi1 == INF else hi1 - depth
-    out_hi2 = INF if hi2 == INF else hi2
+    out_hi1 = hi1 - depth
     a_hi = enum_hi1 if hi1 == INF else out_hi1
     i1, i2 = d.vars.index(v1), d.vars.index(v2)
     others = [k for k in range(len(d.vars)) if k not in (i1, i2)]
@@ -1032,7 +1016,7 @@ def divide_linear(d: TruncatedSeries, v1: str, v2: str, lam, hi2_cap=None) -> Tr
                 coeffs[at(base, a, j)] = acc
     window = {v: d.win(v) for v in d.vars}
     window[v1] = (a_lo if a_lo > slo1 else NEG_INF, out_hi1)
-    window[v2] = (NEG_INF, out_hi2)
+    window[v2] = (NEG_INF, hi2)
     support = {v: d.sup(v) for v in d.vars}
     support[v1] = (slo1, INF)
     support[v2] = (slo2, INF)

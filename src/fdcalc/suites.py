@@ -147,10 +147,10 @@ def _box(r: int) -> dict:
     return {"x1": (-r, r), "x2": (-r, r)}
 
 
-def _rand_scalar(rng, fld, allow_zero=False):
+def _rand_scalar(rng, fld):
     num = rng.randint(-6, 6)
     den = rng.randint(1, 4)
-    if not allow_zero and num == 0:
+    if num == 0:
         num = 1
     return fld.coerce(Fraction(num, den))
 
@@ -209,7 +209,7 @@ def check_delta_annihilation(cfg: SuiteConfig):
         yield _ce(note="j = k control unexpectedly annihilated")
 
 
-def _random_delta_sum(rng, fld, v2="x2"):
+def _random_delta_sum(rng, fld):
     nlam = rng.randint(1, 3)
     pool = [Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(5), Fraction(-1)]
     rng.shuffle(pool)
@@ -225,7 +225,7 @@ def _random_delta_sum(rng, fld, v2="x2"):
                 c = _rand_scalar(rng, fld)
                 coeffs[(d,)] = c
             if coeffs:
-                terms.append(DeltaTerm(lam, j, TruncatedSeries.exact((v2,), coeffs)))
+                terms.append(DeltaTerm(lam, j, TruncatedSeries.exact(("x2",), coeffs)))
     return lams, DeltaSum(terms).merged()
 
 
@@ -267,7 +267,7 @@ def check_delta_fit_zero(cfg: SuiteConfig):
         yield _ce(note=f"{len(fit)} terms")
 
 
-def _predicted_decomposition(p: FactoredRational, v2="x2") -> DeltaSum:
+def _predicted_decomposition(p: FactoredRational) -> DeltaSum:
     """Delta terms predicted by partial fractions for the two expansions of
     1/p: each 1/(y-lam)^j contributes a derivative of the shifted kernel."""
     acc = DeltaSum()
@@ -275,11 +275,11 @@ def _predicted_decomposition(p: FactoredRational, v2="x2") -> DeltaSum:
     for lam, j, a in partial_fractions(inv):
         if not a:
             continue
-        base = DeltaSum([shifted_delta_term(lam, v2)])
+        base = DeltaSum([shifted_delta_term(lam, "x2")])
         for _ in range(j - 1):
-            base = base.d_dv2(v2)
+            base = base.d_dv2("x2")
         coeff = a * power(lam, 1 - j) * Fraction(1, factorial(j - 1))
-        shift = TruncatedSeries.exact((v2,), {(j,): Fraction(1)})
+        shift = TruncatedSeries.exact(("x2",), {(j,): Fraction(1)})
         acc = acc + base.scaled_series(shift).scaled(coeff)
     return acc.merged()
 
@@ -564,7 +564,7 @@ def check_residue_agreement(cfg: SuiteConfig) -> list:
             return _ce(note=f"trial {t} (r,s)=({r},{s}) mode {det[0]}"), None
         # top-mode closed form: (1/k!) p^(k)(1) a_(k-1) b
         k = y1.zero_order
-        lead = L.annihilator.shifted_value_at(fld.one()) if k else L.annihilator.value_at(fld.one())
+        lead = L.annihilator.shifted_value_at(fld.one())
         if (k - 1) in y1.modes:
             ok, ce = top.eq_on_common(y1.mode(k - 1).scaled(lead))
             if not ok:

@@ -70,6 +70,14 @@ def test_config_file_and_precedence(tmp_path):
         read_config_file(str(bad))
 
 
+def test_cli_defaults_are_the_suite_config_defaults(monkeypatch):
+    seen = []
+    monkeypatch.delenv("FDCALC_REPORT_DIR", raising=False)
+    monkeypatch.setattr("fdcalc.cli.run_suite", lambda cfg: seen.append(cfg) or [])
+    assert main(["dvir"]) == 0
+    assert seen == [SuiteConfig(suite="dvir")]
+
+
 def test_cli_report_written(tmp_path, capsys):
     out = tmp_path / "rep.json"
     rc = main(["clifford", "--p", "2", "--grade", "3", "--report", str(out)])

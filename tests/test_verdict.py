@@ -151,3 +151,21 @@ def test_an_incompatible_factorization_still_fails(monkeypatch):
     triples = dv.theorem59_suite(dv.DVirParams.at(2), mode_bound=1, grade_bound=1)
     ok, detail = {cid: (ok, d) for cid, ok, d in triples}["defect-factorization"]
     assert ok is False and "incompatible on box" in detail
+
+
+def test_a_one_flavor_window_leaves_the_neighbor_checks_undetermined(capsys):
+    # with one flavor there is no neighbor pair to associate or split into top
+    # modes, and covariance could only compare a field with itself at shift 0
+    triples = dv.theorem58_suite(dv.DVirParams.at(2), flavor_lo=0, flavor_hi=0,
+                                 grade_bound=1, zorder=3)
+    verdicts = {cid: (ok, detail) for cid, ok, detail in triples}
+    assert set(verdicts) == PHI_IDS
+    undecided = {"exp-substitution-associativity", "top-mode-identity", "covariance-rescaling"}
+    for cid in undecided:
+        ok, detail = verdicts[cid]
+        assert ok is None and "flavor window 0..0" in detail, (cid, detail)
+    assert all(verdicts[cid][0] is True for cid in PHI_IDS - undecided)
+    rc = main(["phi-module", "--p", "2", "--grade", "1", "--flavors", "0..0", "--zorder", "3"])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert all(f"UNDETERMINED {cid}" in out for cid in undecided)
