@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial
 
-from .distributions import DeltaSum, DeltaTerm, laurent_annihilator
+from .distributions import DeltaSum, DeltaTerm, delta_fit, laurent_annihilator
 from .fock import FockModule, FockVector
 from .series import (
     INF,
@@ -57,13 +58,13 @@ class FieldOperator:
         """Coefficient of x**e in a(x) w, the field before its scale."""
         if self.identity:
             return w if e == 0 else FockVector()
-        return self.module.apply_mode(self.flavor, -e - self.module.spec.nu, w)
+        return self.module.field_coeff(self.flavor, e, w)
 
     def floor(self, w: FockVector) -> int:
         """Exponents below this are certified to annihilate w."""
         if self.identity:
             return 0
-        return -self.module.ann_bound(w) - self.module.spec.nu + 1
+        return self.module.field_floor(w)
 
     def series(self, w: FockVector, hi: int) -> TruncatedSeries:
         """The field applied to w, as a series in x up to x**hi."""
@@ -494,8 +495,6 @@ def scaled_mode_extract(
     Returns (terms, agreements) where agreements[(lam, j)] is True/False per
     checked pair; raises NotDeltaSum when the defect is not a delta sum.
     """
-    from .distributions import delta_fit
-
     jmax = max((m for _, m in L.annihilator.factors), default=1) - 1
     D = defect_series(L, w, hi1, hi2).restricted(box)
     terms = delta_fit(D, list(lambdas), jmax, "x1", "x2")
@@ -631,8 +630,6 @@ def find_annihilator(a: FieldOperator, b: FieldOperator, vectors, roots, hi1: in
     """Smallest product of (y - root)^k over the given candidate roots, of
     degree at most 4 with every k <= 2, whose compatibility verdict is
     positive on every vector."""
-    from itertools import combinations_with_replacement
-
     for deg in range(0, 5):
         for combo in combinations_with_replacement(range(len(roots)), deg):
             counts = {}

@@ -1,16 +1,17 @@
 """Generalized fermionic mode algebras and their universal vacuum modules.
 
-Two specs are supported:
+Two specs are supported.  They differ only in their flavors, their field
+offset nu and their pairing (see :class:`CarSpec`):
 
-* the loop Clifford algebra on integer flavors with anticommutator
+* "E", the loop Clifford algebra on a window of integer flavors, with
   ``{a(r)_m, a(s)_n} = 2*ell*(d_{r,s+1} + d_{r,s-1}) d_{m+n+1,0}`` and fields
-  ``a(x) = sum a_n x^(-n-1)`` (mode-exponent offset 1);
-* the single-flavor T algebra with ``{T_m, T_n} = 2 (p^m + p^-m) d_{m+n,0}``
-  and fields ``T(x) = sum T_n x^(-n)`` (offset 0).
+  ``a(x) = sum a_n x^(-n-1)`` (nu = 1);
+* "T", the single-flavor algebra with ``{T_m, T_n} = 2 (p^m + p^-m) d_{m+n,0}``
+  and fields ``T(x) = sum T_n x^(-n)`` (nu = 0).
 
 The module is the universal restricted vacuum module: basis monomials are
 strictly ordered products of creation generators applied to the vacuum, with
-the zero mode kept as a basis-level generator (its square reduces to the
+T's zero mode kept as a basis-level generator (its square reduces to the
 scalar ``{T_0,T_0}/2 = 2``), so all arithmetic stays inside the exact field.
 
 A :class:`FockVector` is immutable: no operation changes ``terms`` after
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ScalarField
+from .scalars import ScalarField, power
 from .series import INF, NEG_INF, TruncatedSeries
 
 
@@ -39,51 +40,40 @@ T_FLAVOR = "T"
 
 
 class CarSpec:
-    """Pairing rule, annihilation thresholds and field offset for one algebra."""
+    """One fermionic mode algebra as data: ``flavors`` (the integers
+    ``flavor_lo..flavor_hi`` for "E", ``("T",)`` for "T"), the field offset
+    ``nu`` (1 for "E", 0 for "T") and the pairing, the one rule that reads
+    ``kind``.  Modes n >= ``threshold`` = 1 - nu annihilate the vacuum."""
 
-    __slots__ = ("kind", "field", "ell", "flavor_lo", "flavor_hi", "nu")
+    __slots__ = ("kind", "field", "ell", "flavors", "nu", "threshold")
 
     def __init__(self, kind, field: ScalarField, ell=None, flavor_lo=None, flavor_hi=None):
         self.kind = kind
         self.field = field
         if kind == "E":
-            self.ell = field.coerce(ell if ell is not None else 1)
-            self.flavor_lo = flavor_lo if flavor_lo is not None else -4
-            self.flavor_hi = flavor_hi if flavor_hi is not None else 5
+            self.ell = field.coerce(ell)
+            self.flavors = range(flavor_lo, flavor_hi + 1)
             self.nu = 1
         elif kind == "T":
             self.ell = None
-            self.flavor_lo = self.flavor_hi = None
+            self.flavors = (T_FLAVOR,)
             self.nu = 0
         else:
             raise ValueError(f"unknown spec kind {kind!r}")
+        self.threshold = 1 - self.nu
 
     def check_flavor(self, r):
-        if self.kind == "T":
-            if r != T_FLAVOR:
-                raise FlavorOutOfWindow(f"T algebra has the single flavor {T_FLAVOR!r}")
-        else:
-            if not isinstance(r, int) or not self.flavor_lo <= r <= self.flavor_hi:
-                raise FlavorOutOfWindow(
-                    f"flavor {r} outside window [{self.flavor_lo}, {self.flavor_hi}]"
-                )
-
-    def threshold(self, r) -> int:
-        """Modes n >= threshold annihilate the vacuum."""
-        return 1 if self.kind == "T" else 0
+        # a range also holds a float or Fraction equal to one of its ints
+        if not (isinstance(r, (int, str)) and r in self.flavors):
+            raise FlavorOutOfWindow(f"flavor {r!r} is not one of {list(self.flavors)}")
 
     def pairing(self, r, m, s, n):
         """The anticommutator scalar {a(r)_m, a(s)_n}."""
-        zero = self.field.zero()
+        if m + n + self.nu != 0:
+            return self.field.zero()
         if self.kind == "T":
-            if m + n != 0:
-                return zero
             return 2 * (self.field.p_power(m) + self.field.p_power(-m))
-        if m + n + 1 != 0:
-            return zero
-        if abs(r - s) != 1:
-            return zero
-        return 2 * self.ell
+        return 2 * self.ell if abs(r - s) == 1 else self.field.zero()
 
     @staticmethod
     def order_key(gen):
@@ -242,7 +232,6 @@ class FockModule:
         self.spec = spec
         self._memo = {}
         self._words = {}
-        # unscaled two-field products, owned by fieldcalc.product_on_window
         self._products = {}
         self._monomials = {}
 
@@ -287,31 +276,23 @@ class FockModule:
             return hit
         spec = self.spec
         r, n = gen
-        creation = n < spec.threshold(r)
-        if not mono:
-            res = FockVector({(gen,): spec.field.one()}) if creation else FockVector()
-            self._memo[key] = res
-            return res
-        h = mono[0]
-        if creation:
-            kg, kh = CarSpec.order_key(gen), CarSpec.order_key(h)
-            if kg < kh:
-                res = FockVector({(gen,) + mono: spec.field.one()})
-                self._memo[key] = res
-                return res
-            if kg == kh:
-                half = spec.pairing(r, n, r, n) * Fraction(1, 2)
-                res = FockVector({mono[1:]: half}) if half else FockVector()
-                self._memo[key] = res
-                return res
-        pair = spec.pairing(r, n, h[0], h[1])
-        rest = mono[1:]
-        # (h,) + m never equals rest, whose first generator follows h, so no
-        # two terms share a monomial
-        terms = {rest: pair} if pair else {}
-        for m, c in self._apply_gen(gen, rest).terms.items():
-            terms[(h,) + m] = -c
-        res = FockVector._wrap(terms)
+        creation = n < spec.threshold
+        if creation and (not mono or CarSpec.order_key(gen) < CarSpec.order_key(mono[0])):
+            res = FockVector({(gen,) + mono: spec.field.one()})
+        elif not mono:
+            res = FockVector()
+        elif creation and gen == mono[0]:
+            half = spec.pairing(r, n, r, n) * Fraction(1, 2)
+            res = FockVector({mono[1:]: half}) if half else FockVector()
+        else:
+            h, rest = mono[0], mono[1:]
+            pair = spec.pairing(r, n, h[0], h[1])
+            # (h,) + m never equals rest, whose first generator follows h, so
+            # no two terms share a monomial
+            terms = {rest: pair} if pair else {}
+            for m, c in self._apply_gen(gen, rest).terms.items():
+                terms[(h,) + m] = -c
+            res = FockVector._wrap(terms)
         self._memo[key] = res
         return res
 
@@ -319,29 +300,25 @@ class FockModule:
 
     def ann_bound(self, w: FockVector) -> int:
         """N with a(r)_n w = 0 certified for every flavor and every n >= N."""
-        spec = self.spec
-        base = 1 if spec.kind == "T" else 0
-        out = base
-        for mono in w.terms:
-            mags = [-n for _, n in mono]
-            top = max(mags, default=0)
-            out = max(out, top + 1 if spec.kind == "T" else top)
-        return out
+        return self.spec.threshold + max((-n for mono in w.terms for _, n in mono), default=0)
+
+    # -- fields: a(x) = sum_e a_{-e-nu} x^e --------------------------------------
+
+    def field_coeff(self, r, e: int, w: FockVector) -> FockVector:
+        """The coefficient of x**e in a(r)(x) w: the mode -e - nu applied to w."""
+        return self.apply_mode(r, -e - self.spec.nu, w)
+
+    def field_floor(self, w: FockVector) -> int:
+        """Exponents below -ann_bound(w) - nu + 1 vanish in a(x) w."""
+        return -self.ann_bound(w) - self.spec.nu + 1
 
     def apply_field(self, r, scale, w: FockVector, hi: int) -> TruncatedSeries:
         """a(scale * x) w = sum_e scale^e (a_{-e-nu} w) x^e, a series in x up
-        to x**hi.
-
-        Lower-truncated by restriction: exponents below -ann_bound(w) - nu + 1
-        vanish, so the window is open below.
-        """
-        from .scalars import power
-
-        nu = self.spec.nu
-        floor = -self.ann_bound(w) - nu + 1
+        to x**hi, open below :meth:`field_floor`."""
+        floor = self.field_floor(w)
         coeffs = {}
         for e in range(floor, hi + 1):
-            vec = self.apply_mode(r, -e - nu, w)
+            vec = self.field_coeff(r, e, w)
             if vec:
                 if scale != 1:
                     vec = power(scale, e) * vec
@@ -368,17 +345,11 @@ class FockModule:
     # -- basis enumeration --------------------------------------------------------
 
     def creation_generators(self, max_weight: int):
+        """Every flavor times the creation modes threshold - 1 down to
+        -max_weight."""
         spec = self.spec
-        gens = []
-        if spec.kind == "T":
-            gens.append((T_FLAVOR, 0))
-            for n in range(1, max_weight + 1):
-                gens.append((T_FLAVOR, -n))
-        else:
-            for r in range(spec.flavor_lo, spec.flavor_hi + 1):
-                for n in range(1, max_weight + 1):
-                    gens.append((r, -n))
-        return sorted(gens, key=CarSpec.order_key)
+        modes = range(spec.threshold - 1, -max_weight - 1, -1)
+        return sorted(((r, n) for r in spec.flavors for n in modes), key=CarSpec.order_key)
 
     def basis_monomials(self, grade_bound: int) -> list:
         """The basis monomials of grade <= ``grade_bound``, as a new list."""

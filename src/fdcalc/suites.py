@@ -465,7 +465,7 @@ def check_structure_series(cfg: SuiteConfig):
         yield _ce(note=f"[{', '.join(_render(x) for x in fs[:4])}, ...]")
 
 
-@_check("central-term-hand-oracle")
+@_check("central-term-hand-oracle", "vacuum, (m,n) = (1,-1) over Q(p)")
 def check_central_term_oracle(cfg: SuiteConfig):
     ps = dv.DVirParams.symbolic()
     p = RatFunc.p()
@@ -513,7 +513,15 @@ def check_phi_module(cfg: SuiteConfig) -> list:
         zorder=cfg.zorder,
         margin=cfg.margin,
     )
-    return [_result(cid, None, ok, detail) for cid, ok, detail in results]
+    fl, g, hi = f"flavors {cfg.flavor_lo}..{cfg.flavor_hi}", cfg.grade, cfg.grade + 3
+    windows = {
+        "trig-locality": f"{fl}, grade {g}, hi {hi}",
+        "anticommutator-delta-kernel": f"{fl}, grade {g}, box {hi}, hi {hi + 2}",
+        "covariance-rescaling": f"{fl}, grade {min(g, 3)}, hi {hi}",
+        "exp-substitution-associativity": f"{fl}, grade {g} (first third, at least 4), hi {hi + 2}",
+        "top-mode-identity": f"{fl}, grade {g}, hi {hi + 2}",
+    }
+    return [_result(cid, windows[cid], ok, detail) for cid, ok, detail in results]
 
 
 @_check("mode-product-well-defined", lambda cfg: f"hi {min(cfg.grade, 3) + 4}, 20 trials")
@@ -660,7 +668,13 @@ def check_theorem59(cfg: SuiteConfig) -> list:
     results = dv.theorem59_suite(
         cfg.params(), mode_bound=cfg.modes, grade_bound=cfg.grade, margin=cfg.margin
     )
-    return [_result(cid, None, ok, detail) for cid, ok, detail in results]
+    g, g4 = cfg.grade, min(cfg.grade, 4)
+    windows = {
+        "realized-field-relations": f"grade {g}, |m|,|n| <= {cfg.modes}, truncation +2 stable",
+        "defect-factorization": f"grade {g4}, hi {3 * g4 + 9}, cap {g4 + 5}",
+        "mode-extracted-pairing": f"grade {g4}, box {g + 3}, hi {g + 5}",
+    }
+    return [_result(cid, windows[cid], ok, detail) for cid, ok, detail in results]
 
 
 SUITES = {

@@ -1,4 +1,5 @@
-"""Every probe target of the benchmark's tracer names a callable in fdcalc.
+"""Every probe target of the benchmark's tracer names a callable in fdcalc,
+and every check metric the benchmark declares names a check of ``verify all``.
 
 The tracer (``fdbench/tracing.py``) reports a missing target as absent
 metrics instead of failing, so a rename in fdcalc would otherwise only show
@@ -8,9 +9,14 @@ changed.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "fdbench" / "tracing.py"
+from fdcalc.suites import SUITES
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "fdbench" / "tracing.py"
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def _load_tracing():
@@ -34,3 +40,12 @@ def test_every_probe_target_resolves_to_a_callable():
         if not callable(vars(owner).get(attr) if owner is not None else None):
             missing.append(probe.target)
     assert missing == []
+
+
+def test_check_metric_names_match_the_benchmark():
+    """``fdbench/selftest.py`` expects one ``suites.check_s.<function>``
+    metric per check function of ``verify all``, named as BENCHMARK.json
+    declares them, so renaming a check function would break the benchmark."""
+    declared = json.loads(BENCHMARK.read_text())["per_layer"]
+    want = {m["name"] for m in declared if m["name"].startswith("suites.check_s.")}
+    assert {f"suites.check_s.{fn.__name__}" for fn in SUITES["all"]} == want

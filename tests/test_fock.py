@@ -399,3 +399,73 @@ def test_basis_monomials_is_enumerated_once_and_returned_fresh():
     assert module.basis_monomials(3) is not module.basis_monomials(3)
     assert [w.terms for w in module.basis(3)] == [{m: QP.one()} for m in first[:-1]]
     assert list(module._monomials) == [3]
+
+
+# -- the kind-switch CarSpec rules, kept as the reference for the data-driven ones
+
+
+def _reference_pairing(spec, r, m, s, n):
+    zero = spec.field.zero()
+    if spec.kind == "T":
+        if m + n != 0:
+            return zero
+        return 2 * (spec.field.p_power(m) + spec.field.p_power(-m))
+    if m + n + 1 != 0:
+        return zero
+    if abs(r - s) != 1:
+        return zero
+    return 2 * spec.ell
+
+
+def _reference_threshold(spec, r):
+    return 1 if spec.kind == "T" else 0
+
+
+def _reference_ann_bound(spec, w):
+    out = 1 if spec.kind == "T" else 0
+    for mono in w.terms:
+        top = max([-n for _, n in mono], default=0)
+        out = max(out, top + 1 if spec.kind == "T" else top)
+    return out
+
+
+def _reference_creation_generators(spec, flavor_lo, flavor_hi, max_weight):
+    gens = []
+    if spec.kind == "T":
+        gens.append(("T", 0))
+        for n in range(1, max_weight + 1):
+            gens.append(("T", -n))
+    else:
+        for r in range(flavor_lo, flavor_hi + 1):
+            for n in range(1, max_weight + 1):
+                gens.append((r, -n))
+    return sorted(gens, key=CarSpec.order_key)
+
+
+_REFERENCE_SPECS = [("T", None, None, None)] + [
+    ("E", ell, lo, hi) for ell in (1, 2) for lo, hi in ((0, 0), (0, 2), (-2, 3))
+]
+
+
+@pytest.mark.parametrize("fld", [Q2, QP], ids=["p=2", "Q(p)"])
+@pytest.mark.parametrize(
+    "kind,ell,lo,hi", _REFERENCE_SPECS, ids=[f"{k}-{e}-{a}..{b}" for k, e, a, b in _REFERENCE_SPECS]
+)
+def test_car_spec_data_matches_the_kind_switch_reference(fld, kind, ell, lo, hi):
+    spec = t_spec(fld) if kind == "T" else e_spec(fld, ell=ell, flavor_lo=lo, flavor_hi=hi)
+    flavors = ["T"] if kind == "T" else list(range(lo, hi + 1))
+    modes = range(-4, 5)
+    for r in flavors:
+        assert spec.threshold == _reference_threshold(spec, r)
+        for m in modes:
+            for s in flavors:
+                for n in modes:
+                    got, want = spec.pairing(r, m, s, n), _reference_pairing(spec, r, m, s, n)
+                    assert got == want and type(got) is type(want), (r, m, s, n)
+    module = FockModule(spec)
+    for w in module.basis(5):
+        assert module.ann_bound(w) == _reference_ann_bound(spec, w), w
+    for weight in range(7):
+        assert module.creation_generators(weight) == _reference_creation_generators(
+            spec, lo, hi, weight
+        )

@@ -1,0 +1,90 @@
+"""Planted faults and the exact ids each one stops from passing.
+
+Each row monkeypatches one function of the program in process and runs
+``verify all`` at criterion 10's settings: p = 2, grade 3, flavors -1..1,
+z-order 5, one process.  With no fault every id passes there (criterion 10
+in ``tests/test_acceptance.py``), so the ids a row lists are exactly those
+its fault stops.  A check that stops catching a fault shows up here as a
+missing id.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import fdcalc.dvir as dv
+from fdcalc.fock import CarSpec
+from fdcalc.suites import SuiteConfig, run_suite
+
+CRITERION_10 = SuiteConfig(
+    suite="all", p=Fraction(2), grade=3, flavor_lo=-1, flavor_hi=1, zorder=5
+)
+_pairing = CarSpec.pairing
+_central_term = dv.central_term
+
+
+def _t_pairing_off_by_one(self, r, m, s, n):
+    """{T_2, T_-2} off by one in the order the mode action reads it: T_2
+    acting on T_-2."""
+    out = _pairing(self, r, m, s, n)
+    return out + 1 if self.kind == "T" and (m, n) == (2, -2) else out
+
+
+def _e_pairing_tripled(self, r, m, s, n):
+    """The E pairing tripled at the neighbor pair (0, 1)."""
+    out = _pairing(self, r, m, s, n)
+    return 3 * out if self.kind == "E" and (r, s) == (0, 1) else out
+
+
+def _central_term_negated(params, m):
+    return -_central_term(params, m)
+
+
+ROWS = {
+    "t-pairing-off-by-one": (
+        CarSpec,
+        "pairing",
+        _t_pairing_off_by_one,
+        {
+            "anticommutator-delta-kernel": "fail",
+            "car-anticommutators": "fail",
+            "defect-factorization": "fail",
+            "mode-extracted-pairing": "fail",
+            "realized-field-relations": "fail",
+            "residue-formula-agreement": "fail",
+            # its trials stop at the first disagreement, too few to decide
+            "residue-top-mode": "undetermined",
+            "tfock-relations": "fail",
+            "trig-locality": "fail",
+        },
+    ),
+    "e-pairing-tripled": (
+        CarSpec,
+        "pairing",
+        _e_pairing_tripled,
+        {
+            "adjoint-module-kernels": "fail",
+            "car-anticommutators": "fail",
+            "clifford-mode-products": "fail",
+        },
+    ),
+    "central-term-negated": (
+        dv,
+        "central_term",
+        _central_term_negated,
+        {
+            "central-term-hand-oracle": "fail",
+            "realized-field-relations": "fail",
+            "tfock-relations": "fail",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("row", list(ROWS))
+def test_planted_fault_stops_exactly_these_ids(monkeypatch, row):
+    owner, name, fault, stopped = ROWS[row]
+    monkeypatch.setattr(owner, name, fault)
+    results = run_suite(CRITERION_10)
+    assert len(results) == 28
+    assert {r.check_id: r.status for r in results if r.status != "pass"} == stopped

@@ -169,3 +169,12 @@ def test_a_one_flavor_window_leaves_the_neighbor_checks_undetermined(capsys):
     assert rc == 2
     out = capsys.readouterr().out
     assert all(f"UNDETERMINED {cid}" in out for cid in undecided)
+
+
+def test_every_id_of_verify_all_reports_its_window():
+    cfg = SuiteConfig(
+        suite="all", p=Fraction(2), grade=1, modes=1, flavor_lo=0, flavor_hi=1, zorder=3
+    )
+    checks = suites.report_document(cfg, run_suite(cfg))["checks"]
+    assert len(checks) == 28
+    assert [c["id"] for c in checks if c["window"] is None] == []
