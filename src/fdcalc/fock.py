@@ -325,13 +325,10 @@ class FockModule:
                 coeffs[(e,)] = vec
         return TruncatedSeries(("x",), coeffs, {"x": (NEG_INF, hi)}, {"x": (floor, INF)})
 
-    def anticommutator_check(self, g1, g2, grade_bound: int) -> bool:
-        """{g1, g2} w == pairing * w on every basis monomial of grade <= N.
+    def anticommutator_check(self, g1, g2, grade_bound: int, pair) -> bool:
+        """{g1, g2} w == pair * w on every basis monomial of grade <= N.
 
         The two words g1 g2 w and g2 g1 w are read from the word memo."""
-        r, m = g1
-        s, n = g2
-        pair = self.spec.pairing(r, m, s, n)
         for mono in self._basis_monomials(grade_bound):
             a = self.apply_word(g1, g2, mono)
             b = self.apply_word(g2, g1, mono)

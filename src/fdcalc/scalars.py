@@ -13,11 +13,23 @@ operation whose result can leave Z[1/2] (division by an odd number, a
 is the only place that creates them (``zero``, ``one``, ``from_int``,
 ``p_power``, ``coerce``); every other p0 uses plain ``Fraction``.
 
-``RatFunc`` implements Q(p), the field of rational functions in
-one formal parameter ``p`` over Q, in canonical form: the denominator is monic
-and coprime to the numerator, so equality of field elements is syntactic
-equality of the representation.  A Laurent polynomial is a ``RatFunc`` whose
-denominator is p**k; sums and products of those are built without a gcd.
+``RatFunc`` implements Q(p), the field of rational functions in one formal
+parameter ``p`` over Q.  At q = -1 the paper's denominators are powers of p
+times cyclotomic polynomials Phi_n: characters give p^a - p^b =
+p^b prod_{d | a-b} Phi_d, the f-coefficients divide by 1 + p^n and the
+central term by 1 - p.  So a value is kept factored as
+c * p^e * P / (prod Phi_n^k * r): a rational content c held as two ints, a
+signed exponent e, a primitive integer polynomial P, the sorted cyclotomic
+exponents of the denominator, and a residual primitive integer polynomial r
+with no cyclotomic factor, which is 1 for every value the suites build (the
+model is FLINT's ``fmpq_poly``: content times primitive integer part).  A
+product adds exponents; a sum goes over the lcm of the denominators.  Both
+cancel by exact integer division of P by the Phi_n the denominator carries,
+so only a nontrivial r takes a gcd (``Poly.gcd``, Euclid over Q).  Moving a
+numerator into the denominator (``inverse``, a negative power, the
+constructor) splits off every Phi_n factor, so the form is canonical and
+equality is syntactic.  Phi_n is built on first use.  ``num`` and ``den``
+expand the value with a monic denominator, as ``render`` and reports read it.
 ``ScalarField`` selects between symbolic Q(p) work and evaluation at a
 rational specialization point.
 
@@ -323,17 +335,6 @@ class Poly:
                     out[i + j] += ca * cb
         return Poly(out)
 
-    def val(self) -> int:
-        """Index of the lowest nonzero coefficient (0 for the zero polynomial)."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return 0
-
-    def is_monomial(self) -> bool:
-        cs = self.coeffs
-        return bool(cs) and cs.count(0) == len(cs) - 1
-
     def scale(self, c) -> "Poly":
         if c == 1:
             return self
@@ -350,9 +351,6 @@ class Poly:
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        if other.is_monomial():
-            d = other.degree()
-            return Poly(self.coeffs[d:]).scale(1 / other.lc()), Poly(self.coeffs[:d])
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
@@ -373,16 +371,11 @@ class Poly:
         return self.scale(1 / self.lc())
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd by the Euclidean algorithm (exact over Q).
-
-        Monomial operands short-circuit: gcd(c p^k, f) = p^min(k, val f).
-        """
+        """Monic gcd by the Euclidean algorithm (exact over Q)."""
         if not self:
             return other.monic()
         if not other:
             return self.monic()
-        if self.is_monomial() or other.is_monomial():
-            return _p_pow(min(self.val(), other.val()))
         a, b = self, other
         while b:
             a, b = b, a.divmod(b)[1]
@@ -421,172 +414,372 @@ def _int_or_fraction(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _p_pow(k: int) -> Poly:
-    """The monic monomial p**k, k >= 0."""
-    return Poly((0,) * k + (1,))
+# -- integer polynomials: tuples of int coefficients, ascending ---------------------------
+
+_ONE = (1,)
 
 
-def _p_order(den: Poly):
-    """k when den is the monic monomial p**k, else None."""
-    return den.degree() if den.coeffs[-1] == 1 and den.is_monomial() else None
+def _imul(a, b):
+    """The product of two integer polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else tuple(x * c for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for j, cb in enumerate(b):
+        if cb:
+            for i, ca in enumerate(a, j):
+                out[i] += ca * cb
+    return tuple(out)
 
 
-def _clear_denominators(p: Poly) -> tuple[Poly, int]:
-    """Return (integer-coefficient multiple of p, the multiplier)."""
-    if not p:
-        return p, 1
-    m = math.lcm(*(c.denominator for c in p.coeffs))
-    return p.scale(m), m
+def _divexact(a, b):
+    """a / b when the integer polynomial b divides the nonzero a over Z, else None."""
+    db = len(b) - 1
+    nq = len(a) - db
+    if nq <= 0:
+        return None
+    lb = b[-1]
+    low = [(j, c) for j, c in enumerate(b[:db]) if c]
+    rem = list(a)
+    q = [0] * nq
+    for k in range(nq - 1, -1, -1):
+        c = rem[k + db]
+        if c:
+            if lb != 1:
+                c, m = divmod(c, lb)
+                if m:
+                    return None
+            q[k] = c
+            for j, bc in low:
+                rem[k + j] -= c * bc
+    return None if any(rem[:db]) else tuple(q)
+
+
+def _primitive(cs) -> tuple[int, tuple]:
+    """(g, cs / g) for a nonzero integer polynomial: g is its content, signed
+    so that cs / g has a positive leading coefficient."""
+    g = math.gcd(*cs)
+    if cs[-1] < 0:
+        g = -g
+    return g, tuple(cs) if g == 1 else tuple(c // g for c in cs)
+
+
+def _int_parts(cs) -> tuple[int, int, int, tuple]:
+    """(n, d, v, a) with the nonzero rational polynomial cs = (n/d) * p^v * a in
+    lowest terms, d > 0, a primitive with a(0) != 0 and a positive leading
+    coefficient."""
+    v = 0
+    while not cs[v]:
+        v += 1
+    cs = cs[v:]
+    m = math.lcm(*(c.denominator for c in cs))
+    g, a = _primitive([c.numerator * (m // c.denominator) for c in cs])
+    n, d = _q(g, m)
+    return n, d, v, a
+
+
+def _q(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms with a positive denominator."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return (n, d) if g == 1 else (n // g, d // g)
+
+
+# -- the cyclotomic polynomials Phi_n, built on first use ---------------------------------
+
+_CYCLOTOMIC: dict[int, tuple] = {}
+_CANDIDATES: dict[int, tuple] = {}
+
+
+def _cyclotomic(n: int) -> tuple:
+    """Phi_n: p^n - 1 divided by Phi_d for each proper divisor d of n."""
+    f = _CYCLOTOMIC.get(n)
+    if f is None:
+        f = (-1,) + (0,) * (n - 1) + (1,)
+        for d in range(1, n // 2 + 1):
+            if not n % d:
+                f = _divexact(f, _cyclotomic(d))
+        _CYCLOTOMIC[n] = f
+    return f
+
+
+def _candidates(deg: int) -> tuple:
+    """(n, deg Phi_n) for every n with deg Phi_n = totient(n) <= deg, ascending."""
+    c = _CANDIDATES.get(deg)
+    if c is None:
+        top = max(6, deg * deg)  # totient(n) >= sqrt(n) unless n is 2 or 6
+        phi = list(range(top + 1))
+        for i in range(2, top + 1):
+            if phi[i] == i:
+                for j in range(i, top + 1, i):
+                    phi[j] -= phi[j] // i
+        c = _CANDIDATES[deg] = tuple((n, phi[n]) for n in range(1, top + 1) if phi[n] <= deg)
+    return c
+
+
+def _divide_out(a, n: int, k: int):
+    """Divide Phi_n out of a at most k times: (quotient, times divided)."""
+    f = _cyclotomic(n)
+    j = 0
+    while j < k:
+        q = _divexact(a, f)
+        if q is None:
+            break
+        a, j = q, j + 1
+    return a, j
+
+
+def _split_cyclotomic(a) -> tuple[tuple, tuple]:
+    """(phi, r) with a = prod Phi_n^k * r over (n, k) in phi and no Phi_n
+    dividing r, for a primitive a with a(0) != 0."""
+    phi = []
+    for n, dn in _candidates(len(a) - 1):
+        if dn < len(a):
+            a, k = _divide_out(a, n, len(a))
+            if k:
+                phi.append((n, k))
+    return tuple(phi), a
+
+
+def _cancel_phi(a, phi: tuple):
+    """Divide the numerator a by each Phi_n^k of the denominator phi as far as
+    it goes: (a, what is left of phi)."""
+    left = []
+    for n, k in phi:
+        a, j = _divide_out(a, n, k)
+        if j < k:
+            left.append((n, k - j))
+    return a, tuple(left)
+
+
+def _cancel_residual(a, r):
+    """a and r divided by their gcd, for primitive a and r."""
+    if len(a) == 1 or len(r) == 1:
+        return a, r
+    g = _int_parts(Poly(a).gcd(Poly(r)).coeffs)[3]
+    return _divexact(a, g), _divexact(r, g)
+
+
+def _lcm_residual(r, s):
+    """(l, l / r, l / s) for l the least common multiple of primitive r and s."""
+    g = _ONE if len(r) == 1 or len(s) == 1 else _int_parts(Poly(r).gcd(Poly(s)).coeffs)[3]
+    mr, ms = _divexact(s, g), _divexact(r, g)
+    return _imul(r, mr), mr, ms
+
+
+def _expand(phi: tuple, a=_ONE):
+    """a * prod Phi_n^k over (n, k) in phi."""
+    for n, k in phi:
+        f = _cyclotomic(n)
+        for _ in range(k):
+            a = _imul(a, f)
+    return a
+
+
+def _phi_merge(x: tuple, y: tuple, op) -> tuple:
+    d = dict(x)
+    for n, k in y:
+        d[n] = op(d.get(n, 0), k)
+    return tuple(sorted(d.items()))
+
+
+def _lincomb(s: int, a, i: int, t: int, b, j: int) -> list:
+    """s p^i a + t p^j b, without high zero coefficients."""
+    out = [0] * max(len(a) + i, len(b) + j)
+    for k, c in enumerate(a, i):
+        out[k] = s * c
+    for k, c in enumerate(b, j):
+        out[k] += t * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _coeffs(x) -> tuple:
+    if not isinstance(x, Poly):
+        x = Poly.const(x) if isinstance(x, (int, Fraction)) else Poly(x)
+    return x.coeffs
 
 
 class RatFunc:
-    """Element of Q(p) in canonical form: monic denominator, coprime to the
-    numerator.  Equality and hashing are syntactic on the canonical form
-    (constants hash like their Fraction value so mixed Q / Q(p) keys agree).
+    """Element of Q(p) in the factored canonical form
+
+        c * p^e * P(p) / (prod Phi_n(p)^k * r(p))
+
+    with c = cn / cd a reduced rational (cd > 0), e a signed exponent, P a
+    primitive integer polynomial with P(0) != 0 and a positive leading
+    coefficient, phi = ((n, k), ...) the cyclotomic exponents sorted by n and
+    r a primitive integer polynomial with r(0) != 0, a positive leading
+    coefficient and no cyclotomic factor.  P is coprime to the denominator.
+    Zero is c = 0 with e = 0, P = r = 1 and no phi.  Every Q(p) value has one
+    such form, so equality and hashing are syntactic (constants hash like
+    their Fraction value so mixed Q / Q(p) keys agree).  ``num`` and ``den``
+    give the expanded form with a monic denominator.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_cn", "_cd", "_e", "_prim", "_phi", "_res")
 
     def __init__(self, num, den=None):
-        if not isinstance(num, Poly):
-            num = Poly.const(num) if isinstance(num, (int, Fraction)) else Poly(num)
-        if den is None:
-            den = Poly.const(1)
-        elif not isinstance(den, Poly):
-            den = Poly.const(den) if isinstance(den, (int, Fraction)) else Poly(den)
-        if not den:
+        ncs = _coeffs(num)
+        dcs = _ONE if den is None else _coeffs(den)
+        if not dcs:
             raise ZeroDenominator("denominator polynomial is zero")
-        if not num:
-            self.num, self.den = Poly(), Poly.const(1)
+        if not ncs:
+            self._cn, self._cd, self._e, self._prim, self._phi, self._res = 0, 1, 0, _ONE, (), _ONE
             return
-        if den.is_monomial():
-            # den = c p^k: cancelling p^min(val num, k) leaves num coprime to den
-            k = den.degree()
-            v = min(num.val(), k)
-            c = den.coeffs[k]
-            self.num = Poly(num.coeffs[v:]) if v else num
-            if c != 1:
-                self.num = self.num.scale(1 / den.lc())
-            self.den = den if v == 0 and c == 1 else _p_pow(k - v)
-            return
-        g = num.gcd(den)
-        if g.degree() > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lc = den.lc()
-        self.num = num.scale(1 / lc)
-        self.den = den.scale(1 / lc)
+        cn, cd, e, a = _int_parts(ncs)
+        dn, dd, de, d = _int_parts(dcs)
+        phi, res = _split_cyclotomic(d)
+        a, phi = _cancel_phi(a, phi)
+        a, res = _cancel_residual(a, res)
+        self._cn, self._cd = _q(cn * dd, cd * dn)
+        self._e, self._prim, self._phi, self._res = e - de, a, phi, res
 
     @classmethod
     def p(cls) -> "RatFunc":
-        return cls(Poly.gen())
+        return _rf(1, 1, 1)
 
-    @classmethod
-    def _coerce(cls, x):
-        if isinstance(x, RatFunc):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(Poly.const(x))
-        return None
+    @property
+    def num(self) -> Poly:
+        """The numerator over the monic denominator ``den``, expanded."""
+        if not self._cn:
+            return Poly()
+        c = Fraction(self._cn, self._cd * self._res[-1])
+        return Poly((0,) * max(self._e, 0) + tuple(x * c for x in self._prim))
+
+    @property
+    def den(self) -> Poly:
+        """The monic denominator, expanded."""
+        d = (0,) * max(-self._e, 0) + _expand(self._phi, self._res)
+        lc = self._res[-1]
+        return Poly(d if lc == 1 else tuple(Fraction(x, lc) for x in d))
+
+    def _is_monomial(self) -> bool:
+        """True for c p^e, zero and the constants included."""
+        return len(self._prim) == 1 and not self._phi and len(self._res) == 1
 
     def is_constant(self) -> bool:
-        return self.num.degree() <= 0 and self.den.coeffs == (1,)
+        return not self._e and self._is_monomial()
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self!r} is not a constant")
-        return Fraction(self.num.coeffs[0]) if self.num else Fraction(0)
+        return Fraction(self._cn, self._cd)
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self._cn)
+
+    def _key(self):
+        return self._cn, self._cd, self._e, self._prim, self._phi, self._res
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            # the canonical form of the constant n is n / 1, and of 0 is () / 1
-            return self.den.coeffs == (1,) and self.num.coeffs == ((other,) if other else ())
-        o = RatFunc._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
+        if type(other) is RatFunc:
+            return self._key() == other._key()
+        if type(other) is int:  # the c == 0 and c == 1 tests of the Fock layer
+            return self._cn == other and self._cd == 1 and (not other or self.is_constant())
+        if isinstance(other, (int, Fraction)):
+            return (self.is_constant() and self._cn == other.numerator
+                    and self._cd == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
         if self.is_constant():
-            return hash(self.as_fraction())
-        return hash((self.num.coeffs, self.den.coeffs))
+            return hash(Fraction(self._cn, self._cd))
+        return hash(self._key())
+
+    def _scaled(self, n: int, d: int, k: int = 0) -> "RatFunc":
+        """(n / d) p^k self, for n / d reduced with d > 0: only c and e change."""
+        if not n or not self._cn:
+            return _rf(0, 1, 0)
+        cn, cd = _q(self._cn * n, self._cd * d)
+        return _rf(cn, cd, self._e + k, self._prim, self._phi, self._res)
 
     def __add__(self, other):
-        o = RatFunc._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = _p_order(self.den), _p_order(o.den)
-        if a is not None and b is not None:
-            k = max(a, b)
-            return RatFunc(self.num.shift(k - a) + o.num.shift(k - b), _p_pow(k))
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        if type(other) is not RatFunc:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _rf(other.numerator, other.denominator, 0)
+        a, b = self, other
+        if not b._cn:
+            return a
+        if not a._cn:
+            return b
+        e = min(a._e, b._e)
+        pa, pb, phi, res = a._prim, b._prim, a._phi, a._res
+        if phi != b._phi:
+            phi = _phi_merge(phi, b._phi, max)
+            pa = _expand(_phi_merge(phi, a._phi, int.__sub__), pa)
+            pb = _expand(_phi_merge(phi, b._phi, int.__sub__), pb)
+        if len(res) > 1 or len(b._res) > 1:
+            res, ra, rb = _lcm_residual(res, b._res)
+            pa, pb = _imul(pa, ra), _imul(pb, rb)
+        g = math.gcd(a._cd, b._cd)
+        num = _lincomb(a._cn * (b._cd // g), pa, a._e - e, b._cn * (a._cd // g), pb, b._e - e)
+        if not num:
+            return _rf(0, 1, 0)
+        v = 0
+        while not num[v]:
+            v += 1
+        cn, prim = _primitive(num[v:] if v else num)
+        cn, cd = _q(cn, a._cd // g * b._cd)
+        prim, phi = _cancel_phi(prim, phi)
+        prim, res = _cancel_residual(prim, res)
+        return _rf(cn, cd, e + v, prim, phi, res)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = RatFunc.__new__(RatFunc)
-        r.num, r.den = -self.num, self.den
-        return r
+        return _rf(-self._cn, self._cd, self._e, self._prim, self._phi, self._res)
 
     def __sub__(self, other):
-        o = RatFunc._coerce(other)
-        if o is None:
+        if type(other) is not RatFunc and not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
-        o = RatFunc._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o + (-self)
+        return (-self) + other
 
     def __mul__(self, other):
-        o = RatFunc._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = _p_order(self.den), _p_order(o.den)
-        if a is not None and b is not None:
-            if b == 0 and len(o.num.coeffs) == 1:
-                return self._scaled(o.num.coeffs[0])
-            if a == 0 and len(self.num.coeffs) == 1:
-                return o._scaled(self.num.coeffs[0])
-            return RatFunc(self.num * o.num, _p_pow(a + b))
-        # cross-cancel before multiplying to keep degrees small
-        g1 = self.num.gcd(o.den)
-        g2 = o.num.gcd(self.den)
-        n1 = self.num.divmod(g1)[0] if g1.degree() > 0 else self.num
-        d2 = o.den.divmod(g1)[0] if g1.degree() > 0 else o.den
-        n2 = o.num.divmod(g2)[0] if g2.degree() > 0 else o.num
-        d1 = self.den.divmod(g2)[0] if g2.degree() > 0 else self.den
-        return RatFunc(n1 * n2, d1 * d2)
+        if type(other) is not RatFunc:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self._scaled(other.numerator, other.denominator)
+        a, b = self, other
+        if b._is_monomial():
+            return a._scaled(b._cn, b._cd, b._e)
+        if a._is_monomial():
+            return b._scaled(a._cn, a._cd, a._e)
+        pa, phi_b = _cancel_phi(a._prim, b._phi)
+        pb, phi_a = _cancel_phi(b._prim, a._phi)
+        pa, res_b = _cancel_residual(pa, b._res)
+        pb, res_a = _cancel_residual(pb, a._res)
+        cn, cd = _q(a._cn * b._cn, a._cd * b._cd)
+        phi = _phi_merge(phi_a, phi_b, int.__add__) if phi_a and phi_b else phi_a or phi_b
+        return _rf(cn, cd, a._e + b._e, _imul(pa, pb), phi, _imul(res_a, res_b))
 
     __rmul__ = __mul__
 
-    def _scaled(self, k):
-        """k * self for a nonzero rational k: (k num) / den is already canonical."""
-        r = RatFunc.__new__(RatFunc)
-        r.num, r.den = self.num.scale(k), self.den
-        return r
-
     def inverse(self) -> "RatFunc":
-        if not self.num:
+        if not self._cn:
             raise ZeroDivisionError("inverse of zero in Q(p)")
-        return RatFunc(self.den, self.num)
+        phi, res = _split_cyclotomic(self._prim)
+        cn, cd = (self._cd, self._cn) if self._cn > 0 else (-self._cd, -self._cn)
+        return _rf(cn, cd, -self._e, _expand(self._phi, self._res), phi, res)
 
     def __truediv__(self, other):
-        o = RatFunc._coerce(other)
-        if o is None:
+        if type(other) is not RatFunc and not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self * o.inverse()
+        return self * power(other, -1)
 
     def __rtruediv__(self, other):
-        o = RatFunc._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n: int):
         return power(self, n)
@@ -600,27 +793,30 @@ class RatFunc:
         return self.num.eval_at(p0) / d
 
     def render(self) -> str:
-        """Canonical string: integer-coefficient polynomials, descending degree."""
-        n, mn = _clear_denominators(self.num)
-        d, md = _clear_denominators(self.den)
-        # num/den == (n/mn)/(d/md) == (n*md)/(d*mn)
-        n = n.scale(md)
-        d = d.scale(mn)
-        c = math.gcd(*(x.numerator for x in (*n.coeffs, *d.coeffs)))
-        if c > 1:
-            n, d = n.scale(Fraction(1, c)), d.scale(Fraction(1, c))
-        if d.lc() < 0:
-            n, d = n.scale(-1), d.scale(-1)
-        if d == Poly.const(1):
+        """Canonical string: integer-coefficient polynomials without a common
+        factor, descending degree.  cn p^max(e, 0) P and cd p^max(-e, 0)
+        prod Phi_n^k r are those polynomials: P and prod Phi_n^k r are
+        primitive and cn, cd coprime."""
+        e = self._e
+        n = Poly((0,) * max(e, 0) + tuple(self._cn * x for x in self._prim))
+        d = Poly((0,) * max(-e, 0) + tuple(self._cd * x for x in _expand(self._phi, self._res)))
+        if d.coeffs == _ONE:
             return n.render()
 
         def wrap(s: str) -> str:
-            return s if (" " not in s and "*" not in s and "/" not in s) else f"({s})"
+            return s if (" " not in s and "*" not in s) else f"({s})"
 
         return f"{wrap(n.render())}/{wrap(d.render())}"
 
     def __repr__(self):
         return self.render()
+
+
+def _rf(cn: int, cd: int, e: int, prim=_ONE, phi=(), res=_ONE) -> RatFunc:
+    """The RatFunc with these parts, which must already be canonical."""
+    f = _new(RatFunc)
+    f._cn, f._cd, f._e, f._prim, f._phi, f._res = cn, cd, e, prim, phi, res
+    return f
 
 
 def normalize(f: RatFunc) -> RatFunc:
@@ -706,7 +902,7 @@ class ScalarField:
     def p_power(self, n: int):
         """p**n in this field (p0**n when specialized)."""
         if self.symbolic:
-            return RatFunc(_p_pow(n)) if n >= 0 else RatFunc(1, _p_pow(-n))
+            return _rf(1, 1, n)
         return self.p0**n
 
     def coerce(self, x):

@@ -363,6 +363,10 @@ def check_three_term(cfg: SuiteConfig):
 
 @_check("car-anticommutators", lambda cfg: f"grade {min(cfg.grade, 4)}, |modes| <= 3")
 def check_car_anticommutators(cfg: SuiteConfig):
+    """The mode action against the CAR pairings in closed form, stated here
+    apart from ``CarSpec.pairing``, which the action itself reads:
+    {a(r)_m, a(s)_n} = 2 ell [|r - s| = 1] d_{m+n+1,0} and
+    {T_m, T_n} = 2 (p^m + p^-m) d_{m+n,0}."""
     fld = cfg.scalar_field()
     modes = range(-3, 4)
     grade = min(cfg.grade, 4)
@@ -371,12 +375,15 @@ def check_car_anticommutators(cfg: SuiteConfig):
         gens = [(r, m) for r in (0, 1, 2) for m in modes]
         for g1 in gens:
             for g2 in gens:
-                if not E.anticommutator_check(g1, g2, grade):
+                (r, m), (s, n) = g1, g2
+                pair = fld.from_int(2 * ell if abs(r - s) == 1 and m + n + 1 == 0 else 0)
+                if not E.anticommutator_check(g1, g2, grade, pair):
                     yield _ce(note=f"E(ell={ell}) {g1} {g2}")
     M = FockModule(t_spec(fld))
     for m in modes:
         for n in modes:
-            if not M.anticommutator_check(("T", m), ("T", n), grade):
+            pair = 2 * (fld.p_power(m) + fld.p_power(-m)) if m + n == 0 else fld.zero()
+            if not M.anticommutator_check(("T", m), ("T", n), grade, pair):
                 yield _ce(note=f"T {m} {n}")
 
 

@@ -67,7 +67,8 @@ def test_anticommutator_invariant_all_pairs():
         M = FockModule(t_spec(fld))
         for m in range(-5, 6):
             for n in range(-5, 6):
-                assert M.anticommutator_check(("T", m), ("T", n), 5), (fld, m, n)
+                pair = M.spec.pairing("T", m, "T", n)
+                assert M.anticommutator_check(("T", m), ("T", n), 5, pair), (fld, m, n)
 
 
 def test_anticommutator_invariant_e_pairs():
@@ -78,7 +79,8 @@ def test_anticommutator_invariant_e_pairs():
             for s in (0, 1):
                 for m in range(-5, 6):
                     for n in range(-5, 6):
-                        assert E.anticommutator_check((r, m), (s, n), 5), (ell, r, s, m, n)
+                        pair = E.spec.pairing(r, m, s, n)
+                        assert E.anticommutator_check((r, m), (s, n), 5, pair), (ell, r, s, m, n)
 
 
 def test_generator_squares(tmod):
@@ -377,7 +379,7 @@ def test_anticommutator_check_matches_two_apply_mode_reference(fld, wrong):
     for spec, pairs in _anticommutator_cases(fld, wrong):
         module, ref = FockModule(spec), FockModule(spec)
         for g1, g2 in pairs:
-            got = module.anticommutator_check(g1, g2, 3)
+            got = module.anticommutator_check(g1, g2, 3, spec.pairing(*g1, *g2))
             assert got == _anticommutator_reference(ref, g1, g2, 3), (spec.kind, g1, g2)
             if not got:
                 failing.add((spec.kind, g1, g2))

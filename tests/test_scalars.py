@@ -471,3 +471,108 @@ def test_scalar_field_refuses_inexact_points(bad):
 def test_scalar_field_exact_points_stay_valid():
     for p0, want in ((2, Fraction(2)), (Fraction(1, 10), Fraction(1, 10)), ("1/10", Fraction(1, 10))):
         assert ScalarField.rationals(p0).p0 == want
+
+
+# -- the factored canonical form against plain Euclid -----------------------------------
+
+CYCLOTOMIC_NS = (1, 2, 3, 4, 6, 10, 14, 18)
+PLANTED = Poly((2, 1, 1))  # p^2 + p + 2: no root of unity is a root, so r != 1
+
+
+def _cyclotomic_polys():
+    """Phi_n for the n above, by Poly division: p^n - 1 over Phi_d, d | n, d < n."""
+    out = {}
+    for n in range(1, max(CYCLOTOMIC_NS) + 1):
+        f = Poly((-1,) + (0,) * (n - 1) + (1,))
+        for d in range(1, n):
+            if not n % d:
+                f, r = f.divmod(out[d])
+                assert not r
+        out[n] = f
+    return out
+
+
+def _random_side(rng, phis, planted):
+    """c p^k prod Phi_n^e (times PLANTED when planted), expanded and as a
+    product of RatFunc factors."""
+    c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+    k = rng.randint(0, 3)
+    expanded, built = Poly((0,) * k + (c,)), c * p**k
+    for n in rng.sample(CYCLOTOMIC_NS, rng.randint(0, 4)):
+        e = rng.randint(1, 2)
+        for _ in range(e):
+            expanded = expanded * phis[n]
+        built = built * RatFunc(phis[n]) ** e
+    if planted:
+        expanded, built = expanded * PLANTED, built * RatFunc(PLANTED)
+    return expanded, built
+
+
+def _euclid_form(num: Poly, den: Poly):
+    """num / den reduced by the Euclidean gcd, denominator made monic."""
+    g = num.gcd(den)
+    n, d = num.divmod(g)[0], den.divmod(g)[0]
+    lc = d.lc()
+    return n.scale(1 / lc), d.scale(1 / lc)
+
+
+def _euclid_render(num: Poly, den: Poly) -> str:
+    """render()'s text for the reduced num / den with a monic den: integer
+    coefficients without a common factor, descending, a parenthesized side
+    when it has several terms or a coefficient."""
+    m = math.lcm(*(c.denominator for c in num.coeffs + den.coeffs))
+    g = math.gcd(*(int(c * m) for c in num.coeffs + den.coeffs))
+    n, d = num.scale(Fraction(m, g)), den.scale(Fraction(m, g))
+    if d == Poly.const(1):
+        return n.render()
+    wrap = [s if " " not in s and "*" not in s else f"({s})" for s in (n.render(), d.render())]
+    return "/".join(wrap)
+
+
+def test_factored_canonical_form_matches_euclid():
+    phis = _cyclotomic_polys()
+    rng = random.Random(20261)
+    for case in range(120):
+        planted = case % 4 == 0
+        n1, f1 = _random_side(rng, phis, planted and rng.random() < 0.7)
+        n2, f2 = _random_side(rng, phis, False)
+        d, g = _random_side(rng, phis, planted)
+        want = _euclid_form(n1 * d + n2, d)
+        want_form = tuple(tuple((c, type(c)) for c in x.coeffs) for x in want)
+        # the constructor from expanded polynomials, a quotient of products
+        # and a sum over the lcm of two denominators must give one form, whose
+        # residual denominator is 1 unless the planted factor is in it
+        routes = (RatFunc(n1 * d + n2, d), (f1 * g + f2) / g, f1 + f2 * g.inverse())
+        for got in routes:
+            assert _stored_form(got) == want_form, case
+            assert got.render() == _euclid_render(*want), case
+            assert got == routes[0] and hash(got) == hash(routes[0]), case
+            assert (got._res != (1,)) == planted, case
+        q = RatFunc(n1, d)
+        assert (q.num, q.den) == _euclid_form(n1, d), case
+        assert q * q.inverse() == 1 and (q - q) == 0
+
+
+def test_carried_factor_roots_are_poles():
+    with pytest.raises(PoleAtPoint):
+        (1 / (p - 1)).specialize(1)
+    with pytest.raises(PoleAtPoint):
+        (p / (p + 1) ** 2).specialize(-1)
+    with pytest.raises(PoleAtPoint):
+        ((p + 1) * p**-2).specialize(0)
+    with pytest.raises(PoleAtPoint):
+        (1 / (PLANTED.coeffs[0] - p)).specialize(2)
+    assert (1 / (p**2 + p + 1)).specialize(1) == Fraction(1, 3)
+
+
+def test_degenerate_operations_fail_loudly():
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        RatFunc(0).inverse()
+    with pytest.raises(ZeroDivisionError):
+        p / 0
+    with pytest.raises(ZeroDenominator):
+        RatFunc(Poly((0, 1)), Poly())
+    with pytest.raises(ZeroToNegativePower):
+        power(0, -1)
+    with pytest.raises(ZeroToNegativePower):
+        power(RatFunc(0), -3)

@@ -30,6 +30,14 @@ def _t_pairing_off_by_one(self, r, m, s, n):
     return out + 1 if self.kind == "T" and (m, n) == (2, -2) else out
 
 
+def _t_pairing_off_by_one_both_orders(self, r, m, s, n):
+    """{T_2, T_-2} off by one in both orders: the mode action stays
+    self-consistent, so only a pairing stated apart from ``CarSpec`` sees
+    that it changed."""
+    out = _pairing(self, r, m, s, n)
+    return out + 1 if self.kind == "T" and (m, n) in ((2, -2), (-2, 2)) else out
+
+
 def _e_pairing_tripled(self, r, m, s, n):
     """The E pairing tripled at the neighbor pair (0, 1)."""
     out = _pairing(self, r, m, s, n)
@@ -53,6 +61,22 @@ ROWS = {
             "realized-field-relations": "fail",
             "residue-formula-agreement": "fail",
             # its trials stop at the first disagreement, too few to decide
+            "residue-top-mode": "undetermined",
+            "tfock-relations": "fail",
+            "trig-locality": "fail",
+        },
+    ),
+    "t-pairing-off-by-one-both-orders": (
+        CarSpec,
+        "pairing",
+        _t_pairing_off_by_one_both_orders,
+        {
+            "anticommutator-delta-kernel": "fail",
+            "car-anticommutators": "fail",
+            "defect-factorization": "fail",
+            "mode-extracted-pairing": "fail",
+            "realized-field-relations": "fail",
+            "residue-formula-agreement": "fail",
             "residue-top-mode": "undetermined",
             "tfock-relations": "fail",
             "trig-locality": "fail",
