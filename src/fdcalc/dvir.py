@@ -355,7 +355,7 @@ def theorem58_suite(
             v = FieldOperator(module, "T", fld.p_power(s))
             p_wit = standard_annihilator(params, r, s, with_extra=True)
             for w in basis:
-                ye = ye_product(u, v, p_wit, zorder, w, hi + 2, hi + 2, margin=margin, xvar="x2")
+                ye = ye_product(u, v, p_wit, zorder, w, hi + 2, hi + 2, margin=margin)
                 if ye.zero_order != 1:
                     yield r, s, "zero order", ye.zero_order
                 expected = TruncatedSeries(
@@ -415,7 +415,7 @@ def theorem59_suite(
             two_roots = FactoredRational(fld.one(), 0, ((p, 1), (fld.p_power(-1), 1)))
             F = laurent_annihilator(two_roots, "x1", "x2") * prod
             F = F.scaled(p).shifted(x2=2)  # (x1 - p x2)(p x1 - x2) = p x2^2 (y-p)(y-1/p)
-            F = _certified_floor(F, "x2", margin)
+            F = _certified_floor(F, margin)
             A = divide_linear(F.untagged(), "x1", "x2", fld.one(), hi2_cap=cap)
             lin = TruncatedSeries.exact(("x1", "x2"), {(1, 0): fld.one(), (0, 1): -fld.one()})
             ok, ce = (lin * A).eq_on_common(F)

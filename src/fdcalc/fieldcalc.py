@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import factorial
 
 from .distributions import DeltaSum, DeltaTerm, delta_fit, laurent_annihilator
@@ -107,9 +106,6 @@ class CompatVerdict:
     box: dict
     witness: object = None
 
-    def __bool__(self):
-        return self.status == "compatible"
-
 
 def product_on_window(
     outer: FieldOperator,
@@ -165,8 +161,8 @@ def _unscaled_cells(outer: FieldOperator, inner: FieldOperator, w: FockVector,
     return cells, ifloor
 
 
-def quadrant_verdict(F: TruncatedSeries, v1: str, v2: str, margin: int = 2) -> CompatVerdict:
-    """Certify joint lower truncation of F on its box.
+def quadrant_verdict(F: TruncatedSeries, margin: int = 2) -> CompatVerdict:
+    """Certify joint lower truncation of F(x1, x2) on its box.
 
     The support minimum in each variable must be unchanged when the other
     variable's ceiling is lowered by ``margin``; a minimum that chases the
@@ -175,8 +171,8 @@ def quadrant_verdict(F: TruncatedSeries, v1: str, v2: str, margin: int = 2) -> C
     box = {v: F.win(v) for v in F.vars}
     if not F.coeffs:
         return CompatVerdict("compatible", None, box)
-    i1, i2 = F.vars.index(v1), F.vars.index(v2)
-    hi1, hi2 = F.win(v1)[1], F.win(v2)[1]
+    i1, i2 = F.vars.index("x1"), F.vars.index("x2")
+    hi1, hi2 = F.win("x1")[1], F.win("x2")[1]
     i0 = min(e[i1] for e in F.coeffs)
     j0 = min(e[i2] for e in F.coeffs)
     shrunk1 = [e[i1] for e in F.coeffs if e[i2] <= hi2 - margin]
@@ -207,7 +203,7 @@ def compat_check(
         raise ValueError("annihilator must be a polynomial in the ratio")
     prod = product_on_window(a, "x1", b, "x2", w, hi1, hi2)
     F = laurent_annihilator(p, "x1", "x2") * prod
-    return quadrant_verdict(F, "x1", "x2", margin)
+    return quadrant_verdict(F, margin)
 
 
 def locality_check(L: LocalityDatum, w: FockVector, hi1: int, hi2: int):
@@ -223,7 +219,7 @@ def locality_check(L: LocalityDatum, w: FockVector, hi1: int, hi2: int):
 class YeModes:
     """Mode data of the exponential-substitution product on a fixed vector.
 
-    ``modes[n]`` is the one-variable series (a(x)_n^e b(x)) w; modes with
+    ``modes[n]`` is the one-variable series (a(x2)_n^e b(x2)) w; modes with
     n >= zero_order are certified zero, modes below ``n_min`` are outside the
     computed z-order.
     """
@@ -231,7 +227,6 @@ class YeModes:
     modes: dict
     zero_order: int
     n_min: int
-    var: str
 
     def mode(self, n: int) -> TruncatedSeries | None:
         if n in self.modes:
@@ -240,58 +235,60 @@ class YeModes:
             return None  # certified zero: callers treat None as zero
         raise InsufficientWindow(f"mode {n} below the computed z-order")
 
-    def generating(self) -> TruncatedSeries | None:
-        acc = None
+    def generating(self) -> TruncatedSeries:
+        acc = TruncatedSeries.exact(("x2", "z"), {})
         for n, s in self.modes.items():
-            t = s.shifted(z=-n - 1)
-            acc = t if acc is None else acc + t
+            acc = acc + s.shifted(z=-n - 1)
         return acc
 
 
-def _certified_floor(F: TruncatedSeries, xvar: str, margin: int) -> TruncatedSeries:
-    """F = p(x1/x) P with its certified quadrant corner asserted as a support
+def _certified_floor(F: TruncatedSeries, margin: int) -> TruncatedSeries:
+    """F = p(x1/x2) P with its certified quadrant corner asserted as a support
     floor; raises CompatibilityError unless the verdict on the box is positive."""
-    verdict = quadrant_verdict(F, "x1", xvar, margin)
+    verdict = quadrant_verdict(F, margin)
     if verdict.status != "compatible":
         raise CompatibilityError(f"{verdict.status} on box {verdict.box}: {verdict.witness}")
     if verdict.bound is not None:
-        F = F.assert_support_floor({"x1": verdict.bound[0], xvar: verdict.bound[1]})
+        F = F.assert_support_floor({"x1": verdict.bound[0], "x2": verdict.bound[1]})
     return F
 
 
-def _z_modes(G: TruncatedSeries, p: FactoredRational, zorder: int, xvar: str) -> YeModes:
-    """Divide a (z, x) series by p(e^z) = z^k * unit and slice it into the
+def _annihilated(prod: TruncatedSeries, p: FactoredRational, margin: int) -> TruncatedSeries:
+    """p(x1/x2) P for a two-field product P, certified by :func:`_certified_floor`."""
+    return _certified_floor(laurent_annihilator(p, "x1", "x2") * prod, margin).untagged()
+
+
+def _z_modes(G: TruncatedSeries, q: FactoredRational, zorder: int) -> YeModes:
+    """Divide an (x2, z) series by q(e^z) = z^k * unit and slice it into the
     modes n_min..k-1, mode n being the coefficient of z^(-n-1)."""
-    k, unit = p.exp_arg_dict(zorder)
+    k, unit = q.exp_arg_dict(zorder)
     inv = invert_unit_1v(unit, zorder)
     inv_series = TruncatedSeries(
         ("z",), {(e,): c for e, c in inv.items()}, {"z": (NEG_INF, zorder)}, {"z": (0, INF)}
     )
     H = (G * inv_series).shifted(z=-k)
-    zi = H.vars.index("z")
-    xi = H.vars.index(xvar)
     slices: dict = {}
-    for e, c in H.coeffs.items():
-        slices.setdefault(-e[zi] - 1, {})[(e[xi],)] = c
+    for (x, z), c in H.coeffs.items():
+        slices.setdefault(-z - 1, {})[(x,)] = c
     n_min = int(-H.win("z")[1] - 1)
     modes = {
-        n: TruncatedSeries((xvar,), slices.get(n, {}), {xvar: H.win(xvar)}, {xvar: H.sup(xvar)})
+        n: TruncatedSeries(("x2",), slices.get(n, {}), {"x2": H.win("x2")}, {"x2": H.sup("x2")})
         for n in range(n_min, k)
     }
-    return YeModes(modes, k, n_min, xvar)
+    return YeModes(modes, k, n_min)
 
 
-def ye_from_product(
-    prod: TruncatedSeries,
-    p: FactoredRational,
-    zorder: int,
-    margin: int = 2,
-    xvar: str = "x",
-) -> YeModes:
-    """Mode split of p(e^z)^(-1) (p(x1/x) P)|_{x1 = x e^z} for a precomputed
+def _substituted_modes(F: TruncatedSeries, q: FactoredRational, zorder: int, scale=1) -> YeModes:
+    """Modes of q(e^z)^(-1) F|_{x1 = scale x2 e^z} for a certified product F;
+    q(y) = p(scale y) when F = p(x1/x2) P."""
+    return _z_modes(subst_exp(F, "x1", "x2", "z", zorder, scale=scale), q, zorder)
+
+
+def ye_from_product(prod: TruncatedSeries, p: FactoredRational, zorder: int,
+                    margin: int = 2) -> YeModes:
+    """Mode split of p(e^z)^(-1) (p(x1/x2) P)|_{x1 = x2 e^z} for a precomputed
     two-field product P on its box."""
-    F = _certified_floor(laurent_annihilator(p, "x1", xvar) * prod, xvar, margin)
-    return _z_modes(subst_exp(F.untagged(), "x1", xvar, "z", zorder), p, zorder, xvar)
+    return _substituted_modes(_annihilated(prod, p, margin), p, zorder)
 
 
 def ye_product(
@@ -303,21 +300,20 @@ def ye_product(
     hi1: int,
     hi2: int,
     margin: int = 2,
-    xvar: str = "x",
 ) -> YeModes:
-    """p(e^z)^(-1) (p(x1/x) a(x1) b(x)) at x1 = x e^z, split into z-modes.
+    """p(e^z)^(-1) (p(x1/x2) a(x1) b(x2)) at x1 = x2 e^z, split into z-modes.
 
     Requires the compatibility verdict on the box; the certified quadrant
     corner is asserted as a structural floor before the diagonal-mixing
     substitution.
     """
-    prod = product_on_window(a, "x1", b, xvar, w, hi1, hi2)
-    return ye_from_product(prod, p, zorder, margin, xvar)
+    prod = product_on_window(a, "x1", b, "x2", w, hi1, hi2)
+    return ye_from_product(prod, p, zorder, margin)
 
 
-def _residue_series(cells, xvar: str, zorder: int, e_hi) -> TruncatedSeries:
-    """Sum of c * x^e * e^(g z) over the (e, g, c) in ``cells``, to
-    z-order ``zorder``, as an (x, z) series certified for x-exponents <= e_hi.
+def _residue_series(cells, zorder: int, e_hi) -> TruncatedSeries:
+    """Sum of c * x2^e * e^(g z) over the (e, g, c) in ``cells``, to
+    z-order ``zorder``, as an (x2, z) series certified for x2-exponents <= e_hi.
 
     The weights e^(g z) are made once per g, and each output cell is summed
     once by ``_dot``.
@@ -329,64 +325,65 @@ def _residue_series(cells, xvar: str, zorder: int, e_hi) -> TruncatedSeries:
         if ez is None:
             ez = exps[g] = exp_z_dict(g, zorder)
         for t, wgt in ez.items():
-            groups.setdefault((e, t) if xvar < "z" else (t, e), []).append((wgt, c))
+            groups.setdefault((e, t), []).append((wgt, c))
     return TruncatedSeries(
-        tuple(sorted((xvar, "z"))),
+        ("x2", "z"),
         {key: _dot(pairs) for key, pairs in groups.items()},
-        {xvar: (NEG_INF, e_hi), "z": (NEG_INF, zorder)},
-        {xvar: (NEG_INF, INF), "z": (0, INF)},
+        {"x2": (NEG_INF, e_hi), "z": (NEG_INF, zorder)},
+        {"x2": (NEG_INF, INF), "z": (0, INF)},
     )
 
 
-def _residue_plus(F: TruncatedSeries, v1: str, xvar: str, zorder: int) -> TruncatedSeries:
-    """Res_{v1} (x e^z - side kernel) applied to F: sum_{i>=0} (x e^z)^i F[v1=i]."""
-    i1 = F.vars.index(v1)
-    ix = F.vars.index(xvar)
-    hi1 = F.win(v1)[1]
-    hi2 = F.win(xvar)[1]
-    slo2 = F.sup(xvar)[0]
-    e_hi = min((hi1 + slo2) if (hi1 != INF and slo2 != NEG_INF) else INF, hi2)
+def _residue_plus(F: TruncatedSeries, zorder: int) -> TruncatedSeries:
+    """Res_{x1} (x2 e^z - side kernel) applied to F: sum_{i>=0} (x2 e^z)^i F[x1=i].
+
+    Above a finite x1 ceiling the cells (i, e - i) are known only below the
+    certified x2 floor, so without that floor no x2 exponent is certified."""
+    i1, i2 = F.vars.index("x1"), F.vars.index("x2")
+    hi1, hi2 = F.win("x1")[1], F.win("x2")[1]
+    slo2 = F.sup("x2")[0]
+    if hi1 != INF and slo2 == NEG_INF:
+        raise InsufficientWindow(
+            f"plus-kernel residue needs a certified x2 floor, window {F.window_str()}"
+        )
+    e_hi = hi2 if hi1 == INF else min(hi1 + slo2, hi2)
     cells = (
-        (e[i1] + e[ix], e[i1], c)
+        (e[i1] + e[i2], e[i1], c)
         for e, c in F.coeffs.items()
-        if e[i1] >= 0 and e[i1] + e[ix] <= e_hi
+        if e[i1] >= 0 and e[i1] + e[i2] <= e_hi
     )
-    return _residue_series(cells, xvar, zorder, e_hi)
+    return _residue_series(cells, zorder, e_hi)
 
 
-def _residue_minus_twisted(
-    rev: TruncatedSeries, qd: dict, v1: str, xvar: str, zorder: int
-) -> TruncatedSeries:
-    """Res_{v1} of the opposite kernel against a twisted reversed product.
+def _residue_minus_twisted(rev: TruncatedSeries, qd: dict, zorder: int) -> TruncatedSeries:
+    """Res_{x1} of the opposite kernel against a twisted reversed product.
 
-    Computes -sum_{i>=0} (x e^z)^(-1-i) [q(v1/x) rev](v1-coeff i), where ``qd``
+    Computes -sum_{i>=0} (x2 e^z)^(-1-i) [q(x1/x2) rev](x1-coeff i), where ``qd``
     holds the ascending coefficients of q; the convolution over the twist is
     fused so only the finitely many cells above the reversed product's
-    structural v1-floor are touched.
+    structural x1-floor are touched.
     """
-    i1 = rev.vars.index(v1)
-    ix = rev.vars.index(xvar)
-    slo1 = rev.sup(v1)[0]
+    i1, i2 = rev.vars.index("x1"), rev.vars.index("x2")
+    slo1 = rev.sup("x1")[0]
     if slo1 == NEG_INF:
         raise InsufficientWindow(
-            f"opposite-kernel residue needs a certified {v1} floor, window {rev.window_str()}"
+            f"opposite-kernel residue needs a certified x1 floor, window {rev.window_str()}"
         )
-    hi1 = rev.win(v1)[1]
-    hi2 = rev.win(xvar)[1]
+    hi1, hi2 = rev.win("x1")[1], rev.win("x2")[1]
     need = -1 - min(qd, default=0)
     if hi1 < need:
-        raise InsufficientWindow(f"reversed-product {v1} ceiling {hi1} too low for the twist, which needs {need}")
+        raise InsufficientWindow(f"reversed-product x1 ceiling {hi1} too low for the twist, which needs {need}")
     e_hi = hi2 + slo1
-    # the residue against the antidiagonal kernel puts cell (c1, c2) at x^(c1+c2);
-    # the twisted cell's v1-exponent c1 + tq pairs with the kernel at -1-i
+    # the residue against the antidiagonal kernel puts cell (c1, c2) at x2^(c1+c2);
+    # the twisted cell's x1-exponent c1 + tq pairs with the kernel at -1-i
     cells = (
-        (e[i1] + e[ix], e[i1] + tq, (-qc) * c)
+        (e[i1] + e[i2], e[i1] + tq, (-qc) * c)
         for e, c in rev.coeffs.items()
-        if e[i1] + e[ix] <= e_hi
+        if e[i1] + e[i2] <= e_hi
         for tq, qc in qd.items()
         if e[i1] + tq <= -1
     )
-    return _residue_series(cells, xvar, zorder, e_hi)
+    return _residue_series(cells, zorder, e_hi)
 
 
 def residue_ye(
@@ -395,11 +392,10 @@ def residue_ye(
     w: FockVector,
     hi1: int,
     hi2: int,
-    xvar: str = "x",
 ) -> tuple[YeModes, TruncatedSeries]:
     """Mode data via the residue formula, plus the top-mode residue series.
 
-    The bracket Res_{x1} of the two kernels against p(x1/x) a(x1) b(x) w and
+    The bracket Res_{x1} of the two kernels against p(x1/x2) a(x1) b(x2) w and
     the twisted reversed products is built once; the modes are its division
     by p(e^z), and ``top``, its z^0 slice (the z-free residue evaluation),
     equals (1/k!) p^(k)(1) (a_{k-1}^e b) w when p has a zero of order k at 1.
@@ -407,24 +403,17 @@ def residue_ye(
     p = L.annihilator
     if not L.partners:
         raise ValueError("locality datum has no partners")
-    prod = product_on_window(L.a, "x1", L.b, xvar, w, hi1, hi2)
-    F = laurent_annihilator(p, "x1", xvar) * prod
-    bracket = _residue_plus(F.untagged(), "x1", xvar, zorder)
+    prod = product_on_window(L.a, "x1", L.b, "x2", w, hi1, hi2)
+    bracket = _residue_plus((laurent_annihilator(p, "x1", "x2") * prod).untagged(), zorder)
     for b_i, a_i, f_i in L.partners:
-        rev = product_on_window(b_i, xvar, a_i, "x1", w, hi2, hi1)
-        q = p * f_i.reciprocal_arg()  # q(y) = p(y) f_i(1/y), y = x1/x
-        s = -1 - int(rev.sup("x1")[0])  # kernel indices pair v1-exps <= -1
+        rev = product_on_window(b_i, "x2", a_i, "x1", w, hi2, hi1)
+        q = p * f_i.reciprocal_arg()  # q(y) = p(y) f_i(1/y), y = x1/x2
+        s = -1 - int(rev.sup("x1")[0])  # kernel indices pair x1-exps <= -1
         qd = q.ratio_coeffs_ascending(max(s, q.mexp))
-        bracket = bracket - _residue_minus_twisted(rev, qd, "x1", xvar, zorder)
-    modes = _z_modes(bracket, p, zorder, xvar)
-    zi, xi = bracket.vars.index("z"), bracket.vars.index(xvar)
-    top = TruncatedSeries(
-        (xvar,),
-        {(e[xi],): c for e, c in bracket.coeffs.items() if e[zi] == 0},
-        {xvar: bracket.win(xvar)},
-        {xvar: (NEG_INF, INF)},
-    )
-    return modes, top
+        bracket = bracket - _residue_minus_twisted(rev, qd, zorder)
+    top = {(x,): c for (x, z), c in bracket.coeffs.items() if z == 0}
+    top = TruncatedSeries(("x2",), top, {"x2": bracket.win("x2")}, {"x2": (NEG_INF, INF)})
+    return _z_modes(bracket, p, zorder), top
 
 
 def _mode_agree(s1: TruncatedSeries | None, s2: TruncatedSeries | None):
@@ -461,18 +450,17 @@ def defect_series(
     (descending in x1/x2) instead of the locality-definition one (descending
     in x2/x1); the two coincide for constant twists.
     """
-    v1, v2 = "x1", "x2"
     if direct is None:
-        direct = product_on_window(L.a, v1, L.b, v2, w, hi1, hi2)
+        direct = product_on_window(L.a, "x1", L.b, "x2", w, hi1, hi2)
     out = direct.untagged()
     for b_i, a_i, f_i in L.partners:
-        rev = product_on_window(b_i, v2, a_i, v1, w, hi2, hi1)
+        rev = product_on_window(b_i, "x2", a_i, "x1", w, hi2, hi1)
         if f_i.factors or f_i.mexp:
-            limits = {v1: (NEG_INF, hi1), v2: (NEG_INF, hi2)}
+            limits = {"x1": (NEG_INF, hi1), "x2": (NEG_INF, hi2)}
             if thm_region:
-                tw = f_i.reciprocal_arg().ratio_series(v1, v2, (v1, v2), limits)
+                tw = f_i.reciprocal_arg().ratio_series("x1", "x2", ("x1", "x2"), limits)
             else:
-                tw = f_i.ratio_series(v2, v1, (v2, v1), limits)
+                tw = f_i.ratio_series("x2", "x1", ("x2", "x1"), limits)
             out = out - (tw.untagged() * rev).untagged()
         else:
             out = out.add_scaled(rev, -f_i.const)
@@ -498,14 +486,10 @@ def scaled_mode_extract(
     jmax = max((m for _, m in L.annihilator.factors), default=1) - 1
     D = defect_series(L, w, hi1, hi2).restricted(box)
     terms = delta_fit(D, list(lambdas), jmax, "x1", "x2")
-    fitted = {}
-    for t in terms:
-        fitted[(repr(t.lam), t.j)] = t
+    fitted = {(repr(t.lam), t.j): t for t in terms}
     agreements = {}
     for lam in lambdas:
-        ye = ye_product(
-            L.a.scaled(lam), L.b, L.annihilator.scale_arg(lam), zorder, w, hi1, hi2, xvar="x2"
-        )
+        ye = ye_product(L.a.scaled(lam), L.b, L.annihilator.scale_arg(lam), zorder, w, hi1, hi2)
         for j in range(0, jmax + 1):
             t = fitted.get((repr(lam), j))
             expected = t.coeff.scaled(factorial(j)) if t is not None else None
@@ -528,7 +512,7 @@ def _commutator_kernels(
     z-order k - 1.  ``zorder`` caps that z-order.
     """
     p = L.annihilator
-    F0 = _certified_floor(laurent_annihilator(p, "x1", "x2") * base, "x2", margin)
+    F0 = _annihilated(base, p, margin)
     kernels = []
     for n in C.shifts():
         chi = C.chi(n)
@@ -539,8 +523,7 @@ def _commutator_kernels(
             raise InsufficientWindow(
                 f"shift {n}: a zero of order {k} needs z-order {k - 1}, above the cap {zorder}"
             )
-        G = subst_exp(F0.untagged(), "x1", "x2", "z", k - 1, scale=chi)
-        ye = _z_modes(G, p.scale_arg(chi), k - 1, "x2")
+        ye = _substituted_modes(F0, p.scale_arg(chi), k - 1, chi)
         terms = [
             DeltaTerm(chi, j, ye.modes[j].scaled(Fraction(1, factorial(j))))
             for j in range(k)
@@ -596,18 +579,14 @@ def assoc_check(
     with different valid annihilators makes this a well-definedness check and
     not a tautology.
     """
-    inner = ye_product(u, v, p_inner, zorder, w, hi1, hi2, margin=margin, xvar="x2")
-    gen = inner.generating()
-    if gen is None:
-        gen = TruncatedSeries.exact(("x2", "z"), {})
+    inner = ye_product(u, v, p_inner, zorder, w, hi1, hi2, margin=margin)
     k, unit = p_outer.exp_arg_dict(zorder)
     pe = TruncatedSeries(
         ("z",), {(e + k,): c for e, c in unit.items()}, {"z": (NEG_INF, zorder + k)}, {"z": (k, INF)}
     )
-    lhs = pe * gen
+    lhs = pe * inner.generating()
     prod = product_on_window(u, "x1", v, "x2", w, hi1, hi2)
-    F = _certified_floor(laurent_annihilator(p_outer, "x1", "x2") * prod, "x2", margin)
-    rhs = subst_exp(F.untagged(), "x1", "x2", "z", zorder)
+    rhs = subst_exp(_annihilated(prod, p_outer, margin), "x1", "x2", "z", zorder)
     return lhs.eq_on_common(rhs)
 
 
@@ -625,19 +604,3 @@ def covariance_check(
             return False, (w, ce)
     return True, None
 
-
-def find_annihilator(a: FieldOperator, b: FieldOperator, vectors, roots, hi1: int, hi2: int):
-    """Smallest product of (y - root)^k over the given candidate roots, of
-    degree at most 4 with every k <= 2, whose compatibility verdict is
-    positive on every vector."""
-    for deg in range(0, 5):
-        for combo in combinations_with_replacement(range(len(roots)), deg):
-            counts = {}
-            for i in combo:
-                counts[i] = counts.get(i, 0) + 1
-            if any(c > 2 for c in counts.values()):
-                continue
-            p = FactoredRational(Fraction(1), 0, tuple((roots[i], m) for i, m in counts.items()))
-            if all(compat_check(a, b, p, w, hi1, hi2) for w in vectors):
-                return p
-    return None

@@ -34,6 +34,7 @@ from .fieldcalc import (
     FieldOperator,
     LocalityDatum,
     commutator_formula_check,
+    defect_series,
     modes_agree,
     residue_ye,
     ye_product,
@@ -549,8 +550,8 @@ def check_mode_product_well_defined(cfg: SuiteConfig):
         p1 = dv.standard_annihilator(params, r, s, with_extra=False)
         mu = fld.coerce(extra_roots[trial % len(extra_roots)])
         p2 = p1 * FactoredRational(fld.one(), 0, ((mu, 1),))
-        y1 = ye_product(a, b, p1, cfg.zorder, w, hi, hi, cfg.margin, xvar="x2")
-        y2 = ye_product(a, b, p2, cfg.zorder, w, hi + 1, hi + 1, cfg.margin, xvar="x2")
+        y1 = ye_product(a, b, p1, cfg.zorder, w, hi, hi, cfg.margin)
+        y2 = ye_product(a, b, p2, cfg.zorder, w, hi + 1, hi + 1, cfg.margin)
         ok, det = modes_agree(y1, y2)
         if not ok:
             yield _ce(note=f"trial {trial} (r,s)=({r},{s}) mode {det[0]}")
@@ -572,8 +573,8 @@ def check_residue_agreement(cfg: SuiteConfig) -> list:
         a counterexample or None; both verdicts read this one computation."""
         r, s, w = draws[t]
         L = dv.neighbor_locality(params, module, r, s)
-        y1 = ye_product(L.a, L.b, L.annihilator, cfg.zorder, w, hi, hi, cfg.margin, xvar="x2")
-        y2, top = residue_ye(L, cfg.zorder, w, hi, hi, xvar="x2")
+        y1 = ye_product(L.a, L.b, L.annihilator, cfg.zorder, w, hi, hi, cfg.margin)
+        y2, top = residue_ye(L, cfg.zorder, w, hi, hi)
         ok, det = modes_agree(y1, y2)
         if not ok:
             return _ce(note=f"trial {t} (r,s)=({r},{s}) mode {det[0]}"), None
@@ -643,7 +644,9 @@ def check_commutator_matrix(cfg: SuiteConfig):
 )
 def check_adjoint_module_kernels(cfg: SuiteConfig):
     """Neighbor pairs on the loop-Clifford vacuum module produce the single
-    unscaled delta kernel; non-neighbor pairs give zero defect and empty sum."""
+    unscaled delta kernel; non-neighbor pairs give zero defect and empty sum.
+    A neighbor pair's defect is 2 ell x1^-1 delta(x2/x1) w with ell = 1, stated
+    here apart from ``CarSpec.pairing``, which the action reads."""
     fld = cfg.scalar_field()
     E = FockModule(e_spec(fld, ell=1, flavor_lo=cfg.flavor_lo, flavor_hi=cfg.flavor_hi))
     one = fld.one()
@@ -669,6 +672,12 @@ def check_adjoint_module_kernels(cfg: SuiteConfig):
                 neighbor = abs(r - s) == 1
                 if bool(contrib) != neighbor:
                     yield _ce(note=f"(r,s)=({r},{s}): contributions {contrib}")
+                if neighbor:
+                    kernel = TruncatedSeries.exact(("x2",), {(-1,): 2 * w})
+                    want = DeltaSum([DeltaTerm(one, 0, kernel)]).expand("x1", "x2", box)
+                    ok, ce = defect_series(L, w, hi, hi).restricted(box).eq_on_common(want)
+                    if not ok:
+                        yield _ce(ce[0], None, f"(r,s)=({r},{s}): defect against 2 ell")
 
 
 def check_theorem59(cfg: SuiteConfig) -> list:

@@ -18,7 +18,6 @@ from fdcalc.fieldcalc import (
     _commutator_kernels,
     covariance_check,
     defect_series,
-    find_annihilator,
     laurent_annihilator,
     locality_check,
     modes_agree,
@@ -137,7 +136,7 @@ def test_locality_corrupted_partner_fails(tmod):
 
 def test_ye_top_modes_neighbor(tmod):
     vac = tmod.vacuum()
-    ye = ye_product(tfield(tmod, 1), tfield(tmod, 0), witness_p(Q2, 1, 0), 6, vac, 8, 8, xvar="x2")
+    ye = ye_product(tfield(tmod, 1), tfield(tmod, 0), witness_p(Q2, 1, 0), 6, vac, 8, 8)
     assert ye.zero_order == 1
     m0 = ye.mode(0)
     assert m0.get(x2=0) == 2 * vac
@@ -147,7 +146,7 @@ def test_ye_top_modes_neighbor(tmod):
 
 def test_ye_same_flavor_modes_vanish(tmod):
     vac = tmod.vacuum()
-    ye = ye_product(tfield(tmod, 1), tfield(tmod, 1), minimal_p(Q2, 1, 1), 6, vac, 8, 8, xvar="x2")
+    ye = ye_product(tfield(tmod, 1), tfield(tmod, 1), minimal_p(Q2, 1, 1), 6, vac, 8, 8)
     assert ye.zero_order == 0  # p(1) != 0: no nonnegative modes at all
     assert ye.mode(-1).is_zero_series()  # e_(r) paired with itself kills mode -1
     assert not ye.mode(-2).is_zero_series()
@@ -161,8 +160,8 @@ def test_ye_annihilator_independence(tmod):
         w = rng.choice(basis)
         p1 = minimal_p(Q2, r, s)
         p2 = p1 * FactoredRational(F(1), 0, ((F(rng.choice([3, 5, 7])), 1),))
-        y1 = ye_product(tfield(tmod, r), tfield(tmod, s), p1, 5, w, 8, 8, xvar="x2")
-        y2 = ye_product(tfield(tmod, r), tfield(tmod, s), p2, 5, w, 9, 9, xvar="x2")
+        y1 = ye_product(tfield(tmod, r), tfield(tmod, s), p1, 5, w, 8, 8)
+        y2 = ye_product(tfield(tmod, r), tfield(tmod, s), p2, 5, w, 9, 9)
         ok, det = modes_agree(y1, y2)
         assert ok, (trial, r, s, det)
 
@@ -177,9 +176,9 @@ def test_ye_rescaling_naturality(tmod):
     lam = F(2)
     p1 = minimal_p(Q2, 1, 0)
     for w in tmod.basis(2):
-        y = ye_product(tfield(tmod, 1), tfield(tmod, 0), p1, 5, w, 8, 8, xvar="x2")
+        y = ye_product(tfield(tmod, 1), tfield(tmod, 0), p1, 5, w, 8, 8)
         ys = ye_product(
-            tfield(tmod, 1).scaled(lam), tfield(tmod, 0).scaled(lam), p1, 5, w, 8, 8, xvar="x2"
+            tfield(tmod, 1).scaled(lam), tfield(tmod, 0).scaled(lam), p1, 5, w, 8, 8
         )
         for n in set(y.modes) & set(ys.modes):
             ok, ce = ys.modes[n].eq_on_common(var_scaled(y.modes[n], "x2", lam))
@@ -193,8 +192,8 @@ def test_residue_matches_ye_and_top_mode(tmod):
         r, s = rng.randint(-1, 2), rng.randint(-1, 2)
         w = rng.choice(basis)
         L = neighbor_locality(tmod, r, s)
-        y1 = ye_product(L.a, L.b, L.annihilator, 5, w, 8, 8, xvar="x2")
-        y2, top = residue_ye(L, 5, w, 8, 8, xvar="x2")
+        y1 = ye_product(L.a, L.b, L.annihilator, 5, w, 8, 8)
+        y2, top = residue_ye(L, 5, w, 8, 8)
         ok, det = modes_agree(y1, y2)
         assert ok, (trial, r, s, det)
         k = y1.zero_order
@@ -207,24 +206,34 @@ def test_residue_matches_ye_and_top_mode(tmod):
             assert ok, (trial, r, s, ce)
 
 
-def _top_reference(L, w, hi1, hi2, xvar):
+def _top_reference(L, w, hi1, hi2):
     """The top-mode series as residue_ye computed it before it read the z^0
     slice of its bracket: both kernels rerun at z-order 0."""
     p = L.annihilator
-    prod = product_on_window(L.a, "x1", L.b, xvar, w, hi1, hi2)
-    top = fieldcalc._residue_plus(
-        (laurent_annihilator(p, "x1", xvar) * prod).untagged(), "x1", xvar, 0
-    )
+    prod = product_on_window(L.a, "x1", L.b, "x2", w, hi1, hi2)
+    top = fieldcalc._residue_plus((laurent_annihilator(p, "x1", "x2") * prod).untagged(), 0)
     for b_i, a_i, f_i in L.partners:
-        rev = product_on_window(b_i, xvar, a_i, "x1", w, hi2, hi1)
+        rev = product_on_window(b_i, "x2", a_i, "x1", w, hi2, hi1)
         q = p * f_i.reciprocal_arg()
         qd = q.ratio_coeffs_ascending(max(-1 - int(rev.sup("x1")[0]), q.mexp))
-        top = top - fieldcalc._residue_minus_twisted(rev, qd, "x1", xvar, 0)
-    xi = top.vars.index(xvar)
+        top = top - fieldcalc._residue_minus_twisted(rev, qd, 0)
+    xi = top.vars.index("x2")
     return TruncatedSeries(
-        (xvar,), {(e[xi],): c for e, c in top.coeffs.items()}, {xvar: top.win(xvar)},
-        {xvar: (NEG_INF, INF)},
+        ("x2",), {(e[xi],): c for e, c in top.coeffs.items()}, {"x2": top.win("x2")},
+        {"x2": (NEG_INF, INF)},
     )
+
+
+def test_residue_plus_needs_a_certified_x2_floor_below_a_finite_x1_ceiling():
+    # the x2^e cell of the residue sums F over the cells (i, e - i), i >= 0; those
+    # with i above the x1 ceiling 2 are unknown unless an x2 floor zeroes them
+    cells = {(0, 0): F(1), (1, -1): F(1)}
+    window = {"x1": (NEG_INF, 2), "x2": (NEG_INF, 5)}
+    unfloored = TruncatedSeries(("x1", "x2"), cells, window, {"x1": (NEG_INF, INF), "x2": (NEG_INF, INF)})
+    with pytest.raises(InsufficientWindow, match="certified x2 floor"):
+        fieldcalc._residue_plus(unfloored, 3)
+    floored = TruncatedSeries(("x1", "x2"), cells, window, {"x1": (NEG_INF, INF), "x2": (-1, INF)})
+    assert fieldcalc._residue_plus(floored, 3).win("x2") == (NEG_INF, 1)
 
 
 @pytest.mark.parametrize("fld", [Q2, ScalarField.rationals(F(3)), QP], ids=["p=2", "p=3", "Q(p)"])
@@ -251,10 +260,10 @@ def test_residue_ye_runs_each_kernel_once_and_top_is_the_z0_slice(fld, monkeypat
     for L in data:
         for w in module.basis(2):
             calls.clear()
-            _, top = residue_ye(L, 4, w, 7, 7, xvar="x2")
+            _, top = residue_ye(L, 4, w, 7, 7)
             n = len(L.partners)
             assert calls == ["_residue_plus"] + ["_residue_minus_twisted"] * n
-            want = _top_reference(L, w, 7, 7, "x2")
+            want = _top_reference(L, w, 7, 7)
             assert (top.vars, top.coeffs, top.window, top.support) == (
                 want.vars, want.coeffs, want.window, want.support
             ), (w, n)
@@ -378,7 +387,7 @@ def test_commutator_kernels_match_reference_modes(tmod):
                 for n in C.shifts():
                     chi = C.chi(n)
                     ref = ye_from_product(
-                        var_scaled(base, "x1", chi), p.scale_arg(chi), 6, 2, xvar="x2"
+                        var_scaled(base, "x1", chi), p.scale_arg(chi), 6, 2
                     )
                     want = {
                         j: ref.mode(j).scaled(Fraction(1, math.factorial(j)))
@@ -401,9 +410,9 @@ def test_ye_lowest_mode_certified_at_small_zorder(tmod):
     chi = fld.p_power(1)
     base = product_on_window(tfield(tmod, 0), "x1", tfield(tmod, 0), "x2", tmod.basis(2)[3], 8, 8)
     scaled = var_scaled(base, "x1", chi)
-    wide = ye_from_product(scaled, p.scale_arg(chi), 6, xvar="x2")
+    wide = ye_from_product(scaled, p.scale_arg(chi), 6)
     for zorder in range(0, 4):
-        ye = ye_from_product(scaled, p.scale_arg(chi), zorder, xvar="x2")
+        ye = ye_from_product(scaled, p.scale_arg(chi), zorder)
         assert ye.n_min == ye.zero_order - zorder - 1
         ok, ce = ye.mode(ye.n_min).eq_on_common(wide.mode(ye.n_min))
         assert ok, (zorder, ce)
@@ -464,11 +473,17 @@ def test_covariance_and_negative_control(tmod):
     assert not covariance_check(Cbad, 1, 1, 3, 5)[0]
 
 
-def test_find_annihilator_minimal(tmod):
-    roots = [F(2), F(1, 2), F(1), F(4), F(1, 4), F(8)]
-    p = find_annihilator(tfield(tmod, 1), tfield(tmod, 0), tmod.basis(2), roots, 8, 8)
-    assert p is not None
-    assert sorted(repr(r) for r in p.roots()) == sorted([repr(F(1)), repr(F(1, 4))])
+def test_two_root_annihilator_is_compatible_and_neither_root_alone_is(tmod):
+    # p = 2: T(p x1) T(x2) on grade <= 2 needs both roots 1 and 1/4
+    a, b = tfield(tmod, 1), tfield(tmod, 0)
+
+    def statuses(*roots):
+        p = FactoredRational(F(1), 0, tuple((r, 1) for r in roots))
+        return {compat_check(a, b, p, w, 8, 8).status for w in tmod.basis(2)}
+
+    assert statuses(F(1), F(1, 4)) == {"compatible"}
+    assert "incompatible" in statuses(F(1))
+    assert "incompatible" in statuses(F(1, 4))
 
 
 def test_mode_truncation_divisibility(tmod):
@@ -481,12 +496,12 @@ def test_mode_truncation_divisibility(tmod):
     q = minimal_p(Q2, 1, 1)  # roots p, 1/p: q(1) != 0
     prod = product_on_window(a, "x1", a, "x2", vac, 12, 12)
     Fq = laurent_annihilator(q, "x1", "x2") * prod
-    verdict = quadrant_verdict(Fq, "x1", "x2", 2)
+    verdict = quadrant_verdict(Fq, 2)
     assert verdict.status == "compatible"
     Fq = Fq.assert_support_floor({"x1": verdict.bound[0], "x2": verdict.bound[1]})
     # (x1/x2 - 1)^(-1) q(x1/x2) ab = x2 * [divide by (x1 - x2)]
     A1 = divide_linear(Fq.untagged(), "x1", "x2", F(1), hi2_cap=6).shifted(x2=1)
-    assert quadrant_verdict(A1, "x1", "x2", 2).status == "compatible"
+    assert quadrant_verdict(A1, 2).status == "compatible"
     back = TruncatedSeries.exact(("x1", "x2"), {(1, -1): F(1), (0, 0): F(-1)}) * A1
     okb, ceb = back.eq_on_common(Fq)
     assert okb, ceb
@@ -496,7 +511,7 @@ def test_ye_symbolic_smoke(tsym):
     fld = tsym.field
     vac = tsym.vacuum()
     ye = ye_product(
-        tfield(tsym, 1), tfield(tsym, 0), witness_p(fld, 1, 0), 4, vac, 6, 6, xvar="x2"
+        tfield(tsym, 1), tfield(tsym, 0), witness_p(fld, 1, 0), 4, vac, 6, 6
     )
     assert ye.zero_order == 1
     assert ye.mode(0).get(x2=0) == 2 * vac

@@ -14,6 +14,7 @@ import pytest
 
 import fdcalc.dvir as dv
 from fdcalc.fock import CarSpec
+from fdcalc.series import FactoredRational
 from fdcalc.suites import SuiteConfig, run_suite
 
 CRITERION_10 = SuiteConfig(
@@ -21,6 +22,7 @@ CRITERION_10 = SuiteConfig(
 )
 _pairing = CarSpec.pairing
 _central_term = dv.central_term
+_exp_arg_dict = FactoredRational.exp_arg_dict
 
 
 def _t_pairing_off_by_one(self, r, m, s, n):
@@ -44,8 +46,26 @@ def _e_pairing_tripled(self, r, m, s, n):
     return 3 * out if self.kind == "E" and (r, s) == (0, 1) else out
 
 
+def _e_pairing_tripled_both_orders(self, r, m, s, n):
+    """The E pairing tripled at (0, 1) and (1, 0): self-consistent for the
+    mode action, so only a closed form stated apart from ``CarSpec`` sees it."""
+    out = _pairing(self, r, m, s, n)
+    return 3 * out if self.kind == "E" and {r, s} == {0, 1} else out
+
+
 def _central_term_negated(params, m):
     return -_central_term(params, m)
+
+
+def _unit_coefficient_doubled(t):
+    """p(e^z) = z^k * unit with the unit's z^t coefficient doubled: the
+    division that splits a substituted product into z-modes."""
+
+    def exp_arg_dict(self, order):
+        k, unit = _exp_arg_dict(self, order)
+        return k, {e: 2 * c if e == t else c for e, c in unit.items()}
+
+    return exp_arg_dict
 
 
 ROWS = {
@@ -92,6 +112,16 @@ ROWS = {
             "clifford-mode-products": "fail",
         },
     ),
+    "e-pairing-tripled-both-orders": (
+        CarSpec,
+        "pairing",
+        _e_pairing_tripled_both_orders,
+        {
+            "adjoint-module-kernels": "fail",
+            "car-anticommutators": "fail",
+            "clifford-mode-products": "fail",
+        },
+    ),
     "central-term-negated": (
         dv,
         "central_term",
@@ -100,6 +130,29 @@ ROWS = {
             "central-term-hand-oracle": "fail",
             "realized-field-relations": "fail",
             "tfock-relations": "fail",
+        },
+    ),
+    "exp-unit-z0-doubled": (
+        FactoredRational,
+        "exp_arg_dict",
+        _unit_coefficient_doubled(0),
+        {
+            "adjoint-module-kernels": "fail",
+            "anticommutator-delta-kernel": "fail",
+            "commutator-formula-matrix": "fail",
+            "exp-substitution-associativity": "fail",
+            "mode-product-well-defined": "fail",
+            "residue-top-mode": "fail",
+            "top-mode-identity": "fail",
+        },
+    ),
+    "exp-unit-z1-doubled": (
+        FactoredRational,
+        "exp_arg_dict",
+        _unit_coefficient_doubled(1),
+        {
+            "exp-substitution-associativity": "fail",
+            "mode-product-well-defined": "fail",
         },
     ),
 }

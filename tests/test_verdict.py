@@ -144,7 +144,7 @@ def test_an_undecided_factorization_window_is_undetermined(tmp_path, capsys):
 
 
 def test_an_incompatible_factorization_still_fails(monkeypatch):
-    def incompatible(F, v1, v2, margin=2):
+    def incompatible(F, margin=2):
         return fc.CompatVerdict("incompatible", None, {}, {"x1": -9, "x2": 0})
 
     monkeypatch.setattr(fc, "quadrant_verdict", incompatible)
