@@ -53,7 +53,7 @@ class DiagonalDivergent(ValueError):
     """A diagonal coefficient needs values outside the certified window."""
 
 
-class WindowTooSmall(ValueError):
+class WindowTooSmall(InsufficientWindow):
     """The window cannot certify the requested vanishing order."""
 
 
@@ -389,26 +389,21 @@ def delta_decompose(
 
 
 def vanishing_order(A: TruncatedSeries, lam, v1: str, v2: str) -> int:
-    """Largest k with A = (v1 - lam v2)^k B and B(lam v2, v2) != 0, on windows."""
+    """Largest k with A = (v1 - lam v2)^k B and B(lam v2, v2) != 0, on windows;
+    an ``InsufficientWindow`` when the window cannot certify it."""
     ok, _ = A.is_zero_on_window()
     if ok:
         raise ValueError("vanishing order of the zero series is undefined")
     cur = A.untagged()
     for k in range(65):
-        try:
-            diag = diagonal_collapse(cur, v1, v2, lam)
-        except UnboundedExponent as exc:
-            raise WindowTooSmall(str(exc)) from exc
+        diag = diagonal_collapse(cur, v1, v2, lam)
         if diag.vars and diag.win(diag.vars[0])[1] == NEG_INF:
             raise WindowTooSmall(
                 f"diagonal window collapsed before certifying the order, window {cur.window_str()}"
             )
         if not diag.is_zero_series():
             return k
-        try:
-            cur = divide_linear(cur, v1, v2, lam)
-        except UnboundedExponent as exc:
-            raise WindowTooSmall(str(exc)) from exc
+        cur = divide_linear(cur, v1, v2, lam)
         if cur.is_zero_series():
             raise WindowTooSmall(f"quotient vanished on the remaining window {cur.window_str()}")
     raise WindowTooSmall("order exceeds 64")

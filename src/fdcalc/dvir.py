@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distributions import WindowTooSmall, delta_fit
+from .distributions import delta_fit
 from .fock import FockModule, FockVector, t_spec
 from .scalars import ScalarField, exact_fraction, power, require_exact
 from .series import (
@@ -35,7 +35,6 @@ from .series import (
     exp_1v,
 )
 from .fieldcalc import (
-    CompatibilityError,
     CovariantStructure,
     FieldOperator,
     LocalityDatum,
@@ -264,19 +263,14 @@ def verdict(counterexamples) -> tuple:
 
     Nothing yielded passes, ``(True, None)``.  The first counterexample fails,
     ``(False, it)``, and the generator is not resumed, so nothing after its
-    first ``yield`` runs.  A window that cannot decide (``InsufficientWindow``,
-    ``WindowTooSmall``, or a ``CompatibilityError`` whose message says
-    "undetermined") gives ``(None, message)``; any other exception fails with
-    its repr as the detail.
+    first ``yield`` runs.  An ``InsufficientWindow`` (a window that cannot
+    decide) gives ``(None, message)``; any other exception fails with its repr.
     """
     try:
         for ce in counterexamples:
             return False, ce
     except Exception as exc:
-        undecided = isinstance(exc, (InsufficientWindow, WindowTooSmall)) or (
-            isinstance(exc, CompatibilityError) and "undetermined" in str(exc)
-        )
-        return (None, str(exc)) if undecided else (False, repr(exc))
+        return (None, str(exc)) if isinstance(exc, InsufficientWindow) else (False, repr(exc))
     return True, None
 
 

@@ -27,8 +27,6 @@ from .series import (
     FactoredRational,
     InsufficientWindow,
     TruncatedSeries,
-    _dot,
-    exp_z_dict,
     invert_unit_1v,
     scaled_cells,
     subst_exp,
@@ -36,7 +34,11 @@ from .series import (
 
 
 class CompatibilityError(ValueError):
-    """The pair is not certified compatible with the given annihilator."""
+    """The pair is certified incompatible with the given annihilator."""
+
+
+class QuadrantUndetermined(InsufficientWindow):
+    """The box cannot decide whether the pair is compatible."""
 
 
 @dataclass(frozen=True)
@@ -244,10 +246,12 @@ class YeModes:
 
 def _certified_floor(F: TruncatedSeries, margin: int) -> TruncatedSeries:
     """F = p(x1/x2) P with its certified quadrant corner asserted as a support
-    floor; raises CompatibilityError unless the verdict on the box is positive."""
+    floor; raises QuadrantUndetermined when the box cannot decide the verdict
+    and CompatibilityError when it is negative."""
     verdict = quadrant_verdict(F, margin)
     if verdict.status != "compatible":
-        raise CompatibilityError(f"{verdict.status} on box {verdict.box}: {verdict.witness}")
+        error = QuadrantUndetermined if verdict.status == "undetermined" else CompatibilityError
+        raise error(f"{verdict.status} on box {verdict.box}: {verdict.witness}")
     if verdict.bound is not None:
         F = F.assert_support_floor({"x1": verdict.bound[0], "x2": verdict.bound[1]})
     return F
@@ -311,79 +315,34 @@ def ye_product(
     return ye_from_product(prod, p, zorder, margin)
 
 
-def _residue_series(cells, zorder: int, e_hi) -> TruncatedSeries:
-    """Sum of c * x2^e * e^(g z) over the (e, g, c) in ``cells``, to
-    z-order ``zorder``, as an (x2, z) series certified for x2-exponents <= e_hi.
-
-    The weights e^(g z) are made once per g, and each output cell is summed
-    once by ``_dot``.
-    """
-    exps: dict = {}
-    groups: dict = {}
-    for e, g, c in cells:
-        ez = exps.get(g)
-        if ez is None:
-            ez = exps[g] = exp_z_dict(g, zorder)
-        for t, wgt in ez.items():
-            groups.setdefault((e, t), []).append((wgt, c))
-    return TruncatedSeries(
-        ("x2", "z"),
-        {key: _dot(pairs) for key, pairs in groups.items()},
-        {"x2": (NEG_INF, e_hi), "z": (NEG_INF, zorder)},
-        {"x2": (NEG_INF, INF), "z": (0, INF)},
-    )
-
-
 def _residue_plus(F: TruncatedSeries, zorder: int) -> TruncatedSeries:
-    """Res_{x1} (x2 e^z - side kernel) applied to F: sum_{i>=0} (x2 e^z)^i F[x1=i].
-
-    Above a finite x1 ceiling the cells (i, e - i) are known only below the
-    certified x2 floor, so without that floor no x2 exponent is certified."""
-    i1, i2 = F.vars.index("x1"), F.vars.index("x2")
-    hi1, hi2 = F.win("x1")[1], F.win("x2")[1]
-    slo2 = F.sup("x2")[0]
-    if hi1 != INF and slo2 == NEG_INF:
-        raise InsufficientWindow(
-            f"plus-kernel residue needs a certified x2 floor, window {F.window_str()}"
-        )
-    e_hi = hi2 if hi1 == INF else min(hi1 + slo2, hi2)
-    cells = (
-        (e[i1] + e[i2], e[i1], c)
-        for e, c in F.coeffs.items()
-        if e[i1] >= 0 and e[i1] + e[i2] <= e_hi
-    )
-    return _residue_series(cells, zorder, e_hi)
+    """Res_{x1} (x2 e^z - side kernel) applied to F in (x1, x2), sum_{i>=0} (x2 e^z)^i
+    F[x1=i]: the substitution x1 = x2 e^z of F's cells at x1 >= 0, x1 floor 0."""
+    plus = {e: c for e, c in F.coeffs.items() if e[0] >= 0}
+    support = dict(F.support, x1=(0, F.sup("x1")[1]))
+    return subst_exp(TruncatedSeries(F.vars, plus, F.window, support), "x1", "x2", "z", zorder)
 
 
 def _residue_minus_twisted(rev: TruncatedSeries, qd: dict, zorder: int) -> TruncatedSeries:
     """Res_{x1} of the opposite kernel against a twisted reversed product.
 
-    Computes -sum_{i>=0} (x2 e^z)^(-1-i) [q(x1/x2) rev](x1-coeff i), where ``qd``
-    holds the ascending coefficients of q; the convolution over the twist is
-    fused so only the finitely many cells above the reversed product's
-    structural x1-floor are touched.
+    Computes -sum_{i>=0} (x2 e^z)^(-1-i) [q(x1/x2) rev](x1-coeff -1-i) for rev
+    in (x1, x2), where ``qd`` holds the ascending coefficients of q.  The twist
+    term q_t (x1/x2)^t shifts rev by (t, -t), which keeps x1 + x2 fixed; its
+    cells at x1 <= -1, weighted by -q_t and with that bound declared as their
+    x1 support, go through the substitution x1 = x2 e^z.
     """
-    i1, i2 = rev.vars.index("x1"), rev.vars.index("x2")
-    slo1 = rev.sup("x1")[0]
-    if slo1 == NEG_INF:
-        raise InsufficientWindow(
-            f"opposite-kernel residue needs a certified x1 floor, window {rev.window_str()}"
-        )
-    hi1, hi2 = rev.win("x1")[1], rev.win("x2")[1]
-    need = -1 - min(qd, default=0)
-    if hi1 < need:
-        raise InsufficientWindow(f"reversed-product x1 ceiling {hi1} too low for the twist, which needs {need}")
-    e_hi = hi2 + slo1
-    # the residue against the antidiagonal kernel puts cell (c1, c2) at x2^(c1+c2);
-    # the twisted cell's x1-exponent c1 + tq pairs with the kernel at -1-i
-    cells = (
-        (e[i1] + e[i2], e[i1] + tq, (-qc) * c)
-        for e, c in rev.coeffs.items()
-        if e[i1] + e[i2] <= e_hi
-        for tq, qc in qd.items()
-        if e[i1] + tq <= -1
-    )
-    return _residue_series(cells, zorder, e_hi)
+    (lo1, hi1), (lo2, hi2) = rev.win("x1"), rev.win("x2")
+    (slo1, shi1), (slo2, shi2) = rev.sup("x1"), rev.sup("x2")
+    out = TruncatedSeries.exact(("x2", "z"), {})
+    for t, qt in qd.items():
+        w = -qt
+        cells = {(a + t, b - t): w * c for (a, b), c in rev.coeffs.items() if a + t <= -1}
+        window = {"x1": (lo1 + t, hi1 + t), "x2": (lo2 - t, hi2 - t)}
+        support = {"x1": (slo1 + t, min(shi1 + t, -1)), "x2": (slo2 - t, shi2 - t)}
+        term = TruncatedSeries(("x1", "x2"), cells, window, support)
+        out = out + subst_exp(term, "x1", "x2", "z", zorder)
+    return out
 
 
 def residue_ye(

@@ -65,16 +65,16 @@ class RegionMismatch(ValueError):
     """Two differently tagged expansions were combined without untagging."""
 
 
-class UnboundedExponent(ValueError):
+class InsufficientWindow(ValueError):
+    """The certified window is too small to perform the requested check."""
+
+
+class UnboundedExponent(InsufficientWindow):
     """A substitution needs coefficients beyond any certified support bound."""
 
 
 class NonzeroConstantTerm(ValueError):
     """exp() of a series whose constant term is nonzero or uncertified."""
-
-
-class InsufficientWindow(ValueError):
-    """The certified window is too small to perform the requested check."""
 
 
 class OutsideWindow(LookupError):
@@ -197,7 +197,9 @@ class TruncatedSeries:
         return (0, 0)  # absent variable appears only with exponent 0
 
     def _aligned(self, vars):
-        """Coefficient dict re-indexed on a superset variable tuple."""
+        """Coefficient dict re-indexed on a superset variable tuple (read only)."""
+        if vars == self.vars:
+            return self.coeffs
         idx = [self.vars.index(v) if v in self.vars else None for v in vars]
         out = {}
         for e, c in self.coeffs.items():
@@ -781,25 +783,22 @@ def iota_expand(f: FactoredRational, v1: str, v2: str, region, limits: dict) -> 
     return f.ratio_series(v1, v2, region, limits)
 
 
-def _support_floors(s: TruncatedSeries, vars, what: str) -> list:
-    """Certified lower support bounds of s in ``vars``: the declared bound,
-    else the lowest stored exponent when the window is open below in v and
-    every other variable's window is unbounded, so that every nonzero cell
-    under v's window top is stored (hi + 1 when none is).  ``what`` names the
-    operation that needs them in the UnboundedExponent raised when one is
-    unknown."""
-    floors = []
-    for v in vars:
-        slo = s.sup(v)[0]
-        lo, hi = s.win(v)
-        if slo == NEG_INF and lo == NEG_INF and all(
-            s.win(u) == (NEG_INF, INF) for u in s.vars if u != v
-        ):
-            slo = min(s.support_min(v), hi + 1)
-        if slo == NEG_INF:
-            raise UnboundedExponent(f"{what} needs certified support floors")
-        floors.append(slo)
-    return floors
+def _support_floor(s: TruncatedSeries, v: str):
+    """Certified lower support bound of s in v: the declared bound, else the
+    lowest stored exponent when the window is open below in v and every other
+    variable's window is unbounded, so that every nonzero cell under v's window
+    top is stored (hi + 1 when none is).  Unknown, it is -inf."""
+    slo = s.sup(v)[0]
+    lo, hi = s.win(v)
+    if slo == NEG_INF and lo == NEG_INF and all(
+        s.win(u) == (NEG_INF, INF) for u in s.vars if u != v
+    ):
+        slo = min(s.support_min(v), hi + 1)
+    return slo
+
+
+def _no_floor(s: TruncatedSeries, v: str, what: str) -> UnboundedExponent:
+    return UnboundedExponent(f"{what} needs a certified {v} floor, window {s.window_str()}")
 
 
 def subst_exp(
@@ -810,9 +809,15 @@ def subst_exp(
     Each monomial var^m maps to scale^m * target^m * sum_k (m*zvar)^k / k!;
     scale^m goes into the per-m weights, so each cell is multiplied once.
     With a nonzero scale the result equals ``subst_exp(var_scaled(s, var,
-    scale), ...)``, windows and support bounds included.  When ``target`` is
-    already a variable of ``s`` the substitution mixes exponent diagonals,
-    which needs certified support floors in both variables.
+    scale), ...)``, windows and support bounds included.
+
+    When ``target`` is already a variable of ``s`` the substitution folds var
+    into it: the cell target^e sums s[var^m, target^(e-m)] over var's support.
+    The one certification rule for such a fold is a product's in one exponent
+    (:func:`_mul_interval`): e <= hi_target + floor_var when target's support
+    passes target's window top, e <= hi_var + floor_target when var's passes
+    var's, and a floor under its window's bottom raises the result's bottom.
+    Each floor it reads must be certified (:func:`_support_floor`).
     """
     if zvar in s.vars or target == zvar or var == zvar:
         raise ValueError("z-variable must be fresh")
@@ -821,22 +826,30 @@ def subst_exp(
     if not scale:
         raise ValueError("scale must be nonzero")
     if target in s.vars and target != var:
-        # merge: output exponent of target is m + j, all splits must be certified
-        slo, slo2 = _support_floors(s, (var, target), "diagonal substitution")
-        e_hi = min(s.win(var)[1] + slo2, s.win(target)[1] + slo)
-        target_win = (NEG_INF, e_hi)
-        target_sup = (slo + slo2, _support_add_hi(s.sup(var)[1], s.sup(target)[1]))
+        (lo, hi), (lo2, hi2) = s.win(var), s.win(target)
+        (slo, shi), (slo2, shi2) = ((_support_floor(s, v), s.sup(v)[1]) for v in (var, target))
+        reads = ((var, slo, shi2 > hi2 or lo > NEG_INF), (target, slo2, shi > hi or lo2 > NEG_INF))
+        for v, f, read in reads:  # whether _mul_interval reads v's floor
+            if read and f == NEG_INF:
+                raise _no_floor(s, v, "diagonal substitution")
+        target_win = _mul_interval((lo, hi), (slo, shi), (lo2, hi2), (slo2, shi2))
+        target_sup = (_support_add_lo(slo, slo2), _support_add_hi(shi, shi2))
     else:
-        e_hi, target_win, target_sup = INF, s.win(var), s.sup(var)
+        target_win, target_sup = s.win(var), s.sup(var)
     vi = s.vars.index(var)
     out_vars = tuple(sorted(set(s.vars) - {var} | {target, zvar}))
+    # an output key: the cell's exponents at src, target's raised by m, z's at zi
+    zi = out_vars.index(zvar)
+    rest = out_vars[:zi] + out_vars[zi + 1 :]
+    src = [s.vars.index(v) if v in s.vars and v != var else None for v in rest]
+    ti = rest.index(target)
     exps: dict = {}  # m -> scale**m * e**(m z), shared by the cells with var-exponent m
     groups: dict = {}
     for e, c in s.coeffs.items():
         m = e[vi]
-        key = {v: x for v, x in zip(s.vars, e) if v != var}
-        key[target] = key.get(target, 0) + m
-        if key[target] > e_hi:
+        key = [0 if i is None else e[i] for i in src]
+        key[ti] += m
+        if key[ti] > target_win[1]:
             continue
         ez = exps.get(m)
         if ez is None:
@@ -845,9 +858,9 @@ def subst_exp(
                 pw = power(scale, m)
                 ez = {k: pw * w for k, w in ez.items()}
             exps[m] = ez
+        pre, post = tuple(key[:zi]), tuple(key[zi:])
         for k, w in ez.items():
-            key[zvar] = k
-            groups.setdefault(tuple(key[v] for v in out_vars), []).append((w, c))
+            groups.setdefault(pre + (k,) + post, []).append((w, c))
     coeffs = {t: _dot(pairs) for t, pairs in groups.items()}
     window = {v: s.win(v) for v in s.vars if v not in (var, target)}
     support = {v: s.sup(v) for v in s.vars if v not in (var, target)}
@@ -892,30 +905,15 @@ def subst_log1p(s: TruncatedSeries, var: str, zvar: str, zorder: int) -> Truncat
 def diagonal_collapse(s: TruncatedSeries, var: str, target: str, lam=1) -> TruncatedSeries:
     """Substitute var = lam * target into a two-direction series.
 
-    Output coefficient at target^e is sum_i lam^i * s[var^i, target^(e-i)],
-    certified where every contributing cell is certified.
+    Output coefficient at target^e is sum_i lam^i * s[var^i, target^(e-i)]:
+    the z^0 slice of :func:`subst_exp` with scale lam, certified by its rule.
     """
-    if var not in s.vars or target not in s.vars:
-        raise ValueError("both variables must occur in the series")
-    vi, ti = s.vars.index(var), s.vars.index(target)
-    slo, slo2 = _support_floors(s, (var, target), "diagonal evaluation")
-    e_hi = min(s.win(var)[1] + slo2, s.win(target)[1] + slo)
-    out_vars = tuple(v for v in s.vars if v != var)
-    out_ti = out_vars.index(target)
-    coeffs: dict = {}
-    for e, c in s.coeffs.items():
-        tot = e[vi] + e[ti]
-        if tot > e_hi:
-            continue
-        key = [x for v, x in zip(s.vars, e) if v != var]
-        key[out_ti] = tot
-        t = tuple(key)
-        coeffs[t] = coeffs.get(t, 0) + (power(lam, e[vi]) if e[vi] else 1) * c
-    window = {v: s.win(v) for v in out_vars}
-    support = {v: s.sup(v) for v in out_vars}
-    window[target] = (NEG_INF, e_hi)
-    support[target] = (_support_add_lo(slo, slo2), INF)
-    return TruncatedSeries(out_vars, coeffs, window, support)
+    if var == target or not lam or not {var, target} <= set(s.vars):
+        raise ValueError(f"diagonal evaluation {var} = ({lam})*{target} needs distinct "
+                         f"variables of {s.vars} and a nonzero scale")
+    out = subst_exp(s, var, target, "\0z", 0, scale=lam)  # no caller names "\0z"; it sorts first
+    coeffs = {e[1:]: c for e, c in out.coeffs.items()}
+    return TruncatedSeries(out.vars[1:], coeffs, out.window, out.support)
 
 
 def var_scaled(s: TruncatedSeries, var: str, c) -> TruncatedSeries:
@@ -970,7 +968,10 @@ def divide_linear(d: TruncatedSeries, v1: str, v2: str, lam, hi2_cap=None) -> Tr
     (lo1, hi1), (lo2, hi2) = d.win(v1), d.win(v2)
     if hi2_cap is not None and hi2_cap < hi2:
         hi2 = hi2_cap
-    slo1, slo2 = _support_floors(d, (v1, v2), "division")
+    slo1, slo2 = (_support_floor(d, v) for v in (v1, v2))
+    for v, f in ((v1, slo1), (v2, slo2)):
+        if f == NEG_INF:
+            raise _no_floor(d, v, "division")
     if slo2 == INF or slo1 == INF:  # zero series
         return TruncatedSeries(d.vars, {}, d.window, {v: (INF, NEG_INF) for v in d.vars}, None)
     if lo2 > slo2:

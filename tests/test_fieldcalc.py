@@ -236,6 +236,52 @@ def test_residue_plus_needs_a_certified_x2_floor_below_a_finite_x1_ceiling():
     assert fieldcalc._residue_plus(floored, 3).win("x2") == (NEG_INF, 1)
 
 
+@pytest.mark.parametrize("fld", [Q2, QP], ids=["p=2", "Q(p)"])
+def test_opposite_kernel_matches_a_cell_by_cell_reference(fld):
+    # the twists y / (y - p) and -1 / (y - p) make q(y) = p(y) f(1/y) equal to
+    # p(y) / (1 - p y) and p(y) y / (p y - 1): not Laurent polynomials, their
+    # ascending coefficients never stop; the second has no twist term t = 0
+    module = FockModule(t_spec(fld))
+    a, b = tfield(module, 1), tfield(module, 0)
+    zorder, hi = 3, 7
+    for mexp, const in ((1, fld.one()), (0, -fld.one())):
+        f = FactoredRational(const, mexp, ((fld.p_power(1), -1),))
+        q = witness_p(fld, 1, 0) * f.reciprocal_arg()
+        assert not q.is_laurent() and q.mexp == 1 - mexp
+        _check_opposite_kernel(a, b, q, module.basis(3), zorder, hi)
+
+
+def _check_opposite_kernel(a, b, q, basis, zorder, hi):
+    for w in basis:
+        rev = product_on_window(b, "x2", a, "x1", w, hi, hi)
+        slo1 = rev.sup("x1")[0]
+        qd = q.ratio_coeffs_ascending(max(-1 - slo1, q.mexp))
+        got = fieldcalc._residue_minus_twisted(rev, qd, zorder)
+        # -sum_{i>=0} (x2 e^z)^(-1-i) [q(x1/x2) rev] at x1^(-1-i): the x2^e z^k
+        # cell is -sum_{i,t} q_t rev[-1-i-t, e+1+i+t] (-1-i)^k / k!.  rev reads
+        # x1 >= slo1, so its x2-exponent e - (-1-i-t) stays <= hi while
+        # e <= hi + slo1; the box runs down to the lowest x1 + x2 of rev's cells
+        e_hi = hi + slo1
+        assert got.win("x2") == (NEG_INF, e_hi)
+        e_lo = min((sum(e) for e in rev.coeffs), default=e_hi)
+        assert all(e_lo <= x2 <= e_hi for x2, _ in got.coeffs)
+        for e in range(e_lo, e_hi + 1):
+            for k in range(zorder + 1):
+                want = FockVector()
+                for t, qt in qd.items():
+                    for i in range(0, -slo1 - t):
+                        cell = rev.get(x1=-1 - i - t, x2=e + 1 + i + t)
+                        want = want + (-qt * F((-1 - i) ** k, math.factorial(k))) * cell
+                assert got.get(x2=e, z=k) == want, (w, e, k)
+        # every cell read lies at x1 <= -1 - min(qd): an x1 ceiling there loses
+        # nothing, and one below it leaves the kernel undecided
+        top = -1 - min(qd)
+        low = fieldcalc._residue_minus_twisted(rev.restricted({"x1": (NEG_INF, top)}), qd, zorder)
+        assert (low.coeffs, low.window) == (got.coeffs, got.window)
+        with pytest.raises(InsufficientWindow):
+            fieldcalc._residue_minus_twisted(rev.restricted({"x1": (NEG_INF, top - 1)}), qd, zorder)
+
+
 @pytest.mark.parametrize("fld", [Q2, ScalarField.rationals(F(3)), QP], ids=["p=2", "p=3", "Q(p)"])
 def test_residue_ye_runs_each_kernel_once_and_top_is_the_z0_slice(fld, monkeypatch):
     module = FockModule(t_spec(fld))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -238,6 +239,60 @@ def test_subst_exp_merge_requires_floor():
         subst_exp(tail.untagged(), "x1", "x2", "z", 3)
 
 
+def _merge_fixture(x1_support):
+    # cells at x1 in -1..2 and x2 in -6..3, seen on x1 <= 4 and x2 <= 3, with
+    # no certified x2 floor
+    rng = random.Random(19)
+    cells = {
+        (m, j): F(rng.randint(-5, 5), rng.randint(1, 4)) for m in range(-1, 3) for j in range(-6, 4)
+    }
+    window = {"x1": (NEG_INF, 4), "x2": (NEG_INF, 3)}
+    return cells, TruncatedSeries(("x1", "x2"), cells, window, {"x1": x1_support})
+
+
+def test_subst_exp_merge_needs_no_target_floor_when_the_var_support_ends_in_its_window():
+    # every x1-exponent m of the support [-1, 2] lies in the x1 window, so the
+    # x2^e cell sums known cells while e - m <= 3 for every m >= -1: e <= 3 - 1
+    cells, s = _merge_fixture((-1, 2))
+    out = subst_exp(s, "x1", "x2", "z", 2)
+    assert out.win("x2") == (NEG_INF, 2)
+    assert all(e[0] <= 2 for e in out.coeffs)
+    for e in range(-7, 3):
+        for k in range(3):
+            splits = [m for m in range(-1, 3) if (m, e - m) in cells]
+            want = sum(cells[(m, e - m)] * F(m**k, math.factorial(k)) for m in splits)
+            assert out.get(x2=e, z=k) == want, (e, k)
+
+
+def test_subst_exp_merge_needs_the_target_floor_when_the_var_support_passes_its_window():
+    # x1 support unbounded above: the cells above the x1 window top are known
+    # only below an x2 floor, and there is none
+    _, s = _merge_fixture((-1, INF))
+    with pytest.raises(InsufficientWindow, match=r"x2 floor, window x1:\[-inf,4\] x2:\[-inf,3\]"):
+        subst_exp(s, "x1", "x2", "z", 2)
+
+
+def test_subst_exp_merge_needs_the_target_floor_under_a_bounded_target_window():
+    # x2 window bounded below, no x2 floor: x2^-5 would read s[0, -5], which
+    # the window does not know
+    s = TruncatedSeries(
+        ("x1", "x2"), {(0, 0): F(1)}, {"x1": (NEG_INF, 4), "x2": (-2, 3)}, {"x1": (0, 0)}
+    )
+    with pytest.raises(InsufficientWindow, match=r"x2 floor, window x1:\[-inf,4\] x2:\[-2,3\]"):
+        subst_exp(s, "x1", "x2", "z", 1)
+    with pytest.raises(InsufficientWindow, match="x2 floor"):
+        diagonal_collapse(s, "x1", "x2", 1)
+
+
+def test_subst_exp_merge_raises_the_bottom_over_a_floor_under_the_window():
+    # declared x2 floor -3 under the x2 window floor -1: x2^e sums x1^m x2^(e-m)
+    # for m in 0..1, which reads a cut cell unless e - 1 >= -1
+    full = laurent({(m, j): 1 + m + 2 * j for m in range(2) for j in range(-3, 3)})
+    out = subst_exp(full.restricted({"x2": (-1, 5)}), "x1", "x2", "z", 1)
+    assert out.win("x2") == (0, INF)
+    _assert_agrees_on_window(out, subst_exp(full, "x1", "x2", "z", 1))
+
+
 def test_region_mismatch_guard():
     a = binom_expand(-1, "x1", "x2", ("x1", "x2"), BOX)
     b = binom_expand(-1, "x1", "x2", ("x2", "x1"), BOX)
@@ -405,6 +460,11 @@ def test_var_scaled_and_diagonal_collapse_narrow_window_agree_with_wider(case, l
     _assert_agrees_on_window(
         diagonal_collapse(narrow, "x1", "x2", lam), diagonal_collapse(P, "x1", "x2", lam)
     )
+    # degenerate diagonals fail loudly, naming the evaluation
+    with pytest.raises(ValueError, match=r"x1 = \(2\)\*x1 needs distinct variables"):
+        diagonal_collapse(narrow, "x1", "x1", F(2))
+    with pytest.raises(ValueError, match=r"x1 = \(0\)\*x2 needs .* a nonzero scale"):
+        diagonal_collapse(narrow, "x1", "x2", F(0))
 
 
 @settings(max_examples=60, deadline=None)
