@@ -22,6 +22,7 @@ from .distributions import (
     DeltaTerm,
     FormalDistribution,
     annihilation_check,
+    delta_agree,
     delta_decompose,
     delta_expand,
     delta_fit,

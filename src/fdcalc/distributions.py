@@ -83,11 +83,12 @@ class FormalDistribution:
 
 
 def delta_expand(term: DeltaTerm, v1: str, v2: str, limits: dict) -> TruncatedSeries:
-    """Expansion of a delta term on a finite v1-window.
+    """Expansion of a delta term on a finite v1-window [lo1, hi1].
 
     The v1 exponents of a delta kernel are unbounded in both directions, so
-    the limits must pin v1 to a finite interval; the v2 window is whatever the
-    coefficient series supports across that interval.
+    the limits must pin v1 to a finite interval.  The certified rectangle is
+    loA - lo1 <= v2 <= hiA - hi1 with [loA, hiA] the coefficient's window, so
+    a wider v1 window narrows v2.
     """
     lo1, hi1 = limits[v1]
     if lo1 == NEG_INF or hi1 == INF:
@@ -163,16 +164,13 @@ class DeltaSum:
         return DeltaSum([t for t in acc if not t.coeff.is_zero_series()])
 
     def expand(self, v1: str, v2: str, limits: dict) -> TruncatedSeries:
-        out = None
+        vars = tuple(sorted((v1, v2)))
+        out = TruncatedSeries(
+            vars, {}, {v: limits.get(v, (NEG_INF, INF)) for v in vars},
+            {v: (INF, NEG_INF) for v in vars},
+        )
         for t in self.terms:
-            e = delta_expand(t, v1, v2, limits)
-            out = e if out is None else out + e
-        if out is None:
-            vars = tuple(sorted((v1, v2)))
-            return TruncatedSeries(
-                vars, {}, {v: limits.get(v, (NEG_INF, INF)) for v in vars},
-                {v: (INF, NEG_INF) for v in vars},
-            )
+            out = out + delta_expand(t, v1, v2, limits)
         return out
 
 
@@ -351,11 +349,35 @@ def delta_fit(D: TruncatedSeries, lambdas, jmax: int, v1: str, v2: str):
     return out
 
 
+def delta_agree(D: TruncatedSeries, lambdas, jmax: int, terms, v1: str, v2: str):
+    """(ok, counterexample): is D, on its window, the delta sum of ``terms``?
+
+    One :func:`delta_fit` along D's diagonals; each (lam, j) then compares the
+    fitted and expected coefficients on their common window, a missing side
+    as zero on the fit's window (the span of D's diagonals if the fit is
+    empty).  Counterexample: ({v2: d}, message), or ({}, message) when D is
+    no delta sum over ``lambdas``, j <= jmax.  InsufficientWindow propagates.
+    """
+    try:
+        fit = delta_fit(D, lambdas, jmax, v1, v2)
+    except NotDeltaSum as exc:
+        return False, ({}, str(exc))
+    (lo1, hi1), (lo2, hi2) = D.win(v1), D.win(v2)
+    window = fit[0].coeff.win(v2) if fit else (lo1 + lo2, hi1 + hi2)
+    zero = TruncatedSeries((v2,), {}, {v2: window}, {v2: (INF, NEG_INF)})
+    fitted = {(str(t.lam), t.j): t.coeff for t in fit}
+    expected = {(str(t.lam), t.j): t.coeff for t in terms}
+    for lam, j in {**expected, **fitted}:
+        ok, ce = fitted.get((lam, j), zero).eq_on_common(expected.get((lam, j), zero))
+        if not ok:
+            d = ce[0][v2]
+            return False, ({v2: d}, f"lambda={lam} j={j} d={d}: fitted {ce[1]}, expected {ce[2]}")
+    return True, None
+
+
 def _len_ok(iv, L):
     lo, hi = iv
-    if lo == NEG_INF or hi == INF:
-        return True
-    return hi - lo + 1 >= L
+    return lo == NEG_INF or hi == INF or hi - lo + 1 >= L
 
 
 def delta_decompose(

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distributions import delta_fit
+from .distributions import DeltaTerm, delta_agree, unit_coeff
 from .fock import FockModule, FockVector, t_spec
 from .scalars import ScalarField, exact_fraction, power, require_exact
 from .series import (
@@ -437,18 +437,10 @@ def theorem59_suite(
         box = {"x1": (-hi, hi), "x2": (-hi, hi)}
         for w in module.basis(min(grade_bound, 4)):
             D = defect_series(Lself, w, hi + 2, hi + 2).restricted(box)
-            terms = delta_fit(D, [p, fld.p_power(-1)], 0, "x1", "x2")
-            expect = {repr(p): 2 * w, repr(fld.p_power(-1)): 2 * w}
-            got = {}
-            for t in terms:
-                if t.j != 0:
-                    yield repr(w), "unexpected derivative kernel", t.j
-                got[repr(t.lam)] = t.coeff.get(**{t.coeff.vars[0]: 0}) if t.coeff.vars else 0
-                nonconst = [e for e in t.coeff.coeffs if any(x != 0 for x in e)]
-                if nonconst:
-                    yield repr(w), "kernel not constant", nonconst
-            if got != expect:
-                yield repr(w), "pairing mismatch", repr(got)
+            want = [DeltaTerm(lam, 0, unit_coeff("x2", 2 * w)) for lam in (p, fld.p_power(-1))]
+            ok, ce = delta_agree(D, [t.lam for t in want], 0, want, "x1", "x2")
+            if not ok:
+                yield repr(w), "pairing mismatch", ce
 
     return [
         (cid, *verdict(failures()))

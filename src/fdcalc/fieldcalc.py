@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .distributions import DeltaSum, DeltaTerm, delta_fit, laurent_annihilator
+from .distributions import DeltaTerm, delta_agree, delta_fit, laurent_annihilator
 from .fock import FockModule, FockVector
 from .series import (
     INF,
@@ -515,8 +515,9 @@ def commutator_formula_check(
     base = product_on_window(L.a, "x1", L.b, "x2", w, hi1, hi2)
     lhs = defect_series(L, w, hi1, hi2, thm_region=True, direct=base).restricted(box)
     kernels = _commutator_kernels(L, C, base, zorder, margin)
-    rhs = DeltaSum([t for _, _, terms in kernels for t in terms])
-    ok, ce = lhs.eq_on_common(rhs.expand("x1", "x2", box))
+    rhs = [t for _, _, terms in kernels for t in terms]
+    jmax = max((t.j for t in rhs), default=0)
+    ok, ce = delta_agree(lhs, [chi for _, chi, _ in kernels], jmax, rhs, "x1", "x2")
     return ok, ce, [(n, chi, [t.j for t in terms]) for n, chi, terms in kernels]
 
 

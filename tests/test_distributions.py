@@ -13,6 +13,7 @@ from fdcalc.distributions import (
     NotDeltaSum,
     SingularSystem,
     annihilation_check,
+    delta_agree,
     delta_decompose,
     delta_expand,
     delta_fit,
@@ -419,6 +420,85 @@ def test_delta_fit_window_errors_match_reference():
     assert got == ("NotDeltaSum", "diagonal 0 has unbounded certified support with nonzero entries")
     open_x1 = TruncatedSeries(tiny.vars, tiny.coeffs, {"x1": (-2, INF), "x2": (-2, 2)}, tiny.support)
     assert _check_against_reference(open_x1, [F(2)], 0)[0] == "InsufficientWindow"
+
+
+# -- delta_agree: one fit along the diagonals, compared by coefficient ----------------
+
+
+def _agree(D, lambdas, jmax, terms):
+    return delta_agree(D, lambdas, jmax, terms, "x1", "x2")
+
+
+def _term(lam, j, coeffs, window=(NEG_INF, INF)):
+    A = TruncatedSeries(("x2",), {(d,): c for d, c in coeffs.items()}, {"x2": window},
+                        {"x2": (min(coeffs, default=INF), max(coeffs, default=NEG_INF))})
+    return DeltaTerm(lam, j, A)
+
+
+def test_delta_agree_equal_and_one_coefficient_off_over_q_with_fock_payloads():
+    from fdcalc.fock import FockModule, t_spec
+
+    module = FockModule(t_spec(ScalarField.rationals(F(2))))
+    vac, w = module.vacuum(), module.basis(2)[-1]
+    terms = [_term(F(2), 0, {0: 2 * vac, 1: w}), _term(F(1, 2), 1, {-1: w + vac})]
+    D = DeltaSum(terms).expand("x1", "x2", STAGGERED)
+    assert _agree(D, [F(2), F(1, 2)], 1, terms) == (True, None)
+    off = [terms[0], _term(F(1, 2), 1, {-1: w + 2 * vac})]
+    ok, (exps, msg) = _agree(D, [F(2), F(1, 2)], 1, off)
+    assert not ok and exps == {"x2": -1}
+    assert msg.startswith("lambda=1/2 j=1 d=-1: ")
+
+
+def test_delta_agree_over_qp():
+    lams = [p, p**-1]
+    terms = [_term(p, 0, {0: 1 + p}), _term(p**-1, 0, {0: 1 + p, 2: -p})]
+    D = DeltaSum(terms).expand("x1", "x2", {"x1": (-6, 6), "x2": (-5, 5)})
+    assert _agree(D, lams, 0, terms) == (True, None)
+    ok, (exps, msg) = _agree(D, lams, 0, [terms[0], _term(p**-1, 0, {0: 1 + p, 2: p})])
+    assert not ok and exps == {"x2": 2} and msg.startswith(f"lambda={p**-1} j=0 d=2: ")
+
+
+def test_delta_agree_a_term_on_one_side_only_fails():
+    t2, t3 = _term(F(2), 0, {1: F(3)}), _term(F(3), 0, {-2: F(5)})
+    D = DeltaSum([t2]).expand("x1", "x2", BOX)
+    # expected but absent from D
+    ok, (exps, msg) = _agree(D, [F(2), F(3)], 0, [t2, t3])
+    assert not ok and exps == {"x2": -2} and msg.startswith("lambda=3 j=0 d=-2: fitted 0")
+    # fitted but not expected
+    ok, (exps, msg) = _agree(D, [F(2), F(3)], 0, [])
+    assert not ok and exps == {"x2": 1} and msg.startswith("lambda=2 j=0 d=1: fitted 3")
+    # D zero, so the fit returns nothing: the kernel is compared with zero on
+    # the diagonals D's window spans
+    zero = DeltaSum().expand("x1", "x2", BOX)
+    assert _agree(zero, [F(3)], 0, []) == (True, None)
+    ok, (exps, _) = _agree(zero, [F(3)], 0, [t3])
+    assert not ok and exps == {"x2": -2}
+
+
+def test_delta_agree_not_a_delta_sum_is_a_counterexample():
+    f = FactoredRational(F(1), 0, ((F(1), -1),))
+    s = iota_expand(f, "x1", "x2", ("x1", "x2"), BOX).shifted(x2=-1)
+    s = s.untagged().restricted({"x1": (-9, 9), "x2": (-9, 9)})
+    ok, (exps, msg) = _agree(s, [F(1)], 1, [])
+    assert not ok and exps == {} and "deviates from the fit" in msg
+
+
+def test_delta_agree_short_diagonal_is_undetermined():
+    t = DeltaTerm(F(2), 0, unit_coeff("x2"))
+    tiny = delta_expand(t, "x1", "x2", {"x1": (-2, 2), "x2": (-2, 2)})
+    with pytest.raises(InsufficientWindow, match="5 entries < 12 parameters"):
+        _agree(tiny, [F(2), F(3), F(5)], 3, [t])
+
+
+def test_delta_agree_compares_on_the_common_window():
+    D = DeltaSum([_term(F(2), 0, {0: F(1), 4: F(7)})]).expand("x1", "x2", BOX)
+    # the expected coefficient is certified on x2 in [-2, 2] only, so the
+    # fitted d = 4 coefficient is not compared
+    narrow = _term(F(2), 0, {0: F(1)}, window=(-2, 2))
+    assert _agree(D, [F(2)], 0, [narrow]) == (True, None)
+    wide = _term(F(2), 0, {0: F(1)}, window=(-2, 4))
+    ok, (exps, _) = _agree(D, [F(2)], 0, [wide])
+    assert not ok and exps == {"x2": 4}
 
 
 def test_solve_exact_several_right_hand_sides():

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import fdcalc.dvir as dv
 from fdcalc import fieldcalc
 from fdcalc.distributions import delta_fit
-from fdcalc.fock import FockModule, FockVector, e_spec, t_spec
+from fdcalc.fock import CarSpec, FockModule, FockVector, e_spec, t_spec
 from fdcalc.fieldcalc import (
     CompatibilityError,
     CovariantStructure,
@@ -475,6 +476,36 @@ def test_commutator_corrupted_character_fails(tmod):
     box = {"x1": (-5, 5), "x2": (-5, 5)}
     ok, ce, _ = commutator_formula_check(L, Cbad, tmod.vacuum(), box, 6, 8, 8)
     assert not ok and ce is not None
+
+
+def _commutator_on_vacuum(r, radius):
+    """commutator_formula_check for the flavor pair (r, r) of the realization
+    at p = 2 on the vacuum, box radius ``radius``, ceilings 8, z-order 5."""
+    params = dv.DVirParams.at(2)
+    module, C = dv.realization(params)
+    box = {"x1": (-radius, radius), "x2": (-radius, radius)}
+    ((*_, result),) = dv.commutator_grid(params, C, [r], [module.vacuum()], box, 5, 8, 2)
+    return result
+
+
+def test_commutator_formula_sees_a_pairing_fault_at_every_box(monkeypatch):
+    # {T_2, T_-2} off by one.  The kernels' expansion is certified only for
+    # x2 <= hiA - hi1, so a cell-by-cell comparison on a wider box reads
+    # other cells of each diagonal and can miss the fault (box 7 does); the
+    # fit along the defect's diagonals must see it at every box
+    for radius in (6, 7):
+        ok, ce, _ = _commutator_on_vacuum(-1, radius)
+        assert ok, (radius, ce)
+    pairing = CarSpec.pairing
+
+    def off_by_one(self, r, m, s, n):
+        out = pairing(self, r, m, s, n)
+        return out + 1 if self.kind == "T" and (m, n) == (2, -2) else out
+
+    monkeypatch.setattr(CarSpec, "pairing", off_by_one)
+    for radius in (6, 7):
+        ok, ce, _ = _commutator_on_vacuum(-1, radius)
+        assert not ok and isinstance(ce[0], dict), radius
 
 
 def test_commutator_nonneighbor_adjoint_module():

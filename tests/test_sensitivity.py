@@ -76,6 +76,7 @@ ROWS = {
         {
             "anticommutator-delta-kernel": "fail",
             "car-anticommutators": "fail",
+            "commutator-formula-matrix": "fail",
             "defect-factorization": "fail",
             "mode-extracted-pairing": "fail",
             "realized-field-relations": "fail",
@@ -93,6 +94,7 @@ ROWS = {
         {
             "anticommutator-delta-kernel": "fail",
             "car-anticommutators": "fail",
+            "commutator-formula-matrix": "fail",
             "defect-factorization": "fail",
             "mode-extracted-pairing": "fail",
             "realized-field-relations": "fail",

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import fdcalc.distributions as distributions
 import fdcalc.dvir as dv
 import fdcalc.fieldcalc as fc
 import fdcalc.suites as suites
@@ -122,7 +123,8 @@ def test_a_window_error_in_a_single_check_keeps_its_id(monkeypatch):
     def delta_fit(*args):
         raise InsufficientWindow("delta fit needs a finite x1 ceiling")
 
-    monkeypatch.setattr(suites, "delta_fit", delta_fit)
+    # the roundtrip fits through delta_agree, which reads distributions.delta_fit
+    monkeypatch.setattr(distributions, "delta_fit", delta_fit)
     monkeypatch.setitem(suites.SUITES, "fixture", [suites.check_delta_fit_roundtrip])
     (res,) = run_suite(SuiteConfig(suite="fixture", p=Fraction(2)))
     assert (res.check_id, res.status) == ("delta-fit-roundtrip", "undetermined")
