@@ -352,18 +352,31 @@ def delta_fit(D: TruncatedSeries, lambdas, jmax: int, v1: str, v2: str):
 def delta_agree(D: TruncatedSeries, lambdas, jmax: int, terms, v1: str, v2: str):
     """(ok, counterexample): is D, on its window, the delta sum of ``terms``?
 
-    One :func:`delta_fit` along D's diagonals; each (lam, j) then compares the
-    fitted and expected coefficients on their common window, a missing side
-    as zero on the fit's window (the span of D's diagonals if the fit is
-    empty).  Counterexample: ({v2: d}, message), or ({}, message) when D is
-    no delta sum over ``lambdas``, j <= jmax.  InsufficientWindow propagates.
+    One :func:`delta_fit` along D's diagonals, compared with ``terms`` by
+    :func:`fit_agree` on :func:`fit_window`.  Counterexample: ({v2: d},
+    message), or ({}, message) when D is no delta sum over ``lambdas``,
+    j <= jmax.  InsufficientWindow propagates.
     """
     try:
         fit = delta_fit(D, lambdas, jmax, v1, v2)
     except NotDeltaSum as exc:
         return False, ({}, str(exc))
+    return fit_agree(fit, fit_window(D, fit, v1, v2), terms, v2)
+
+
+def fit_window(D: TruncatedSeries, fit, v1: str, v2: str) -> tuple:
+    """The v2-window a delta fit of D is compared on: its coefficients'
+    window, or the span of D's diagonals when the fit is empty."""
+    if fit:
+        return fit[0].coeff.win(v2)
     (lo1, hi1), (lo2, hi2) = D.win(v1), D.win(v2)
-    window = fit[0].coeff.win(v2) if fit else (lo1 + lo2, hi1 + hi2)
+    return lo1 + lo2, hi1 + hi2
+
+
+def fit_agree(fit, window: tuple, terms, v2: str):
+    """(ok, counterexample) for fitted delta terms against expected ``terms``:
+    each (lam, j) compares the two coefficients on their common window, a
+    missing side as zero on ``window``.  Counterexample: ({v2: d}, message)."""
     zero = TruncatedSeries((v2,), {}, {v2: window}, {v2: (INF, NEG_INF)})
     fitted = {(str(t.lam), t.j): t.coeff for t in fit}
     expected = {(str(t.lam), t.j): t.coeff for t in terms}

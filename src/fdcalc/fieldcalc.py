@@ -9,18 +9,28 @@ obtained on.
 
 The twisted reversed product is built in one place, :func:`defect_series`:
 locality is p(x1/x2) times that defect, and the commutator formula compares
-the defect with its delta kernels.  The residue formula builds its bracket
-once; the top mode is the bracket's z^0 slice.
+the defect with its delta kernels.  The commutator formula is checked in the
+product's own coordinates, where a(x1) b(x2) w is unscaled and its kernels are
+memoized per vector and root.  The residue formula builds its bracket once;
+the top mode is the bracket's z^0 slice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
-from .distributions import DeltaTerm, delta_agree, delta_fit, laurent_annihilator
+from .distributions import (
+    DeltaTerm,
+    NotDeltaSum,
+    delta_fit,
+    fit_agree,
+    fit_window,
+    laurent_annihilator,
+)
 from .fock import FockModule, FockVector
+from .scalars import power
 from .series import (
     INF,
     NEG_INF,
@@ -30,6 +40,7 @@ from .series import (
     invert_unit_1v,
     scaled_cells,
     subst_exp,
+    var_scaled,
 )
 
 
@@ -123,8 +134,10 @@ def product_on_window(
     Every cell with exponents at most the ceilings is computed exactly; the
     inner variable carries the structural restriction floor.  The unscaled
     product a(x^i) b(x^j) w of the two flavors is memoized on the module
-    (:func:`_unscaled_cells`), and the call rescales its cell (i, j) by
-    outer.scale^i inner.scale^j: that is what a(scale x) means.
+    (:func:`_unscaled_cells`).  Two fields of scale 1 get its cells as they
+    are; otherwise cell (i, j) is rescaled by outer.scale^i inner.scale^j,
+    which is what a(scale x) means.  :func:`commutator_formula_check` changes
+    coordinates so that the products it reads are unscaled.
     """
     cells, ifloor = _unscaled_cells(outer, inner, w, hi_outer, hi_inner)
     so = 1 if outer.identity else outer.scale
@@ -138,14 +151,21 @@ def product_on_window(
     return TruncatedSeries(vars, coeffs, window, support)
 
 
+def _product_key(outer: FieldOperator, inner: FieldOperator, w: FockVector,
+                 hi_outer: int, hi_inner: int) -> tuple:
+    """(module, key) of the unscaled product of ``outer`` and ``inner`` on w:
+    the key of the module's ``_products`` and ``_kernels`` memos."""
+    module = inner.module if outer.identity else outer.module
+    if not (outer.identity or inner.identity) and inner.module is not module:
+        raise ValueError("a two-field product needs both fields on one module")
+    return module, (outer.flavor, outer.identity, inner.flavor, inner.identity, w, hi_outer, hi_inner)
+
+
 def _unscaled_cells(outer: FieldOperator, inner: FieldOperator, w: FockVector,
                     hi_outer: int, hi_inner: int) -> tuple:
     """({(i, j): a(x^i) b(x^j) w}, inner floor) for the unscaled fields of
     ``outer`` and ``inner``, memoized on their module for its lifetime."""
-    module = inner.module if outer.identity else outer.module
-    if not (outer.identity or inner.identity) and inner.module is not module:
-        raise ValueError("a two-field product needs both fields on one module")
-    key = (outer.flavor, outer.identity, inner.flavor, inner.identity, w, hi_outer, hi_inner)
+    module, key = _product_key(outer, inner, w, hi_outer, hi_inner)
     hit = module._products.get(key)
     if hit is not None:
         return hit
@@ -457,43 +477,79 @@ def scaled_mode_extract(
 
 
 def _commutator_kernels(
-    L: LocalityDatum, C: CovariantStructure, base: TruncatedSeries, zorder: int, margin: int
+    L: LocalityDatum, C: CovariantStructure, base: TruncatedSeries, zorder: int, margin: int,
+    memo: dict | None = None,
 ) -> list:
     """Delta kernels of the covariant commutator formula for the product
-    ``base`` = a(x1) b(x2) w, as [(shift, character, [DeltaTerm, ...])].
+    ``base`` = a(x1) b(x2) w, as [(shift, character, (DeltaTerm, ...))].
 
-    The shift by g rescales x1: pg(x1/x2) = p(chi(g) x1/x2), so its product
-    is F0 = p(x1/x2) base with the cell at x1-exponent i multiplied by
-    chi(g)^i.  That keeps the support, hence the compatibility verdict, which
-    is therefore decided once on F0, and ``subst_exp`` folds chi(g)^i into
-    its exponential weights.  Only shifts whose character is a root
-    of p, of order k, carry kernels; they read the modes j < k, which need
-    z-order k - 1.  ``zorder`` caps that z-order.
+    A shift carries kernels when its character chi is a root of p, of order
+    k: the modes j < k of p(chi e^z)^(-1) F0 at x1 = chi x2 e^z, divided by
+    j!, with F0 = p(x1/x2) base certified compatible.  They need z-order
+    k - 1, which ``zorder`` caps.
+
+    ``memo`` holds each root's terms for this ``base``, keyed by (p's
+    monomial exponent and factors, margin, chi, k): p's constant cancels.
+    F0 is built only when a root misses the memo, or to certify a product no
+    shift has a root for; a stored root was certified with its product.
+    Nothing is stored before every check has passed.
     """
     p = L.annihilator
-    F0 = _annihilated(base, p, margin)
-    kernels = []
+    memo = {} if memo is None else memo
+    roots = []
     for n in C.shifts():
         chi = C.chi(n)
         k = p.order_at(chi)
-        if k <= 0:
-            continue
+        if k > 0:
+            roots.append((n, chi, k, (p.mexp, p.factors, margin, chi, k)))
+    F0 = None
+    if not roots or any(key not in memo for *_, key in roots):
+        F0 = _annihilated(base, p, margin)
+    for n, _, k, _ in roots:
         if k - 1 > zorder:
             raise InsufficientWindow(
                 f"shift {n}: a zero of order {k} needs z-order {k - 1}, above the cap {zorder}"
             )
-        ye = _substituted_modes(F0, p.scale_arg(chi), k - 1, chi)
-        terms = [
-            DeltaTerm(chi, j, ye.modes[j].scaled(Fraction(1, factorial(j))))
-            for j in range(k)
-            if not ye.modes[j].is_zero_series()
-        ]
+    kernels = []
+    for n, chi, k, key in roots:
+        terms = memo.get(key)
+        if terms is None:
+            ye = _substituted_modes(F0, p.scale_arg(chi), k - 1, chi)
+            terms = memo[key] = tuple(
+                DeltaTerm(chi, j, ye.modes[j].scaled(Fraction(1, factorial(j))))
+                for j in range(k)
+                if not ye.modes[j].is_zero_series()
+            )
         if terms:
             kernels.append((n, chi, terms))
     return kernels
 
 
-def commutator_formula_check(
+def _product_coordinates(L: LocalityDatum, C: CovariantStructure):
+    """(L', C', mu): the datum and the structure in X1 = lam x1, X2 = mu x2,
+    with lam and mu the scales of a and b (1 for an identity field).
+
+    a(x1), the unscaled field at lam x1, becomes that field at X1, and b
+    likewise; a partner's fields keep their ratio to a and b; a twist
+    f(x2/x1) becomes f((lam/mu) X2/X1), the annihilator p(x1/x2) becomes
+    p((mu/lam) X1/X2), and a character chi becomes chi lam/mu, since
+    delta(chi x2/x1) = delta(chi (lam/mu) X2/X1).  Only scalars change: a
+    cell (i, j) in X is the cell in x times lam^-i mu^-j, so supports,
+    windows and verdicts stay where they were.
+    """
+    lam, mu = (1 if f.identity else f.scale for f in (L.a, L.b))
+    to_x1, to_x2 = power(lam, -1), power(mu, -1)
+    ratio = lam * to_x2
+    partners = tuple(
+        (b_i.scaled(to_x2), a_i.scaled(to_x1), f_i.scale_arg(ratio))
+        for b_i, a_i, f_i in L.partners
+    )
+    unscaled = LocalityDatum(replace(L.a, scale=1), replace(L.b, scale=1), partners,
+                             L.annihilator.scale_arg(mu * to_x1))
+    return unscaled, replace(C, chi=lambda n: C.chi(n) * ratio), mu
+
+
+def commutator_formula_fit(
     L: LocalityDatum,
     C: CovariantStructure,
     w: FockVector,
@@ -506,19 +562,55 @@ def commutator_formula_check(
     """Covariant commutator formula on the box: the locality defect equals the
     group sum of delta kernels weighted by scaled-field mode products.
 
-    Returns (ok, counterexample, contributing) with ``contributing`` the list
-    of (shift, character value, top modes) that produced nonzero kernels.
+    The products, the defect, its delta fit and the kernels are built in the
+    product's own coordinates (:func:`_product_coordinates`), where a flavor
+    pair's unscaled product and kernels are the module's memo entries for
+    every pair on the same vector.  The fit and the kernels, a few delta
+    terms, come back to the caller's coordinates to be compared.
+
+    Returns (ok, counterexample, contributing, fit): ``contributing`` lists
+    (shift, C.chi(shift), the kernels' j) for the shifts with nonzero
+    kernels, and ``fit`` is (the delta terms fitted to the defect, the
+    window they were compared on), or None when the defect is no delta sum.
     """
     chis = [C.chi(n) for n in C.shifts()]
     if len({repr(c) for c in chis}) != len(chis):
         raise ValueError("character must be injective on the shift window")
-    base = product_on_window(L.a, "x1", L.b, "x2", w, hi1, hi2)
-    lhs = defect_series(L, w, hi1, hi2, thm_region=True, direct=base).restricted(box)
-    kernels = _commutator_kernels(L, C, base, zorder, margin)
-    rhs = [t for _, _, terms in kernels for t in terms]
-    jmax = max((t.j for t in rhs), default=0)
-    ok, ce = delta_agree(lhs, [chi for _, chi, _ in kernels], jmax, rhs, "x1", "x2")
-    return ok, ce, [(n, chi, [t.j for t in terms]) for n, chi, terms in kernels]
+    L1, C1, mu = _product_coordinates(L, C)
+    base = product_on_window(L1.a, "x1", L1.b, "x2", w, hi1, hi2)
+    lhs = defect_series(L1, w, hi1, hi2, thm_region=True, direct=base).restricted(box)
+    module, key = _product_key(L1.a, L1.b, w, hi1, hi2)
+    kernels = _commutator_kernels(L1, C1, base, zorder, margin, module._kernels.setdefault(key, {}))
+    back = {chi: C.chi(n) for n, chi, _ in kernels}
+    contributing = [(n, back[chi], [t.j for t in terms]) for n, chi, terms in kernels]
+
+    def in_caller_coordinates(t: DeltaTerm) -> DeltaTerm:
+        return DeltaTerm(back[t.lam], t.j, var_scaled(t.coeff, "x2", mu))
+
+    rhs = [in_caller_coordinates(t) for _, _, terms in kernels for t in terms]
+    try:
+        fit = delta_fit(lhs, list(back), max((t.j for t in rhs), default=0), "x1", "x2")
+    except NotDeltaSum as exc:
+        return False, ({}, str(exc)), contributing, None
+    window = fit_window(lhs, fit, "x1", "x2")
+    fit = [in_caller_coordinates(t) for t in fit]
+    ok, ce = fit_agree(fit, window, rhs, "x2")
+    return ok, ce, contributing, (fit, window)
+
+
+def commutator_formula_check(
+    L: LocalityDatum,
+    C: CovariantStructure,
+    w: FockVector,
+    box: dict,
+    zorder: int,
+    hi1: int,
+    hi2: int,
+    margin: int = 2,
+):
+    """:func:`commutator_formula_fit` without the fit: (ok, counterexample,
+    contributing)."""
+    return commutator_formula_fit(L, C, w, box, zorder, hi1, hi2, margin)[:3]
 
 
 def assoc_check(

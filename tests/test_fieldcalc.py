@@ -6,7 +6,7 @@ import pytest
 
 import fdcalc.dvir as dv
 from fdcalc import fieldcalc
-from fdcalc.distributions import delta_fit
+from fdcalc.distributions import DeltaTerm, delta_agree, delta_fit
 from fdcalc.fock import CarSpec, FockModule, FockVector, e_spec, t_spec
 from fdcalc.fieldcalc import (
     CompatibilityError,
@@ -811,3 +811,203 @@ def test_locality_check_matches_reference_with_constant_and_rational_twists(fld)
     # the true twist -1 passes on every vector; -2 is the negative control
     assert verdicts[(repr(-fld.one()), 1)] == {True}
     assert verdicts[(repr(fld.from_int(-2)), 1)] == {False}
+
+
+# -- the commutator check in the product's own coordinates --------------------------------
+
+
+def _commutator_reference(L, C, w, box, zorder, hi1, hi2, margin=2):
+    """commutator_formula_check as it was before the coordinate change: both
+    products rescaled cell by cell, the kernels substituted at
+    x1 = chi x2 e^z into the annihilated scaled product, nothing memoized,
+    and one delta_agree in x1, x2."""
+    chis = [C.chi(n) for n in C.shifts()]
+    if len({repr(c) for c in chis}) != len(chis):
+        raise ValueError("character must be injective on the shift window")
+    base = product_on_window(L.a, "x1", L.b, "x2", w, hi1, hi2)
+    lhs = defect_series(L, w, hi1, hi2, thm_region=True, direct=base).restricted(box)
+    p = L.annihilator
+    F0 = fieldcalc._annihilated(base, p, margin)
+    kernels = []
+    for n in C.shifts():
+        chi = C.chi(n)
+        k = p.order_at(chi)
+        if k <= 0:
+            continue
+        if k - 1 > zorder:
+            raise InsufficientWindow(
+                f"shift {n}: a zero of order {k} needs z-order {k - 1}, above the cap {zorder}"
+            )
+        ye = fieldcalc._substituted_modes(F0, p.scale_arg(chi), k - 1, chi)
+        terms = [
+            DeltaTerm(chi, j, ye.modes[j].scaled(Fraction(1, math.factorial(j))))
+            for j in range(k)
+            if not ye.modes[j].is_zero_series()
+        ]
+        if terms:
+            kernels.append((n, chi, terms))
+    rhs = [t for _, _, terms in kernels for t in terms]
+    jmax = max((t.j for t in rhs), default=0)
+    ok, ce = delta_agree(lhs, [chi for _, chi, _ in kernels], jmax, rhs, "x1", "x2")
+    return ok, ce, [(n, chi, [t.j for t in terms]) for n, chi, terms in kernels]
+
+
+def _outcome(check, *args):
+    """The triple a check returns, or the type and message of what it raised."""
+    try:
+        return check(*args)
+    except Exception as exc:  # both sides must raise the same
+        return type(exc), str(exc)
+
+
+def _equivalence_data(module):
+    """Flavor pairs of the realization at scales p^0, p^+-1 and p^3 (one with
+    a root outside the shift window), a double root, an annihilator with no
+    root, a partner whose scale is not b's, a non-constant twist, and an
+    identity field on either side with a true and a wrong twist constant."""
+    fld = module.field
+    one = fld.one()
+    minus_one = FactoredRational(-one)
+    data = []
+    for r, s in ((0, 0), (1, -1), (-1, 3), (3, 1), (0, 1)):
+        a, b = tfield(module, r), tfield(module, s)
+        data.append(LocalityDatum(a, b, ((b, a, minus_one),), minimal_p(fld, r, s)))
+    a = tfield(module, -1)
+    data.append(LocalityDatum(a, a, ((a, a, minus_one),), minimal_p(fld, -1, -1) ** 2))
+    data.append(LocalityDatum(a, a, ((a, a, minus_one),), FactoredRational(one)))
+    a, b = tfield(module, 1), tfield(module, 0)
+    data.append(LocalityDatum(a, b, ((tfield(module, -1), a, minus_one),), minimal_p(fld, 1, 0)))
+    nonconst = FactoredRational(one, 0, ((fld.p_power(1), 1),))
+    data.append(LocalityDatum(a, b, ((b, a, minus_one), (a, b, nonconst)), witness_p(fld, 1, 0)))
+    ident, b3 = FieldOperator(module, identity=True), tfield(module, 3)
+    at_one = FactoredRational(one, 0, ((one, 1),))
+    for c in (one, -one):
+        data.append(LocalityDatum(ident, b3, ((b3, ident, FactoredRational(c)),), at_one))
+        data.append(LocalityDatum(b3, ident, ((ident, b3, FactoredRational(c)),), at_one))
+    return data
+
+
+@pytest.mark.parametrize(
+    "fld", [Q2, ScalarField.rationals(F(1, 2)), QP], ids=["p=2", "p=1/2", "Q(p)"]
+)
+def test_commutator_check_matches_the_per_cell_scaled_reference(fld):
+    # the reference runs on its own module, so no memo entry crosses over
+    module, ref_module = FockModule(t_spec(fld)), FockModule(t_spec(fld))
+    C = CovariantStructure(lambda r: tfield(module, r), fld.p_power, -4, 4)
+    C_ref = CovariantStructure(lambda r: tfield(ref_module, r), fld.p_power, -4, 4)
+    box = {"x1": (-5, 5), "x2": (-5, 5)}
+    vectors = list(zip(module.basis(2 if fld is Q2 else 1), ref_module.basis(2 if fld is Q2 else 1)))
+    outcomes = set()
+    for L, L_ref in zip(_equivalence_data(module), _equivalence_data(ref_module)):
+        # the rewritten datum's defect is the caller's with cell (i, j)
+        # multiplied by lam^-i mu^-j: the twists and partners moved with it
+        L1, _, mu = fieldcalc._product_coordinates(L, C)
+        lam = 1 if L.a.identity else L.a.scale
+        w = vectors[-1][0]
+        moved = defect_series(L1, w, 6, 6, thm_region=True)
+        assert _same_series(var_scaled(var_scaled(moved, "x1", lam), "x2", mu),
+                            defect_series(L, w, 6, 6, thm_region=True))
+        for w, w_ref in vectors:
+            got = _outcome(commutator_formula_check, L, C, w, box, 3, 6, 6)
+            want = _outcome(_commutator_reference, L_ref, C_ref, w_ref, box, 3, 6, 6)
+            assert got == want, (L, w)
+            outcomes.add(got[0] if isinstance(got[0], bool) else got[0].__name__)
+    # the data reach a pass, a failure and a raise
+    assert {True, False} <= outcomes and len(outcomes) > 2, outcomes
+
+
+def _unit_coefficient_doubled(exp_arg_dict):
+    """p(e^z) = z^k * unit with the unit's constant term doubled, so that every
+    kernel comes out halved."""
+
+    def doubled(self, order):
+        k, unit = exp_arg_dict(self, order)
+        return k, {e: 2 * c if e == 0 else c for e, c in unit.items()}
+
+    return doubled
+
+
+def test_commutator_counterexample_is_reported_in_the_callers_coordinates(monkeypatch):
+    # the strings are those of the per-cell scaled check on the same fault;
+    # the second pair has a(2 x1) b(3 x2), so its cell d = -1 differs by
+    # 3^-1 between the caller's coordinates and the product's own
+    monkeypatch.setattr(
+        FactoredRational, "exp_arg_dict", _unit_coefficient_doubled(FactoredRational.exp_arg_dict)
+    )
+    params = dv.DVirParams.at(2)
+    module, C = dv.realization(params)
+    box = {"x1": (-7, 7), "x2": (-7, 7)}
+    grid = dv.commutator_grid(params, C, [1, 2], [module.vacuum()], box, 5, 8, 2)
+    ((ok, ce, contrib),) = [res for r, s, _, _, res in grid if (r, s) == (1, 2)]
+    assert not ok and contrib == [(0, F(1), [0]), (2, F(4), [0])]
+    assert ce == ({"x2": 0}, "lambda=1 j=0 d=0: fitted (2)*vac, expected (1)*vac")
+
+    E = FockModule(e_spec(Q2, ell=1, flavor_lo=0, flavor_hi=1))
+    a, b = FieldOperator(E, 0, F(2)), FieldOperator(E, 1, F(3))
+    L = LocalityDatum(
+        a, b, ((b, a, FactoredRational(F(-1))),), FactoredRational(F(1), 0, ((F(3, 2), 1),))
+    )
+    Cq = CovariantStructure(lambda r: None, lambda n: F(3, 2) * 2**n, 0, 0)
+    w = E.basis(1)[1]
+    ok, ce, contrib = commutator_formula_check(L, Cq, w, {"x1": (-4, 4), "x2": (-4, 4)}, 3, 5, 5)
+    assert not ok and contrib == [(0, F(3, 2), [0])]
+    assert ce == ({"x2": -1}, "lambda=3/2 j=0 d=-1: fitted (2/3)*a[0,-1], expected (1/3)*a[0,-1]")
+
+
+def test_commutator_kernels_are_memoized_per_vector_and_root(monkeypatch):
+    params = dv.DVirParams.at(2)
+    module, C = dv.realization(params)
+    basis = module.basis(1)
+    box = {"x1": (-5, 5), "x2": (-5, 5)}
+    calls = []
+    substituted = fieldcalc._substituted_modes
+
+    def counted(F, q, zorder, scale=1):
+        calls.append(scale)
+        return substituted(F, q, zorder, scale)
+
+    monkeypatch.setattr(fieldcalc, "_substituted_modes", counted)
+    flavors = range(-1, 2)
+    first = list(dv.commutator_grid(params, C, flavors, basis, box, 3, 6, 2))
+    # every pair on one vector reads the roots p and 1/p of (y - p)(y - 1/p)
+    assert sorted(calls) == sorted([F(2), F(1, 2)] * len(basis))
+    assert len(module._kernels) == len(basis)
+    assert all(ok for *_, (ok, _, _) in first)
+    # a second grid on the same module reads every kernel from the memo
+    again = list(dv.commutator_grid(params, C, flavors, basis, box, 3, 6, 2))
+    assert len(calls) == 2 * len(basis)
+    assert [res for *_, res in again] == [res for *_, res in first]
+    # each triple, a memo hit for all but the first pair on a vector, equals
+    # the triple on a fresh module
+    for r, s, w, _, res in first:
+        _, fresh = dv.realization(params)
+        grid = dv.commutator_grid(params, fresh, [r, s], [w], box, 3, 6, 2)
+        assert res == next(t for rr, ss, _, _, t in grid if (rr, ss) == (r, s)), (r, s, w)
+    # two modules share no entry
+    other, Co = dv.realization(params)
+    assert not other._kernels
+    list(dv.commutator_grid(params, Co, flavors, basis[:1], box, 3, 6, 2))
+    mine = [t for entry in module._kernels.values() for terms in entry.values() for t in terms]
+    theirs = [t for entry in other._kernels.values() for terms in entry.values() for t in terms]
+    assert theirs and not {id(t) for t in mine} & {id(t) for t in theirs}
+    assert not {id(t.coeff) for t in mine} & {id(t.coeff) for t in theirs}
+
+
+def test_commutator_kernel_memo_stores_no_exception():
+    box = {"x1": (-5, 5), "x2": (-5, 5)}
+    module = FockModule(t_spec(Q2))
+    p = minimal_p(Q2, 1, 1)
+    L, C = diagonal_datum(module, p**2)
+    L_bad, _ = diagonal_datum(module, FactoredRational(F(1), 0, ((F(1, 4), 1),)))
+    for _ in range(3):
+        # a double root above the z-order cap, then a pair the annihilator
+        # leaves incompatible
+        with pytest.raises(InsufficientWindow):
+            commutator_formula_check(L, C, module.vacuum(), box, 0, 8, 8)
+        with pytest.raises(CompatibilityError):
+            commutator_formula_check(L_bad, C, module.vacuum(), box, 6, 7, 7)
+        assert not any(module._kernels.values())
+    # the cap is not part of the key: with room, the same root is computed
+    ok, ce, contrib = commutator_formula_check(L, C, module.vacuum(), box, 6, 8, 8)
+    assert ok, ce
+    assert sum(map(len, module._kernels.values())) == 2
