@@ -20,7 +20,6 @@ from .series import (
 from .distributions import (
     DeltaSum,
     DeltaTerm,
-    FormalDistribution,
     annihilation_check,
     delta_agree,
     delta_decompose,

@@ -69,19 +69,6 @@ class DeltaTerm:
         return DeltaTerm(self.lam, self.j, self.coeff.scaled(c))
 
 
-@dataclass(frozen=True)
-class FormalDistribution:
-    """A regular two-variable part plus finitely many delta terms."""
-
-    regular: TruncatedSeries
-    deltas: tuple
-
-    def __post_init__(self):
-        keys = [(t.lam, t.j) for t in self.deltas]
-        if len(set(map(repr, keys))) != len(keys):
-            raise ValueError("delta terms must have pairwise distinct (lambda, j) keys")
-
-
 def delta_expand(term: DeltaTerm, v1: str, v2: str, limits: dict) -> TruncatedSeries:
     """Expansion of a delta term on a finite v1-window [lo1, hi1].
 

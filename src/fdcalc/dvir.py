@@ -202,6 +202,21 @@ def vir_relation_check(
     return DVirRelationReport(m, n, central, max_len, worst[0], worst[1], stable)
 
 
+def relation_failures(module: FockModule, params: DVirParams, mode_bound: int,
+                      grade_bound: int, extend: int):
+    """The relation rule: (m, n, what) for each relation with |m|, |n| <=
+    ``mode_bound`` that fails on the basis of grade <= ``grade_bound``, once
+    for a defect and once for a truncation certificate that ``extend`` more
+    terms broke."""
+    for m in range(-mode_bound, mode_bound + 1):
+        for n in range(-mode_bound, mode_bound + 1):
+            rep = vir_relation_check(module, params, m, n, grade_bound, extend=extend)
+            if rep.defect:
+                yield m, n, f"at {rep.defect_at}: {rep.defect!r}"
+            if not rep.stable:
+                yield m, n, "truncation certificate violated"
+
+
 def standard_annihilator(params: DVirParams, r: int, s: int, with_extra: bool = True) -> FactoredRational:
     """(y - p^(s+1-r)) (y - p^(s-1-r)), optionally with the (y + p^(s-r)) factor
     of the locality witness."""
@@ -258,6 +273,27 @@ def commutator_grid(params: DVirParams, C: CovariantStructure, flavors, basis, b
                 )
 
 
+def commutator_failures(params: DVirParams, C: CovariantStructure, flavors, basis, box: dict,
+                        zorder: int, ceiling: int, margin: int):
+    """The commutator-grid rule: (r, s, w, exponents, what) for each entry of
+    :func:`commutator_grid` where the formula fails (at the counterexample's
+    exponents), where the kernels sit at shifts other than ``want``, or, for a
+    diagonal pair r = s, where their characters are not chi(1) and chi(-1)
+    (exponents None)."""
+    diagonal = {C.chi(1), C.chi(-1)}
+    for r, s, w, want, (ok, ce, contrib) in commutator_grid(
+        params, C, flavors, basis, box, zorder, ceiling, margin
+    ):
+        if not ok:
+            yield r, s, w, ce[0], f"formula: {ce[1]}"
+        got = sorted(nn for nn, _, _ in contrib)
+        if got != want:
+            yield r, s, w, None, f"kernels at shifts {got}, expected {want}"
+        chis = {c for _, c, _ in contrib}
+        if r == s and chis != diagonal:
+            yield r, s, w, None, f"diagonal pair kernels at {sorted(map(repr, chis))}"
+
+
 def verdict(counterexamples) -> tuple:
     """The one verdict rule: ``(ok, detail)`` from a generator of counterexamples.
 
@@ -293,7 +329,6 @@ def theorem58_suite(
     associativity and top modes are undetermined there.
     """
     module, C = realization(params)
-    fld = params.field
     basis = module.basis(grade_bound)
     hi = grade_bound + 3
     flavors = range(flavor_lo, flavor_hi + 1)
@@ -313,12 +348,7 @@ def theorem58_suite(
 
     def delta_kernels():
         box = {"x1": (-hi, hi), "x2": (-hi, hi)}
-        for r, s, w, want, (ok, ce, contrib) in commutator_grid(
-            params, C, flavors, basis, box, zorder, hi + 2, margin
-        ):
-            got = sorted(nn for nn, _, _ in contrib)
-            if not ok or got != want:
-                yield r, s, repr(w), ce, got, want
+        yield from commutator_failures(params, C, flavors, basis, box, zorder, hi + 2, margin)
 
     def covariance():
         need_two_flavors("nonzero shift")
@@ -332,8 +362,7 @@ def theorem58_suite(
         need_two_flavors("neighbor pair")
         for r in range(flavor_lo + 1, flavor_hi + 1):
             s = r - 1
-            u = FieldOperator(module, "T", fld.p_power(r))
-            v = FieldOperator(module, "T", fld.p_power(s))
+            u, v = C.realize(r), C.realize(s)
             p_inner = standard_annihilator(params, r, s, with_extra=False)
             p_outer = standard_annihilator(params, r, s, with_extra=True)
             for w in basis[: max(4, len(basis) // 3)]:
@@ -345,8 +374,7 @@ def theorem58_suite(
         need_two_flavors("neighbor pair")
         for s in range(flavor_lo, flavor_hi):
             r = s + 1
-            u = FieldOperator(module, "T", fld.p_power(r))
-            v = FieldOperator(module, "T", fld.p_power(s))
+            u, v = C.realize(r), C.realize(s)
             p_wit = standard_annihilator(params, r, s, with_extra=True)
             for w in basis:
                 ye = ye_product(u, v, p_wit, zorder, w, hi + 2, hi + 2, margin=margin)
@@ -391,11 +419,7 @@ def theorem59_suite(
 
     def relations():
         # realized field modes satisfy the defining relations
-        for m in range(-mode_bound, mode_bound + 1):
-            for n in range(-mode_bound, mode_bound + 1):
-                rep = vir_relation_check(module, params, m, n, grade_bound, extend=2)
-                if rep.defect or not rep.stable:
-                    yield m, n, repr(rep.defect), rep.defect_at
+        yield from relation_failures(module, params, mode_bound, grade_bound, extend=2)
 
     def factorization():
         # (x1 - p x2)(p x1 - x2) T'(x1) T'(x2) = (x1 - x2) A(x1, x2) and the two

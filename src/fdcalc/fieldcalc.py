@@ -7,12 +7,14 @@ boxes, quadrant (joint lower-truncation) claims are certified by a stability
 test against margin-shrunken boxes, and any verdict records the box it was
 obtained on.
 
-The twisted reversed product is built in one place, :func:`defect_series`:
-locality is p(x1/x2) times that defect, and the commutator formula compares
-the defect with its delta kernels.  The commutator formula is checked in the
-product's own coordinates, where a(x1) b(x2) w is unscaled and its kernels are
-memoized per vector and root.  The residue formula builds its bracket once;
-the top mode is the bracket's z^0 slice.
+The defect, a(x1) b(x2) w minus the twisted reversed products, is built by
+:func:`defect_series`: locality is p(x1/x2) times that defect, and the
+commutator formula compares the defect with its delta kernels.  The commutator
+formula is checked in the product's own coordinates, where a(x1) b(x2) w is
+unscaled and its kernels are memoized per vector and root.  The residue
+formula builds its own twisted reversed products, with the twist folded into
+q(y) = p(y) f_i(1/y), and its bracket once; the top mode is the bracket's z^0
+slice.
 """
 
 from __future__ import annotations
@@ -54,34 +56,17 @@ class QuadrantUndetermined(InsufficientWindow):
 
 @dataclass(frozen=True)
 class FieldOperator:
-    """A mode family a(scale * x) on a Fock module, or the identity field."""
+    """A mode family a(scale * x) on a Fock module."""
 
     module: FockModule
-    flavor: object = None
+    flavor: object
     scale: object = 1
-    identity: bool = False
 
     def scaled(self, mu) -> "FieldOperator":
-        if self.identity:
-            return self
-        return FieldOperator(self.module, self.flavor, mu * self.scale, False)
-
-    def unscaled_apply(self, e: int, w: FockVector) -> FockVector:
-        """Coefficient of x**e in a(x) w, the field before its scale."""
-        if self.identity:
-            return w if e == 0 else FockVector()
-        return self.module.field_coeff(self.flavor, e, w)
-
-    def floor(self, w: FockVector) -> int:
-        """Exponents below this are certified to annihilate w."""
-        if self.identity:
-            return 0
-        return self.module.field_floor(w)
+        return FieldOperator(self.module, self.flavor, mu * self.scale)
 
     def series(self, w: FockVector, hi: int) -> TruncatedSeries:
         """The field applied to w, as a series in x up to x**hi."""
-        if self.identity:
-            return TruncatedSeries(("x",), {(0,): w} if w else {}, {"x": (NEG_INF, hi)}, {"x": (0, 0)})
         return self.module.apply_field(self.flavor, self.scale, w, hi)
 
 
@@ -140,9 +125,7 @@ def product_on_window(
     coordinates so that the products it reads are unscaled.
     """
     cells, ifloor = _unscaled_cells(outer, inner, w, hi_outer, hi_inner)
-    so = 1 if outer.identity else outer.scale
-    si = 1 if inner.identity else inner.scale
-    coeffs = scaled_cells(cells, (so, si))
+    coeffs = scaled_cells(cells, (outer.scale, inner.scale))
     if ov > iv:
         coeffs = {(j, i): c for (i, j), c in coeffs.items()}
     vars = tuple(sorted((ov, iv)))
@@ -155,10 +138,10 @@ def _product_key(outer: FieldOperator, inner: FieldOperator, w: FockVector,
                  hi_outer: int, hi_inner: int) -> tuple:
     """(module, key) of the unscaled product of ``outer`` and ``inner`` on w:
     the key of the module's ``_products`` and ``_kernels`` memos."""
-    module = inner.module if outer.identity else outer.module
-    if not (outer.identity or inner.identity) and inner.module is not module:
+    module = outer.module
+    if inner.module is not module:
         raise ValueError("a two-field product needs both fields on one module")
-    return module, (outer.flavor, outer.identity, inner.flavor, inner.identity, w, hi_outer, hi_inner)
+    return module, (outer.flavor, inner.flavor, w, hi_outer, hi_inner)
 
 
 def _unscaled_cells(outer: FieldOperator, inner: FieldOperator, w: FockVector,
@@ -169,14 +152,14 @@ def _unscaled_cells(outer: FieldOperator, inner: FieldOperator, w: FockVector,
     hit = module._products.get(key)
     if hit is not None:
         return hit
-    ifloor = inner.floor(w)
+    ifloor = module.field_floor(w)
     cells = {}
     for j in range(ifloor, hi_inner + 1):
-        vj = inner.unscaled_apply(j, w)
+        vj = module.field_coeff(inner.flavor, j, w)
         if not vj:
             continue
-        for i in range(outer.floor(vj), hi_outer + 1):
-            cell = outer.unscaled_apply(i, vj)
+        for i in range(module.field_floor(vj), hi_outer + 1):
+            cell = module.field_coeff(outer.flavor, i, vj)
             if cell:
                 cells[(i, j)] = cell
     module._products[key] = cells, ifloor
@@ -422,8 +405,8 @@ def defect_series(
     direct: TruncatedSeries | None = None,
 ) -> TruncatedSeries:
     """a(x1) b(x2) w minus the twisted reversed products sum_i f_i b_i(x2) a_i(x1) w,
-    on the box: the one place they are built, for locality and the commutator
-    formula.
+    on the box, for locality and the commutator formula (:func:`residue_ye`
+    folds the twist into its kernel instead).
 
     ``thm_region`` selects the commutator-theorem expansion of the twist
     (descending in x1/x2) instead of the locality-definition one (descending
@@ -527,7 +510,7 @@ def _commutator_kernels(
 
 def _product_coordinates(L: LocalityDatum, C: CovariantStructure):
     """(L', C', mu): the datum and the structure in X1 = lam x1, X2 = mu x2,
-    with lam and mu the scales of a and b (1 for an identity field).
+    with lam and mu the scales of a and b.
 
     a(x1), the unscaled field at lam x1, becomes that field at X1, and b
     likewise; a partner's fields keep their ratio to a and b; a twist
@@ -537,7 +520,7 @@ def _product_coordinates(L: LocalityDatum, C: CovariantStructure):
     cell (i, j) in X is the cell in x times lam^-i mu^-j, so supports,
     windows and verdicts stay where they were.
     """
-    lam, mu = (1 if f.identity else f.scale for f in (L.a, L.b))
+    lam, mu = L.a.scale, L.b.scale
     to_x1, to_x2 = power(lam, -1), power(mu, -1)
     ratio = lam * to_x2
     partners = tuple(

@@ -221,8 +221,8 @@ class FockModule:
       would grow the module by more than it saves.  Stored words that come
       out zero all hold one shared zero vector.
     * ``_products``, owned by :func:`fieldcalc.product_on_window`: (outer
-      flavor and identity flag, inner flavor and identity flag, vector, the
-      two window tops) -> the unscaled product cells and the inner floor.
+      flavor, inner flavor, vector, the two window tops) -> the unscaled
+      product cells and the inner floor.
     * ``_kernels``, owned by :func:`fieldcalc.commutator_formula_fit`: the
       ``_products`` key of a product P -> a dict that gains one entry per
       root read, (annihilator p's monomial exponent and factors, quadrant

@@ -8,7 +8,6 @@ from fdcalc.distributions import (
     DeltaSum,
     DeltaTerm,
     DiagonalDivergent,
-    FormalDistribution,
     InsufficientWindow,
     NotDeltaSum,
     SingularSystem,
@@ -183,14 +182,6 @@ def test_three_term_symmetry_with_generated_data():
         assert not three_term_check(bad, AB, C, 4)
     badC = C + TruncatedSeries.exact(("x0", "x2"), {(1, 0): F(1)})
     assert not three_term_check(AB, AB, badC, 4)
-
-
-def test_formal_distribution_key_invariant():
-    t1 = DeltaTerm(F(1), 0, unit_coeff("x2"))
-    t2 = DeltaTerm(F(1), 0, unit_coeff("x2", F(2)))
-    with pytest.raises(ValueError):
-        FormalDistribution(TruncatedSeries.exact(("x1", "x2"), {}), (t1, t2))
-    FormalDistribution(TruncatedSeries.exact(("x1", "x2"), {}), (t1,))
 
 
 def test_delta_sum_derivative_matches_expansion():

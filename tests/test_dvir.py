@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import fdcalc.dvir as dv
 from fdcalc.dvir import (
     DVirParams,
     DVirRelationReport,
@@ -330,6 +331,25 @@ def test_theorem58_wrong_scaling_fails():
         shift_hi=3,
     )
     assert not covariance_check(Cbad, 1, 1, 2, 5)[0]
+
+
+def test_commutator_rule_checks_the_diagonal_pair_characters(monkeypatch):
+    """Kernels at the right shifts that report the wrong characters fail the
+    commutator-grid rule on the diagonal pairs, and only there."""
+    module, C = realization(AT2)
+    check = dv.commutator_formula_check
+
+    def wrong_characters(*args, **kwargs):
+        ok, ce, contrib = check(*args, **kwargs)
+        return ok, ce, [(n, 2 * chi, js) for n, chi, js in contrib]
+
+    box = {"x1": (-5, 5), "x2": (-5, 5)}
+    grid = (AT2, C, [0, 1], [module.vacuum()], box, 5, 8, 2)
+    assert not list(dv.commutator_failures(*grid))
+    monkeypatch.setattr(dv, "commutator_formula_check", wrong_characters)
+    fails = list(dv.commutator_failures(*grid))
+    assert [(r, s) for r, s, *_ in fails] == [(0, 0), (1, 1)]
+    assert all(what.startswith("diagonal pair kernels at") for *_, what in fails)
 
 
 def test_theorem59_suite_small():

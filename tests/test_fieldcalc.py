@@ -532,14 +532,6 @@ def test_assoc_check_distinct_annihilators(tmod):
     assert ok, ce
 
 
-def test_assoc_identity_field(tmod):
-    one_field = FieldOperator(tmod, identity=True)
-    v = tfield(tmod, 1)
-    trivial = FactoredRational(F(1), 0, ((F(7), 1),))
-    ok, ce = assoc_check(one_field, v, trivial, trivial, tmod.vacuum(), 5, 6, 6)
-    assert ok, ce
-
-
 def test_covariance_and_negative_control(tmod):
     fld = tmod.field
     C = CovariantStructure(lambda r: tfield(tmod, r), lambda n: fld.p_power(n), -3, 3)
@@ -601,8 +593,6 @@ def _reference_coeff_apply(field, e, w):
     """Coefficient of x**e in a(scale x) w, mode by mode."""
     from fdcalc.scalars import power
 
-    if field.identity:
-        return w if e == 0 else FockVector()
     vec = field.module.apply_mode(field.flavor, -e - field.module.spec.nu, w)
     if vec and field.scale != 1:
         vec = power(field.scale, e) * vec
@@ -611,13 +601,13 @@ def _reference_coeff_apply(field, e, w):
 
 def _reference_product(outer, ov, inner, iv, w, hi_outer, hi_inner):
     """product_on_window as a cell-by-cell loop over the scaled fields."""
-    ifloor = inner.floor(w)
+    ifloor = inner.module.field_floor(w)
     coeffs = {}
     for j in range(ifloor, hi_inner + 1):
         vj = _reference_coeff_apply(inner, j, w)
         if not vj:
             continue
-        for i in range(outer.floor(vj), hi_outer + 1):
+        for i in range(outer.module.field_floor(vj), hi_outer + 1):
             cell = _reference_coeff_apply(outer, i, vj)
             if cell:
                 coeffs[(i, j) if ov < iv else (j, i)] = cell
@@ -633,11 +623,9 @@ def _same_series(s, t):
 @pytest.mark.parametrize("fld", [Q2, QP], ids=["p2", "symbolic"])
 def test_product_on_window_matches_the_mode_by_mode_product(fld):
     module = FockModule(t_spec(fld))
-    # an identity field keeps its identity flag in the memo key, flavor or not
-    ones = [FieldOperator(module, identity=True), FieldOperator(module, "T", identity=True)]
-    fields = [tfield(module, r) for r in (0, -2, 1, 3)] + ones
+    fields = [tfield(module, r) for r in (0, -2, 1, 3)]
     vectors = module.basis(2) if fld is Q2 else [module.vacuum(), module.basis(2)[-1]]
-    pairs = [(a, b) for a in fields for b in fields if not (a.identity and b.identity)]
+    pairs = [(a, b) for a in fields for b in fields]
     for w in vectors:
         for a, b in pairs:
             for ov, iv in (("x1", "x2"), ("x2", "x1")):
@@ -645,9 +633,8 @@ def test_product_on_window_matches_the_mode_by_mode_product(fld):
                 assert _same_series(got, _reference_product(a, ov, b, iv, w, 5, 4)), (a, b, w)
                 # a second call reads the memo and gives an equal series
                 assert _same_series(product_on_window(a, ov, b, iv, w, 5, 4), got)
-    # one unscaled product per vector and (flavor, identity) pattern: T T,
-    # T 1, 1 T, T 1_T and 1_T T
-    assert len(module._products) == len(vectors) * 5
+    # one unscaled product per vector: every scale reads T T
+    assert len(module._products) == len(vectors)
 
 
 def test_product_memo_is_per_module():
@@ -863,8 +850,7 @@ def _outcome(check, *args):
 def _equivalence_data(module):
     """Flavor pairs of the realization at scales p^0, p^+-1 and p^3 (one with
     a root outside the shift window), a double root, an annihilator with no
-    root, a partner whose scale is not b's, a non-constant twist, and an
-    identity field on either side with a true and a wrong twist constant."""
+    root, a partner whose scale is not b's and a non-constant twist."""
     fld = module.field
     one = fld.one()
     minus_one = FactoredRational(-one)
@@ -879,11 +865,6 @@ def _equivalence_data(module):
     data.append(LocalityDatum(a, b, ((tfield(module, -1), a, minus_one),), minimal_p(fld, 1, 0)))
     nonconst = FactoredRational(one, 0, ((fld.p_power(1), 1),))
     data.append(LocalityDatum(a, b, ((b, a, minus_one), (a, b, nonconst)), witness_p(fld, 1, 0)))
-    ident, b3 = FieldOperator(module, identity=True), tfield(module, 3)
-    at_one = FactoredRational(one, 0, ((one, 1),))
-    for c in (one, -one):
-        data.append(LocalityDatum(ident, b3, ((b3, ident, FactoredRational(c)),), at_one))
-        data.append(LocalityDatum(b3, ident, ((ident, b3, FactoredRational(c)),), at_one))
     return data
 
 
@@ -902,7 +883,7 @@ def test_commutator_check_matches_the_per_cell_scaled_reference(fld):
         # the rewritten datum's defect is the caller's with cell (i, j)
         # multiplied by lam^-i mu^-j: the twists and partners moved with it
         L1, _, mu = fieldcalc._product_coordinates(L, C)
-        lam = 1 if L.a.identity else L.a.scale
+        lam = L.a.scale
         w = vectors[-1][0]
         moved = defect_series(L1, w, 6, 6, thm_region=True)
         assert _same_series(var_scaled(var_scaled(moved, "x1", lam), "x2", mu),
