@@ -228,25 +228,25 @@ def standard_annihilator(params: DVirParams, r: int, s: int, with_extra: bool = 
     return FactoredRational(one, 0, tuple(factors))
 
 
+def realized_field(module: FockModule, r: int) -> FieldOperator:
+    """The realization's field of flavor r: T(p^r x) on ``module``."""
+    return FieldOperator(module, "T", module.field.p_power(r))
+
+
 def realization(params: DVirParams):
     """The covariant realization r -> T(p^r x) on a new universal restricted
     module, with character n -> p^n."""
     module = t_fock(params)
     fld = params.field
-
-    def realize(r: int) -> FieldOperator:
-        return FieldOperator(module, "T", fld.p_power(r))
-
     return module, CovariantStructure(
-        realize=realize, chi=lambda nn: fld.p_power(nn), shift_lo=-8, shift_hi=8
+        realize=lambda r: realized_field(module, r), chi=lambda nn: fld.p_power(nn),
+        shift_lo=-8, shift_hi=8,
     )
 
 
 def neighbor_locality(params: DVirParams, module: FockModule, r: int, s: int) -> LocalityDatum:
-    fld = params.field
-    a = FieldOperator(module, "T", fld.p_power(r))
-    b = FieldOperator(module, "T", fld.p_power(s))
-    minus_one = FactoredRational(-fld.one())
+    a, b = realized_field(module, r), realized_field(module, s)
+    minus_one = FactoredRational(-params.field.one())
     return LocalityDatum(a, b, ((b, a, minus_one),), standard_annihilator(params, r, s))
 
 

@@ -11,10 +11,10 @@ The defect, a(x1) b(x2) w minus the twisted reversed products, is built by
 :func:`defect_series`: locality is p(x1/x2) times that defect, and the
 commutator formula compares the defect with its delta kernels.  The commutator
 formula is checked in the product's own coordinates, where a(x1) b(x2) w is
-unscaled and its kernels are memoized per vector and root.  The residue
-formula builds its own twisted reversed products, with the twist folded into
-q(y) = p(y) f_i(1/y), and its bracket once; the top mode is the bracket's z^0
-slice.
+unscaled, its kernels are memoized per vector and root, and the defect's delta
+fit per vector and datum.  The residue formula builds its own twisted reversed
+products, with the twist folded into q(y) = p(y) f_i(1/y), and its bracket
+once; the top mode is the bracket's z^0 slice.
 """
 
 from __future__ import annotations
@@ -137,7 +137,8 @@ def product_on_window(
 def _product_key(outer: FieldOperator, inner: FieldOperator, w: FockVector,
                  hi_outer: int, hi_inner: int) -> tuple:
     """(module, key) of the unscaled product of ``outer`` and ``inner`` on w:
-    the key of the module's ``_products`` and ``_kernels`` memos."""
+    the key of the module's ``_products`` and ``_kernels`` memos, and the
+    first part of its ``_fits`` key."""
     module = outer.module
     if inner.module is not module:
         raise ValueError("a two-field product needs both fields on one module")
@@ -547,9 +548,13 @@ def commutator_formula_fit(
 
     The products, the defect, its delta fit and the kernels are built in the
     product's own coordinates (:func:`_product_coordinates`), where a flavor
-    pair's unscaled product and kernels are the module's memo entries for
-    every pair on the same vector.  The fit and the kernels, a few delta
-    terms, come back to the caller's coordinates to be compared.
+    pair's unscaled product, kernels and fit are the module's memo entries
+    for every pair on the same vector.  The defect is built and fitted only
+    when ``FockModule._fits`` has no entry for the product, the partners and
+    their twists, the box and the roots; a defect that is no delta sum
+    stores its message, and anything else raised stores nothing.  The fit
+    and the kernels, a few delta terms, come back to the caller's
+    coordinates to be compared there.
 
     Returns (ok, counterexample, contributing, fit): ``contributing`` lists
     (shift, C.chi(shift), the kernels' j) for the shifts with nonzero
@@ -561,7 +566,6 @@ def commutator_formula_fit(
         raise ValueError("character must be injective on the shift window")
     L1, C1, mu = _product_coordinates(L, C)
     base = product_on_window(L1.a, "x1", L1.b, "x2", w, hi1, hi2)
-    lhs = defect_series(L1, w, hi1, hi2, thm_region=True, direct=base).restricted(box)
     module, key = _product_key(L1.a, L1.b, w, hi1, hi2)
     kernels = _commutator_kernels(L1, C1, base, zorder, margin, module._kernels.setdefault(key, {}))
     back = {chi: C.chi(n) for n, chi, _ in kernels}
@@ -571,11 +575,24 @@ def commutator_formula_fit(
         return DeltaTerm(back[t.lam], t.j, var_scaled(t.coeff, "x2", mu))
 
     rhs = [in_caller_coordinates(t) for _, _, terms in kernels for t in terms]
-    try:
-        fit = delta_fit(lhs, list(back), max((t.j for t in rhs), default=0), "x1", "x2")
-    except NotDeltaSum as exc:
-        return False, ({}, str(exc)), contributing, None
-    window = fit_window(lhs, fit, "x1", "x2")
+    lambdas, jmax = tuple(back), max((t.j for t in rhs), default=0)
+    if any(g.module is not module for b, a, _ in L1.partners for g in (b, a)):
+        raise ValueError("the commutator formula needs every field on one module")
+    partners = tuple((b.flavor, b.scale, a.flavor, a.scale, f.const, f.mexp, f.factors)
+                     for b, a, f in L1.partners)
+    fit_key = key, partners, tuple((v, tuple(iv)) for v, iv in sorted(box.items())), lambdas, jmax
+    found = module._fits.get(fit_key)
+    if found is None:
+        lhs = defect_series(L1, w, hi1, hi2, thm_region=True, direct=base).restricted(box)
+        try:
+            fit = delta_fit(lhs, lambdas, jmax, "x1", "x2")
+            found = fit, fit_window(lhs, fit, "x1", "x2")
+        except NotDeltaSum as exc:
+            found = str(exc)
+        module._fits[fit_key] = found
+    if isinstance(found, str):
+        return False, ({}, found), contributing, None
+    fit, window = found
     fit = [in_caller_coordinates(t) for t in fit]
     ok, ce = fit_agree(fit, window, rhs, "x2")
     return ok, ce, contributing, (fit, window)

@@ -20,7 +20,7 @@ the mode-action memo may hand the same vector to every caller.  Linear
 combinations are built by :meth:`FockVector.lincomb`, the one accumulate: it
 sums into one dict and drops zero coefficients once, at the end.
 
-A :class:`FockModule` keeps five memos for its own lifetime, sharing no
+A :class:`FockModule` keeps six memos for its own lifetime, sharing no
 entry with another module; its class docstring lists them.
 """
 
@@ -207,7 +207,7 @@ _ZERO = FockVector()  # every zero two-mode word in every module shares it
 class FockModule:
     """Universal restricted vacuum module over a :class:`CarSpec`.
 
-    Five memos live as long as the module.  Each maps a key to a value that
+    Six memos live as long as the module.  Each maps a key to a value that
     callers share and never change (a ``_kernels`` value only gains
     entries), and none is ever evicted or shared between modules:
 
@@ -232,6 +232,15 @@ class FockModule:
       and the same roots, so each root's kernels are computed once per
       vector.  Only the terms are stored, never the annihilated product they
       come from.
+    * ``_fits``, owned by :func:`fieldcalc.commutator_formula_fit`: (the
+      ``_products`` key of a product P, each partner's two flavors and
+      scales with its twist's constant, monomial exponent and factors, the
+      box, the ordered roots chi and the top j of the kernels) -> the delta
+      fit of the defect of P and its window, or the message of the
+      ``NotDeltaSum`` raised when the defect is no delta sum.  Everything is
+      in the product's own coordinates, so every flavor pair on one vector
+      reads one fit.  A fit that raises anything else stores nothing.  No
+      key holds a field, which would hold the module itself.
     * ``_monomials``, owned by :meth:`_basis_monomials`: grade bound -> the
       tuple of basis monomials, so that checks which loop over generator
       pairs enumerate the basis once.
@@ -243,6 +252,7 @@ class FockModule:
         self._words = {}
         self._products = {}
         self._kernels = {}
+        self._fits = {}
         self._monomials = {}
 
     @property

@@ -523,8 +523,7 @@ def check_mode_product_well_defined(cfg: SuiteConfig):
         r = rng.randint(cfg.flavor_lo, cfg.flavor_hi)
         s = rng.randint(cfg.flavor_lo, cfg.flavor_hi)
         w = rng.choice(basis)
-        a = FieldOperator(module, "T", fld.p_power(r))
-        b = FieldOperator(module, "T", fld.p_power(s))
+        a, b = dv.realized_field(module, r), dv.realized_field(module, s)
         p1 = dv.standard_annihilator(params, r, s, with_extra=False)
         mu = fld.coerce(extra_roots[trial % len(extra_roots)])
         p2 = p1 * FactoredRational(fld.one(), 0, ((mu, 1),))

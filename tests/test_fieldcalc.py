@@ -1,5 +1,8 @@
+import gc
 import math
 import random
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -988,7 +991,138 @@ def test_commutator_kernel_memo_stores_no_exception():
         with pytest.raises(CompatibilityError):
             commutator_formula_check(L_bad, C, module.vacuum(), box, 6, 7, 7)
         assert not any(module._kernels.values())
+        assert not module._fits
     # the cap is not part of the key: with room, the same root is computed
     ok, ce, contrib = commutator_formula_check(L, C, module.vacuum(), box, 6, 8, 8)
     assert ok, ce
     assert sum(map(len, module._kernels.values())) == 2
+    assert len(module._fits) == 1
+
+
+def _fit_outcome(L, C, w, box):
+    """commutator_formula_fit's quadruple with the fitted series spelled out,
+    so that two runs compare by value."""
+    ok, ce, contrib, fit = fieldcalc.commutator_formula_fit(L, C, w, box, 3, 6, 6)
+    if fit is not None:
+        terms, window = fit
+        fit = [(t.lam, t.j, t.coeff.coeffs, t.coeff.window, t.coeff.support) for t in terms], window
+    return ok, ce, contrib, fit
+
+
+def _counting_delta_fit(monkeypatch):
+    calls = []
+
+    def counted(D, lambdas, jmax, v1, v2):
+        calls.append(tuple(lambdas))
+        return delta_fit(D, lambdas, jmax, v1, v2)
+
+    monkeypatch.setattr(fieldcalc, "delta_fit", counted)
+    return calls
+
+
+def test_commutator_fits_are_memoized_per_vector(monkeypatch):
+    params = dv.DVirParams.at(2)
+    module, C = dv.realization(params)
+    basis = module.basis(1)
+    box = {"x1": (-5, 5), "x2": (-5, 5)}
+    calls = _counting_delta_fit(monkeypatch)
+    flavors = range(-1, 2)
+    first = list(dv.commutator_grid(params, C, flavors, basis, box, 3, 6, 2))
+    # every pair on one vector fits the same defect at the same roots p, 1/p
+    assert len(calls) == len(module._fits) == len(basis)
+    assert all(ok for *_, (ok, _, _) in first)
+    again = list(dv.commutator_grid(params, C, flavors, basis, box, 3, 6, 2))
+    assert [res for *_, res in again] == [res for *_, res in first]
+    # the witness annihilator has a third root, which no shift reaches, so
+    # its pairs read the same fits
+    mine = {(r, w): _fit_outcome(dv.neighbor_locality(params, module, r, 0), C, w, box)
+            for r in flavors for w in basis}
+    assert len(calls) == len(basis)
+    # each triple, and each fit mapped back, equals a fresh module's
+    for r, s, w, _, res in first:
+        _, fresh = dv.realization(params)
+        grid = dv.commutator_grid(params, fresh, [r, s], [w], box, 3, 6, 2)
+        assert res == next(t for rr, ss, _, _, t in grid if (rr, ss) == (r, s)), (r, s, w)
+    for (r, w), got in mine.items():
+        fresh, Cf = dv.realization(params)
+        assert got == _fit_outcome(dv.neighbor_locality(params, fresh, r, 0), Cf, w, box), (r, w)
+
+
+def test_commutator_fit_memo_keys_the_twist_the_box_and_the_lambdas(monkeypatch):
+    """One vector and one product a(x1) b(x2) w, read with another twist, box
+    or root list, gets a fit of its own, equal to a fresh module's."""
+
+    def data(module):
+        fld = module.field
+        a, b = tfield(module, 0), tfield(module, 1)
+        p = minimal_p(fld, 0, 1)
+        C = CovariantStructure(lambda r: tfield(module, r), fld.p_power, -4, 4)
+        box = {"x1": (-5, 5), "x2": (-5, 5)}
+
+        def datum(f):
+            return LocalityDatum(a, b, ((b, a, f),), p)
+
+        base = datum(FactoredRational(F(-1)))
+        return [
+            (base, C, box),
+            (datum(FactoredRational(F(-2))), C, box),
+            (datum(FactoredRational(F(-1), 0, ((F(2), 1),))), C, box),
+            (base, C, {"x1": (-4, 4), "x2": (-4, 4)}),
+            # the shifts reach only the root p^2: the fit has one lambda
+            (base, replace(C, shift_lo=1), box),
+        ]
+
+    module = FockModule(t_spec(Q2))
+    w = module.basis(2)[-1]
+    calls = _counting_delta_fit(monkeypatch)
+    got = [_fit_outcome(L, C, w, box) for L, C, box in data(module)]
+    assert len(calls) == len(module._fits) == len(got)
+    assert [len(lams) for lams in calls] == [2, 2, 2, 2, 1]
+    assert len({repr(o) for o in got}) == len(got) - 1  # both twists are no delta sum
+    assert all(o != got[0] for o in got[1:])
+    for (L, C, box), want in zip(data(FockModule(t_spec(Q2))), got):
+        assert _fit_outcome(L, C, w, box) == want, (L, box)
+    # the key names partners by flavor and scale, so they must share the module
+    other = FockModule(t_spec(Q2))
+    L, C, box = data(module)[0]
+    L_other = replace(L, partners=((tfield(other, 1), tfield(other, 0), FactoredRational(F(-1))),))
+    with pytest.raises(ValueError, match="every field on one module"):
+        fieldcalc.commutator_formula_fit(L_other, C, w, box, 3, 6, 6)
+
+
+def test_commutator_fit_memo_repeats_a_not_delta_sum_counterexample(monkeypatch):
+    module = FockModule(t_spec(Q2))
+    a, b = tfield(module, 0), tfield(module, 1)
+    L = LocalityDatum(a, b, ((b, a, FactoredRational(F(-2))),), minimal_p(Q2, 0, 1))
+    C = CovariantStructure(lambda r: tfield(module, r), Q2.p_power, -4, 4)
+    box = {"x1": (-5, 5), "x2": (-5, 5)}
+    calls = _counting_delta_fit(monkeypatch)
+    w = module.basis(2)[-1]
+    outcomes = [fieldcalc.commutator_formula_fit(L, C, w, box, 3, 6, 6) for _ in range(3)]
+    assert len(calls) == 1
+    assert outcomes[0] == (False, ({}, "diagonal -2 deviates from the fit at n = 0"),
+                           [(0, F(1), [0]), (2, F(4), [0])], None)
+    assert outcomes[1] == outcomes[0] == outcomes[2]
+    # a window too small to fit stores nothing
+    narrow = {"x1": (-5, 5), "x2": (0, 0)}
+    for _ in range(2):
+        with pytest.raises(InsufficientWindow):
+            fieldcalc.commutator_formula_fit(L, C, w, narrow, 3, 6, 6)
+    assert len(calls) == 3 and len(module._fits) == 1
+
+
+def test_commutator_memos_leave_the_module_to_reference_counting():
+    # no memo key holds a field, which would hold the module in a cycle
+    params = dv.DVirParams.at(2)
+    module, C = dv.realization(params)
+    box = {"x1": (-5, 5), "x2": (-5, 5)}
+    assert all(ok for *_, (ok, _, _) in dv.commutator_grid(
+        params, C, [0, 1], module.basis(1), box, 3, 6, 2))
+    assert module._fits and module._kernels and module._products
+    gone = weakref.ref(module)
+    gc.disable()
+    try:
+        del module, C
+        assert gone() is None
+    finally:
+        gc.enable()
