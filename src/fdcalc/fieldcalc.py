@@ -11,8 +11,8 @@ The defect, a(x1) b(x2) w minus the twisted reversed products, is built by
 :func:`defect_series`: locality is p(x1/x2) times that defect, and the
 commutator formula compares the defect with its delta kernels.  The commutator
 formula is checked in the product's own coordinates, where a(x1) b(x2) w is
-unscaled, its kernels are memoized per vector and root, and the defect's delta
-fit per vector and datum.  The residue formula builds its own twisted reversed
+unscaled and its kernels and the defect's delta fit are memoized together, once
+per vector and datum.  The residue formula builds its own twisted reversed
 products, with the twist folded into q(y) = p(y) f_i(1/y), and its bracket
 once; the top mode is the bracket's z^0 slice.
 """
@@ -137,8 +137,8 @@ def product_on_window(
 def _product_key(outer: FieldOperator, inner: FieldOperator, w: FockVector,
                  hi_outer: int, hi_inner: int) -> tuple:
     """(module, key) of the unscaled product of ``outer`` and ``inner`` on w:
-    the key of the module's ``_products`` and ``_kernels`` memos, and the
-    first part of its ``_fits`` key."""
+    the key of the module's ``_products`` memo, and the first part of its
+    ``_commutators`` key."""
     module = outer.module
     if inner.module is not module:
         raise ValueError("a two-field product needs both fields on one module")
@@ -460,9 +460,22 @@ def scaled_mode_extract(
     return terms, agreements
 
 
+def _commutator_roots(p: FactoredRational, C: CovariantStructure) -> list:
+    """[(shift, chi, k)] for each shift whose character chi is a root of p, of order k."""
+    return [(n, chi, k) for n in C.shifts() for chi in (C.chi(n),)
+            if (k := p.order_at(chi)) > 0]
+
+
+def _check_zorder(roots: list, zorder: int):
+    for n, _, k in roots:
+        if k - 1 > zorder:
+            raise InsufficientWindow(
+                f"shift {n}: a zero of order {k} needs z-order {k - 1}, above the cap {zorder}"
+            )
+
+
 def _commutator_kernels(
-    L: LocalityDatum, C: CovariantStructure, base: TruncatedSeries, zorder: int, margin: int,
-    memo: dict | None = None,
+    L: LocalityDatum, C: CovariantStructure, base: TruncatedSeries, zorder: int, margin: int
 ) -> list:
     """Delta kernels of the covariant commutator formula for the product
     ``base`` = a(x1) b(x2) w, as [(shift, character, (DeltaTerm, ...))].
@@ -470,40 +483,20 @@ def _commutator_kernels(
     A shift carries kernels when its character chi is a root of p, of order
     k: the modes j < k of p(chi e^z)^(-1) F0 at x1 = chi x2 e^z, divided by
     j!, with F0 = p(x1/x2) base certified compatible.  They need z-order
-    k - 1, which ``zorder`` caps.
-
-    ``memo`` holds each root's terms for this ``base``, keyed by (p's
-    monomial exponent and factors, margin, chi, k): p's constant cancels.
-    F0 is built only when a root misses the memo, or to certify a product no
-    shift has a root for; a stored root was certified with its product.
-    Nothing is stored before every check has passed.
+    k - 1, which ``zorder`` caps; F0 is certified before the cap is read.
     """
     p = L.annihilator
-    memo = {} if memo is None else memo
-    roots = []
-    for n in C.shifts():
-        chi = C.chi(n)
-        k = p.order_at(chi)
-        if k > 0:
-            roots.append((n, chi, k, (p.mexp, p.factors, margin, chi, k)))
-    F0 = None
-    if not roots or any(key not in memo for *_, key in roots):
-        F0 = _annihilated(base, p, margin)
-    for n, _, k, _ in roots:
-        if k - 1 > zorder:
-            raise InsufficientWindow(
-                f"shift {n}: a zero of order {k} needs z-order {k - 1}, above the cap {zorder}"
-            )
+    roots = _commutator_roots(p, C)
+    F0 = _annihilated(base, p, margin)
+    _check_zorder(roots, zorder)
     kernels = []
-    for n, chi, k, key in roots:
-        terms = memo.get(key)
-        if terms is None:
-            ye = _substituted_modes(F0, p.scale_arg(chi), k - 1, chi)
-            terms = memo[key] = tuple(
-                DeltaTerm(chi, j, ye.modes[j].scaled(Fraction(1, factorial(j))))
-                for j in range(k)
-                if not ye.modes[j].is_zero_series()
-            )
+    for n, chi, k in roots:
+        ye = _substituted_modes(F0, p.scale_arg(chi), k - 1, chi)
+        terms = tuple(
+            DeltaTerm(chi, j, ye.modes[j].scaled(Fraction(1, factorial(j))))
+            for j in range(k)
+            if not ye.modes[j].is_zero_series()
+        )
         if terms:
             kernels.append((n, chi, terms))
     return kernels
@@ -547,14 +540,15 @@ def commutator_formula_fit(
     group sum of delta kernels weighted by scaled-field mode products.
 
     The products, the defect, its delta fit and the kernels are built in the
-    product's own coordinates (:func:`_product_coordinates`), where a flavor
-    pair's unscaled product, kernels and fit are the module's memo entries
-    for every pair on the same vector.  The defect is built and fitted only
-    when ``FockModule._fits`` has no entry for the product, the partners and
-    their twists, the box and the roots; a defect that is no delta sum
-    stores its message, and anything else raised stores nothing.  The fit
-    and the kernels, a few delta terms, come back to the caller's
-    coordinates to be compared there.
+    product's own coordinates (:func:`_product_coordinates`), where every
+    flavor pair on one vector reads the same unscaled product, kernels and
+    fit.  They are built only when ``FockModule._commutators`` has no entry
+    for the product, the annihilator, the margin, the partners and their
+    twists, the box and the roots, and are stored together; a defect that is
+    no delta sum stores its message, and anything else raised stores
+    nothing.  A hit only re-checks the z-order cap.  The fit and the
+    kernels, a few delta terms, come back to the caller's coordinates to be
+    compared there.
 
     Returns (ok, counterexample, contributing, fit): ``contributing`` lists
     (shift, C.chi(shift), the kernels' j) for the shifts with nonzero
@@ -565,33 +559,42 @@ def commutator_formula_fit(
     if len({repr(c) for c in chis}) != len(chis):
         raise ValueError("character must be injective on the shift window")
     L1, C1, mu = _product_coordinates(L, C)
-    base = product_on_window(L1.a, "x1", L1.b, "x2", w, hi1, hi2)
     module, key = _product_key(L1.a, L1.b, w, hi1, hi2)
-    kernels = _commutator_kernels(L1, C1, base, zorder, margin, module._kernels.setdefault(key, {}))
-    back = {chi: C.chi(n) for n, chi, _ in kernels}
-    contributing = [(n, back[chi], [t.j for t in terms]) for n, chi, terms in kernels]
+    if any(g.module is not module for b, a, _ in L1.partners for g in (b, a)):
+        raise ValueError("the commutator formula needs every field on one module")
+    p = L1.annihilator
+    roots = _commutator_roots(p, C1)
+    memo_key = (key, p.mexp, p.factors, margin,
+                tuple((b.flavor, b.scale, a.flavor, a.scale, f.const, f.mexp, f.factors)
+                      for b, a, f in L1.partners),
+                tuple((v, tuple(iv)) for v, iv in sorted(box.items())),
+                tuple((chi, k) for _, chi, k in roots))
+    entry = module._commutators.get(memo_key)
+    if entry is None:
+        base = product_on_window(L1.a, "x1", L1.b, "x2", w, hi1, hi2)
+        kernels = {chi: terms
+                   for _, chi, terms in _commutator_kernels(L1, C1, base, zorder, margin)}
+        jmax = max((t.j for terms in kernels.values() for t in terms), default=0)
+        lhs = defect_series(L1, w, hi1, hi2, thm_region=True, direct=base).restricted(box)
+        try:
+            fit = delta_fit(lhs, tuple(kernels), jmax, "x1", "x2")
+            found = fit, fit_window(lhs, fit, "x1", "x2")
+        except NotDeltaSum as exc:
+            found = str(exc)
+        entry = module._commutators[memo_key] = kernels, found
+    else:
+        _check_zorder(roots, zorder)
+    kernels, found = entry
+    reached = [(n, chi) for n, chi, _ in roots if chi in kernels]
+    back = {chi: C.chi(n) for n, chi in reached}
+    contributing = [(n, back[chi], [t.j for t in kernels[chi]]) for n, chi in reached]
+    if isinstance(found, str):
+        return False, ({}, found), contributing, None
 
     def in_caller_coordinates(t: DeltaTerm) -> DeltaTerm:
         return DeltaTerm(back[t.lam], t.j, var_scaled(t.coeff, "x2", mu))
 
-    rhs = [in_caller_coordinates(t) for _, _, terms in kernels for t in terms]
-    lambdas, jmax = tuple(back), max((t.j for t in rhs), default=0)
-    if any(g.module is not module for b, a, _ in L1.partners for g in (b, a)):
-        raise ValueError("the commutator formula needs every field on one module")
-    partners = tuple((b.flavor, b.scale, a.flavor, a.scale, f.const, f.mexp, f.factors)
-                     for b, a, f in L1.partners)
-    fit_key = key, partners, tuple((v, tuple(iv)) for v, iv in sorted(box.items())), lambdas, jmax
-    found = module._fits.get(fit_key)
-    if found is None:
-        lhs = defect_series(L1, w, hi1, hi2, thm_region=True, direct=base).restricted(box)
-        try:
-            fit = delta_fit(lhs, lambdas, jmax, "x1", "x2")
-            found = fit, fit_window(lhs, fit, "x1", "x2")
-        except NotDeltaSum as exc:
-            found = str(exc)
-        module._fits[fit_key] = found
-    if isinstance(found, str):
-        return False, ({}, found), contributing, None
+    rhs = [in_caller_coordinates(t) for terms in kernels.values() for t in terms]
     fit, window = found
     fit = [in_caller_coordinates(t) for t in fit]
     ok, ce = fit_agree(fit, window, rhs, "x2")

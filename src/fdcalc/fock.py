@@ -20,7 +20,7 @@ the mode-action memo may hand the same vector to every caller.  Linear
 combinations are built by :meth:`FockVector.lincomb`, the one accumulate: it
 sums into one dict and drops zero coefficients once, at the end.
 
-A :class:`FockModule` keeps six memos for its own lifetime, sharing no
+A :class:`FockModule` keeps five memos for its own lifetime, sharing no
 entry with another module; its class docstring lists them.
 """
 
@@ -207,9 +207,9 @@ _ZERO = FockVector()  # every zero two-mode word in every module shares it
 class FockModule:
     """Universal restricted vacuum module over a :class:`CarSpec`.
 
-    Six memos live as long as the module.  Each maps a key to a value that
-    callers share and never change (a ``_kernels`` value only gains
-    entries), and none is ever evicted or shared between modules:
+    Five memos live as long as the module.  Each maps a key to a value that
+    callers share and never change, and none is ever evicted or shared
+    between modules:
 
     * ``_memo``, owned by :meth:`_apply_gen`: (gen, monomial) -> gen applied
       to the monomial.  It holds every result, zero ones included.
@@ -223,24 +223,17 @@ class FockModule:
     * ``_products``, owned by :func:`fieldcalc.product_on_window`: (outer
       flavor, inner flavor, vector, the two window tops) -> the unscaled
       product cells and the inner floor.
-    * ``_kernels``, owned by :func:`fieldcalc.commutator_formula_fit`: the
-      ``_products`` key of a product P -> a dict that gains one entry per
-      root read, (annihilator p's monomial exponent and factors, quadrant
-      margin, root chi of p, its order k) -> the tuple of delta kernel terms
-      of p(x1/x2) P at chi.  The commutator check works in the product's own
-      coordinates, where every flavor pair on one vector reads the same P
-      and the same roots, so each root's kernels are computed once per
-      vector.  Only the terms are stored, never the annihilated product they
-      come from.
-    * ``_fits``, owned by :func:`fieldcalc.commutator_formula_fit`: (the
-      ``_products`` key of a product P, each partner's two flavors and
-      scales with its twist's constant, monomial exponent and factors, the
-      box, the ordered roots chi and the top j of the kernels) -> the delta
-      fit of the defect of P and its window, or the message of the
-      ``NotDeltaSum`` raised when the defect is no delta sum.  Everything is
-      in the product's own coordinates, so every flavor pair on one vector
-      reads one fit.  A fit that raises anything else stores nothing.  No
-      key holds a field, which would hold the module itself.
+    * ``_commutators``, owned by :func:`fieldcalc.commutator_formula_fit`:
+      (the ``_products`` key of a product P, the annihilator p's monomial
+      exponent and factors, the quadrant margin, each partner's two flavors
+      and scales with its twist's constant, monomial exponent and factors,
+      the box, the ordered roots (chi, k) of p that the shifts reach) ->
+      ({chi: the nonzero delta kernel terms of p(x1/x2) P at chi}, the fit of
+      the defect of P and its window, or the message of the ``NotDeltaSum``
+      raised when the defect is no delta sum).  Everything is in the
+      product's own coordinates, where every flavor pair on one vector reads
+      one entry.  A check that raises anything else stores nothing.  No key
+      holds a field, which would hold the module itself.
     * ``_monomials``, owned by :meth:`_basis_monomials`: grade bound -> the
       tuple of basis monomials, so that checks which loop over generator
       pairs enumerate the basis once.
@@ -251,8 +244,7 @@ class FockModule:
         self._memo = {}
         self._words = {}
         self._products = {}
-        self._kernels = {}
-        self._fits = {}
+        self._commutators = {}
         self._monomials = {}
 
     @property

@@ -938,7 +938,7 @@ def test_commutator_counterexample_is_reported_in_the_callers_coordinates(monkey
     assert ce == ({"x2": -1}, "lambda=3/2 j=0 d=-1: fitted (2/3)*a[0,-1], expected (1/3)*a[0,-1]")
 
 
-def test_commutator_kernels_are_memoized_per_vector_and_root(monkeypatch):
+def test_commutator_kernels_are_memoized_per_vector(monkeypatch):
     params = dv.DVirParams.at(2)
     module, C = dv.realization(params)
     basis = module.basis(1)
@@ -955,7 +955,7 @@ def test_commutator_kernels_are_memoized_per_vector_and_root(monkeypatch):
     first = list(dv.commutator_grid(params, C, flavors, basis, box, 3, 6, 2))
     # every pair on one vector reads the roots p and 1/p of (y - p)(y - 1/p)
     assert sorted(calls) == sorted([F(2), F(1, 2)] * len(basis))
-    assert len(module._kernels) == len(basis)
+    assert len(module._commutators) == len(basis)
     assert all(ok for *_, (ok, _, _) in first)
     # a second grid on the same module reads every kernel from the memo
     again = list(dv.commutator_grid(params, C, flavors, basis, box, 3, 6, 2))
@@ -969,10 +969,13 @@ def test_commutator_kernels_are_memoized_per_vector_and_root(monkeypatch):
         assert res == next(t for rr, ss, _, _, t in grid if (rr, ss) == (r, s)), (r, s, w)
     # two modules share no entry
     other, Co = dv.realization(params)
-    assert not other._kernels
+    assert not other._commutators
     list(dv.commutator_grid(params, Co, flavors, basis[:1], box, 3, 6, 2))
-    mine = [t for entry in module._kernels.values() for terms in entry.values() for t in terms]
-    theirs = [t for entry in other._kernels.values() for terms in entry.values() for t in terms]
+
+    def memo_terms(m):
+        return [t for kernels, _ in m._commutators.values() for ts in kernels.values() for t in ts]
+
+    mine, theirs = memo_terms(module), memo_terms(other)
     assert theirs and not {id(t) for t in mine} & {id(t) for t in theirs}
     assert not {id(t.coeff) for t in mine} & {id(t.coeff) for t in theirs}
 
@@ -983,6 +986,7 @@ def test_commutator_kernel_memo_stores_no_exception():
     p = minimal_p(Q2, 1, 1)
     L, C = diagonal_datum(module, p**2)
     L_bad, _ = diagonal_datum(module, FactoredRational(F(1), 0, ((F(1, 4), 1),)))
+    L_both, _ = diagonal_datum(module, FactoredRational(F(1), 0, ((F(1, 4), 2),)))
     for _ in range(3):
         # a double root above the z-order cap, then a pair the annihilator
         # leaves incompatible
@@ -990,13 +994,19 @@ def test_commutator_kernel_memo_stores_no_exception():
             commutator_formula_check(L, C, module.vacuum(), box, 0, 8, 8)
         with pytest.raises(CompatibilityError):
             commutator_formula_check(L_bad, C, module.vacuum(), box, 6, 7, 7)
-        assert not any(module._kernels.values())
-        assert not module._fits
-    # the cap is not part of the key: with room, the same root is computed
+        # both at once: the certification raises before the cap is read
+        with pytest.raises(CompatibilityError):
+            commutator_formula_check(L_both, C, module.vacuum(), box, 0, 7, 7)
+        assert not module._commutators
+    # the cap is not part of the key: with room, both double roots are
+    # computed, and a hit checks the cap again
     ok, ce, contrib = commutator_formula_check(L, C, module.vacuum(), box, 6, 8, 8)
     assert ok, ce
-    assert sum(map(len, module._kernels.values())) == 2
-    assert len(module._fits) == 1
+    (kernels, _), = module._commutators.values()
+    assert len(kernels) == 2
+    with pytest.raises(InsufficientWindow):
+        commutator_formula_check(L, C, module.vacuum(), box, 0, 8, 8)
+    assert commutator_formula_check(L, C, module.vacuum(), box, 6, 8, 8) == (ok, ce, contrib)
 
 
 def _fit_outcome(L, C, w, box):
@@ -1029,15 +1039,15 @@ def test_commutator_fits_are_memoized_per_vector(monkeypatch):
     flavors = range(-1, 2)
     first = list(dv.commutator_grid(params, C, flavors, basis, box, 3, 6, 2))
     # every pair on one vector fits the same defect at the same roots p, 1/p
-    assert len(calls) == len(module._fits) == len(basis)
+    assert len(calls) == len(module._commutators) == len(basis)
     assert all(ok for *_, (ok, _, _) in first)
     again = list(dv.commutator_grid(params, C, flavors, basis, box, 3, 6, 2))
     assert [res for *_, res in again] == [res for *_, res in first]
-    # the witness annihilator has a third root, which no shift reaches, so
-    # its pairs read the same fits
+    # the witness annihilator has a third root, which no shift reaches: the
+    # annihilator is part of the key, so its pairs get one entry per vector
     mine = {(r, w): _fit_outcome(dv.neighbor_locality(params, module, r, 0), C, w, box)
             for r in flavors for w in basis}
-    assert len(calls) == len(basis)
+    assert len(calls) == len(module._commutators) == 2 * len(basis)
     # each triple, and each fit mapped back, equals a fresh module's
     for r, s, w, _, res in first:
         _, fresh = dv.realization(params)
@@ -1076,18 +1086,48 @@ def test_commutator_fit_memo_keys_the_twist_the_box_and_the_lambdas(monkeypatch)
     w = module.basis(2)[-1]
     calls = _counting_delta_fit(monkeypatch)
     got = [_fit_outcome(L, C, w, box) for L, C, box in data(module)]
-    assert len(calls) == len(module._fits) == len(got)
+    assert len(calls) == len(module._commutators) == len(got)
     assert [len(lams) for lams in calls] == [2, 2, 2, 2, 1]
     assert len({repr(o) for o in got}) == len(got) - 1  # both twists are no delta sum
     assert all(o != got[0] for o in got[1:])
     for (L, C, box), want in zip(data(FockModule(t_spec(Q2))), got):
         assert _fit_outcome(L, C, w, box) == want, (L, box)
+
+
+def test_commutator_check_refuses_partners_on_another_module_before_any_memo():
     # the key names partners by flavor and scale, so they must share the module
-    other = FockModule(t_spec(Q2))
-    L, C, box = data(module)[0]
-    L_other = replace(L, partners=((tfield(other, 1), tfield(other, 0), FactoredRational(F(-1))),))
+    module, other = FockModule(t_spec(Q2)), FockModule(t_spec(Q2))
+    a, b = tfield(module, 0), tfield(module, 1)
+    L = LocalityDatum(a, b, ((tfield(other, 1), tfield(other, 0), FactoredRational(F(-1))),),
+                      minimal_p(Q2, 0, 1))
+    C = CovariantStructure(lambda r: tfield(module, r), Q2.p_power, -4, 4)
+    w = FockModule(t_spec(Q2)).basis(2)[-1]
     with pytest.raises(ValueError, match="every field on one module"):
-        fieldcalc.commutator_formula_fit(L_other, C, w, box, 3, 6, 6)
+        fieldcalc.commutator_formula_fit(L, C, w, {"x1": (-5, 5), "x2": (-5, 5)}, 3, 6, 6)
+    for m in (module, other):
+        assert not (m._memo or m._words or m._products or m._commutators or m._monomials)
+
+
+def test_a_flavor_grid_builds_each_vectors_products_once(monkeypatch):
+    params = dv.DVirParams.at(2)
+    module, C = dv.realization(params)
+    basis = module.basis(1)
+    box = {"x1": (-5, 5), "x2": (-5, 5)}
+    calls = []
+    built = fieldcalc.product_on_window
+
+    def counted(outer, ov, inner, iv, w, hi_outer, hi_inner):
+        calls.append((ov, basis.index(w)))
+        return built(outer, ov, inner, iv, w, hi_outer, hi_inner)
+
+    monkeypatch.setattr(fieldcalc, "product_on_window", counted)
+    first = list(dv.commutator_grid(params, C, range(-1, 2), basis, box, 3, 6, 2))
+    # the first pair on a vector builds the product and its reversed partner;
+    # the other eight read the memo entry and build neither
+    assert sorted(calls) == sorted((v, i) for i in range(len(basis)) for v in ("x1", "x2"))
+    calls.clear()
+    again = list(dv.commutator_grid(params, C, range(-1, 2), basis, box, 3, 6, 2))
+    assert not calls and again == first and all(ok for *_, (ok, _, _) in first)
 
 
 def test_commutator_fit_memo_repeats_a_not_delta_sum_counterexample(monkeypatch):
@@ -1108,7 +1148,7 @@ def test_commutator_fit_memo_repeats_a_not_delta_sum_counterexample(monkeypatch)
     for _ in range(2):
         with pytest.raises(InsufficientWindow):
             fieldcalc.commutator_formula_fit(L, C, w, narrow, 3, 6, 6)
-    assert len(calls) == 3 and len(module._fits) == 1
+    assert len(calls) == 3 and len(module._commutators) == 1
 
 
 def test_commutator_memos_leave_the_module_to_reference_counting():
@@ -1118,7 +1158,7 @@ def test_commutator_memos_leave_the_module_to_reference_counting():
     box = {"x1": (-5, 5), "x2": (-5, 5)}
     assert all(ok for *_, (ok, _, _) in dv.commutator_grid(
         params, C, [0, 1], module.basis(1), box, 3, 6, 2))
-    assert module._fits and module._kernels and module._products
+    assert module._commutators and module._products
     gone = weakref.ref(module)
     gc.disable()
     try:
