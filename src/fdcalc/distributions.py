@@ -28,6 +28,7 @@ from .series import (
     InsufficientWindow,
     TruncatedSeries,
     UnboundedExponent,
+    _dot,
     binom,
     binom_expand,
     diagonal_collapse,
@@ -233,8 +234,7 @@ def solve_exact(matrix, rhs):
 
 
 def _recurrence(lambdas, jmax: int) -> list:
-    """Nonzero coefficients (k, c_k) of prod_lam (y - lam)^(jmax+1), with
-    None for a unit c_k, so that it needs no multiply.
+    """Nonzero coefficients (k, c_k) of prod_lam (y - lam)^(jmax+1).
 
     Every exponential polynomial sum_ij a_ij n^j lam_i^n, j <= jmax, satisfies
     sum_k c_k u(n+k) = 0 for all n; on a run of at least L = deg consecutive
@@ -244,7 +244,7 @@ def _recurrence(lambdas, jmax: int) -> list:
     for lam in lambdas:
         for _ in range(jmax + 1):
             c = [a - lam * b for a, b in zip([0] + c, c + [0])]  # times (y - lam)
-    return [(k, None if ck == 1 else ck) for k, ck in enumerate(c) if ck]
+    return [(k, ck) for k, ck in enumerate(c) if ck]
 
 
 def delta_fit(D: TruncatedSeries, lambdas, jmax: int, v1: str, v2: str):
@@ -262,7 +262,7 @@ def delta_fit(D: TruncatedSeries, lambdas, jmax: int, v1: str, v2: str):
     certified entries.
     """
     lambdas = list(lambdas)
-    if len({repr(l) for l in lambdas}) != len(lambdas) or any(not l for l in lambdas):
+    if len(set(lambdas)) != len(lambdas) or any(not l for l in lambdas):
         raise ValueError("lambdas must be distinct and nonzero")
     L = len(lambdas) * (jmax + 1)
     lo1, hi1 = D.win(v1)
@@ -299,12 +299,8 @@ def delta_fit(D: TruncatedSeries, lambdas, jmax: int, v1: str, v2: str):
         cells = diagonals[d]
         run = [cells.get(n, 0) for n in range(n0, int(nhi) + 1)]
         for m in range(len(run) - L):
-            acc = 0
-            for k, ck in rec:
-                u = run[m + k]
-                if u:
-                    acc = acc + (u if ck is None else ck * u)
-            if acc:
+            pairs = [(ck, run[m + k]) for k, ck in rec if run[m + k]]
+            if pairs and _dot(pairs):
                 raise NotDeltaSum(f"diagonal {d} deviates from the fit at n = {n0 + m + L}")
         starts.setdefault(n0, {})[d] = run[:L]
 

@@ -556,7 +556,7 @@ def commutator_formula_fit(
     window they were compared on), or None when the defect is no delta sum.
     """
     chis = [C.chi(n) for n in C.shifts()]
-    if len({repr(c) for c in chis}) != len(chis):
+    if len(set(chis)) != len(chis):
         raise ValueError("character must be injective on the shift window")
     L1, C1, mu = _product_coordinates(L, C)
     module, key = _product_key(L1.a, L1.b, w, hi1, hi2)

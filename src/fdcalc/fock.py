@@ -18,7 +18,8 @@ A :class:`FockVector` is immutable: no operation changes ``terms`` after
 construction, so operations may return an operand (``1 * v`` is ``v``) and
 the mode-action memo may hand the same vector to every caller.  Linear
 combinations are built by :meth:`FockVector.lincomb`, the one accumulate: it
-sums into one dict and drops zero coefficients once, at the end.
+sums into one dict and drops zero coefficients once, at the end.  ``+`` and
+``-`` are its (1, 1) and (1, -1) combinations.
 
 A :class:`FockModule` keeps five memos for its own lifetime, sharing no
 entry with another module; its class docstring lists them.
@@ -138,17 +139,7 @@ class FockVector:
 
     def __add__(self, other):
         if isinstance(other, FockVector):
-            out = dict(self.terms)
-            for m, c in other.terms.items():
-                if m not in out:
-                    out[m] = c  # terms are never zero
-                    continue
-                s = out[m] + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-            return FockVector._wrap(out)
+            return FockVector.lincomb(((1, self), (1, other)))
         if not other:
             return self
         return NotImplemented
@@ -160,7 +151,7 @@ class FockVector:
 
     def __sub__(self, other):
         if isinstance(other, FockVector):
-            return self + (-other)
+            return FockVector.lincomb(((1, self), (-1, other)))
         if not other:
             return self
         return NotImplemented

@@ -22,9 +22,8 @@ Coefficients ("payloads") may be exact scalars or module vectors; they only
 need ``+``, unary ``-``, scalar multiplication, equality and truthiness.
 
 The constructor drops zero coefficients and coefficients outside the window.
-Every operation below relies on this: it accumulates into a plain dict with
-``out[e] = out.get(e, 0) + c`` and leaves cancelled and out-of-window entries
-for the constructor to discard.
+Every operation below relies on this: it accumulates into a plain dict and
+leaves cancelled and out-of-window entries for the constructor to discard.
 
 A scalar that multiplies every cell is folded into the pass that already
 visits the cells, not applied in a separate scaled copy:
@@ -34,13 +33,14 @@ visits the cells, not applied in a separate scaled copy:
 ``scaled(1)`` is the series itself, since series are never changed after
 construction.
 
-The product and :func:`subst_exp` accumulate with one rule instead: they
-group the contributing (factor, factor) pairs by output exponent and sum each
-group once (:func:`_dot`).  A group of vector payloads goes through the
-vector's ``lincomb``, which sums into one dict and skips the multiply for unit
-coefficients, instead of building a scaled vector per pair and copying a dict
-per addition; scalars get a plain sum.  Payloads are told apart by duck typing
-(a ``lincomb`` attribute), so this module need not import the Fock layer.
+The product, :func:`subst_exp`, :func:`subst_log1p` and :func:`divide_linear`
+accumulate with one rule instead: they group the contributing (factor,
+factor) pairs by output exponent and sum each group once (:func:`_dot`).  A
+group of vector payloads goes through the vector's ``lincomb``, which sums
+into one dict and skips the multiply for unit coefficients, instead of
+building a scaled vector per pair and copying a dict per addition; scalars get
+a plain sum.  Payloads are told apart by duck typing (a ``lincomb``
+attribute), so this module need not import the Fock layer.
 
 Rational functions of a ratio y = v1/v2 (:class:`FactoredRational`) are
 expanded in one direction only, ascending powers of y, one binomial series per
@@ -883,7 +883,7 @@ def subst_log1p(s: TruncatedSeries, var: str, zvar: str, zorder: int) -> Truncat
     unit = {e - 1: c for e, c in log1p_dict(zorder + 1).items()}
     powers: dict[int, dict] = {}
     out_vars = tuple(sorted(set(s.vars) - {var} | {zvar}))
-    coeffs: dict = {}
+    groups: dict = {}
     for e, c in s.coeffs.items():
         m = e[vi]
         if m not in powers:
@@ -893,8 +893,8 @@ def subst_log1p(s: TruncatedSeries, var: str, zvar: str, zorder: int) -> Truncat
             if k + m > zorder:
                 continue
             key[zvar] = k + m
-            t = tuple(key[v] for v in out_vars)
-            coeffs[t] = coeffs.get(t, 0) + w * c
+            groups.setdefault(tuple(key[v] for v in out_vars), []).append((w, c))
+    coeffs = {t: _dot(pairs) for t, pairs in groups.items()}
     window = {v: s.win(v) for v in s.vars if v != var}
     support = {v: s.sup(v) for v in s.vars if v != var}
     window[zvar] = (NEG_INF, min(zorder, hi))
@@ -951,20 +951,21 @@ def scaled_cells(coeffs: dict, scales) -> dict:
 
 
 def divide_linear(d: TruncatedSeries, v1: str, v2: str, lam, hi2_cap=None) -> TruncatedSeries:
-    """Exact quotient A with d = (v1 - lam*v2) * A on quadrant-supported data.
+    """Exact quotient A with d = (v1 - lam*v2) * A on quadrant-supported data
+    d, a series in exactly the variables v1 and v2.
 
-    Unrolls A[a, j] = sum_{t>=1} lam^(t-1) d[a+t, j-t+1], terminating at the
-    certified v2-support floor of d; needs certified floors in both variables
-    and finite window tops.  ``hi2_cap`` trades v2-ceiling for v1-headroom:
-    the quotient's v1 window shrinks by the v2 range actually kept.  A
-    quotient cell at v1-exponent a reads d from v1-exponent a + 1 up, so a v1
-    window bottom lo1 above the floor cuts the quotient's v1 window to
-    a >= lo1 - 1; every cell reads d down to the v2 floor, so the v2 window
-    must reach it.  The caller is responsible for knowing the division is
+    Unrolls A[a, j] = sum_{t>=0} lam^t d[a+t+1, j-t], terminating at the
+    certified v2-support floor of d, and sums each cell once (:func:`_dot`);
+    needs certified floors in both variables and finite window tops.
+    ``hi2_cap`` trades v2-ceiling for v1-headroom: the quotient's v1 window
+    shrinks by the v2 range actually kept.  A quotient cell at v1-exponent a
+    reads d from v1-exponent a + 1 up, so a v1 window bottom lo1 above the
+    floor cuts the quotient's v1 window to a >= lo1 - 1; every cell reads d
+    down to the v2 floor, so the v2 window must reach it.  The caller is responsible for knowing the division is
     exact (validate by multiplying back where it matters).
     """
-    if v1 not in d.vars or v2 not in d.vars:
-        raise ValueError("both variables must occur in the series")
+    if v1 == v2 or set(d.vars) != {v1, v2}:
+        raise ValueError(f"division needs a series in exactly {v1} and {v2}, got {d.vars}")
     (lo1, hi1), (lo2, hi2) = d.win(v1), d.win(v2)
     if hi2_cap is not None and hi2_cap < hi2:
         hi2 = hi2_cap
@@ -994,33 +995,24 @@ def divide_linear(d: TruncatedSeries, v1: str, v2: str, lam, hi2_cap=None) -> Tr
     depth = int(enum_hi2 - slo2 + 1)
     out_hi1 = hi1 - depth
     a_hi = enum_hi1 if hi1 == INF else out_hi1
-    i1, i2 = d.vars.index(v1), d.vars.index(v2)
-    others = [k for k in range(len(d.vars)) if k not in (i1, i2)]
+    flip = d.vars[0] != v1  # keys are (v2, v1) exponents
 
-    def at(base, x1, x2):
-        key = [0] * len(d.vars)
-        for idx, k in enumerate(others):
-            key[k] = base[idx]
-        key[i1], key[i2] = x1, x2
-        return tuple(key)
+    def at(x1, x2):
+        return (x2, x1) if flip else (x1, x2)
 
+    lams = [power(lam, t) for t in range(depth)]
     coeffs: dict = {}
-    base_keys = {tuple(e[k] for k in others) for e in d.coeffs} or {tuple(0 for _ in others)}
-    for base in base_keys:
-        for j in range(int(slo2), int(enum_hi2) + 1):
-            for a in range(int(a_lo), int(a_hi) + 1):
-                acc = 0
-                for t in range(1, j - int(slo2) + 2):
-                    cell = d.coeffs.get(at(base, a + t, j - t + 1), 0)
-                    if cell:
-                        acc = acc + power(lam, t - 1) * cell
-                coeffs[at(base, a, j)] = acc
-    window = {v: d.win(v) for v in d.vars}
-    window[v1] = (a_lo if a_lo > slo1 else NEG_INF, out_hi1)
-    window[v2] = (NEG_INF, hi2)
-    support = {v: d.sup(v) for v in d.vars}
-    support[v1] = (slo1, INF)
-    support[v2] = (slo2, INF)
+    for j in range(int(slo2), int(enum_hi2) + 1):
+        for a in range(int(a_lo), int(a_hi) + 1):
+            pairs = []
+            for t in range(j - int(slo2) + 1):
+                cell = d.coeffs.get(at(a + t + 1, j - t))
+                if cell is not None:
+                    pairs.append((lams[t], cell))
+            if pairs:
+                coeffs[at(a, j)] = _dot(pairs)
+    window = {v1: (a_lo if a_lo > slo1 else NEG_INF, out_hi1), v2: (NEG_INF, hi2)}
+    support = {v1: (slo1, INF), v2: (slo2, INF)}
     return TruncatedSeries(d.vars, coeffs, window, support, None)
 
 

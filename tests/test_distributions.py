@@ -413,6 +413,44 @@ def test_delta_fit_window_errors_match_reference():
     assert _check_against_reference(open_x1, [F(2)], 0)[0] == "InsufficientWindow"
 
 
+def test_delta_fit_lambdas_equal_across_types_are_not_distinct():
+    # 2 over Q and the constant 2 of Q(p) are one lambda, whatever their repr
+    D = delta_expand(DeltaTerm(F(2), 0, unit_coeff("x2")), "x1", "x2", BOX)
+    with pytest.raises(ValueError, match="distinct"):
+        delta_fit(D, [F(2), RatFunc(2)], 0, "x1", "x2")
+
+
+def _times_vector(S, v):
+    """The series S * v: each scalar cell c becomes the vector c * v."""
+    return TruncatedSeries(S.vars, {e: c * v for e, c in S.coeffs.items()}, S.window, S.support)
+
+
+def test_delta_fit_on_vector_payloads_takes_the_scalar_results():
+    from fdcalc.fock import FockModule, t_spec
+
+    v = FockModule(t_spec(ScalarField.rationals(F(2)))).basis(2)[-1]
+    lambdas = [F(2), F(1, 2), F(3)]
+    rng = random.Random(11)
+    for _ in range(6):
+        S = _random_sum(rng, lambdas, 1, lambda r: F(r.randint(-9, 9) or 1, r.randint(1, 4)))
+        S = S.expand("x1", "x2", STAGGERED)
+        want = delta_fit(S, lambdas, 1, "x1", "x2")
+        got = delta_fit(_times_vector(S, v), lambdas, 1, "x1", "x2")
+        assert want and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.lam, g.j, g.coeff.window, g.coeff.support) == (
+                w.lam, w.j, w.coeff.window, w.coeff.support)
+            assert g.coeff.coeffs == {e: c * v for e, c in w.coeff.coeffs.items()}
+        # a cell off the recurrence is reported at the same n on both
+        e = max(S.coeffs)
+        bad = TruncatedSeries(S.vars, {**S.coeffs, e: S.coeffs[e] + 1}, S.window, S.support)
+        with pytest.raises(NotDeltaSum) as scalar:
+            delta_fit(bad, lambdas, 1, "x1", "x2")
+        with pytest.raises(NotDeltaSum) as vector:
+            delta_fit(_times_vector(bad, v), lambdas, 1, "x1", "x2")
+        assert str(vector.value) == str(scalar.value)
+
+
 # -- delta_agree: one fit along the diagonals, compared by coefficient ----------------
 
 

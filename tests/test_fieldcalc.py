@@ -1108,6 +1108,16 @@ def test_commutator_check_refuses_partners_on_another_module_before_any_memo():
         assert not (m._memo or m._words or m._products or m._commutators or m._monomials)
 
 
+def test_commutator_check_refuses_a_character_equal_across_types():
+    # 1 over Q and the constant 1 of Q(p) are one value, whatever their repr
+    module = FockModule(t_spec(Q2))
+    a, b = tfield(module, 0), tfield(module, 1)
+    L = LocalityDatum(a, b, ((b, a, FactoredRational(F(-1))),), minimal_p(Q2, 0, 1))
+    C = CovariantStructure(lambda r: tfield(module, r), lambda n: QP.one() if n else F(1), 0, 1)
+    with pytest.raises(ValueError, match="injective"):
+        fieldcalc.commutator_formula_fit(L, C, module.vacuum(), {"x1": (-5, 5), "x2": (-5, 5)}, 3, 6, 6)
+
+
 def test_a_flavor_grid_builds_each_vectors_products_once(monkeypatch):
     params = dv.DVirParams.at(2)
     module, C = dv.realization(params)

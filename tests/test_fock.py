@@ -263,16 +263,36 @@ ratfunc_scalars = st.builds(
 )
 
 
+def _dict_sum(pairs):
+    """sum c * v with one dict update per coefficient, independent of ``+``."""
+    out = {}
+    for c, v in pairs:
+        for m, x in v.terms.items():
+            out[m] = out.get(m, 0) + c * x
+    return FockVector(out)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_pairs(fraction_scalars), _pairs(ratfunc_scalars)))
 def test_lincomb_equals_pairwise_sum(pairs):
-    want = FockVector()
-    for c, v in pairs:
-        want = want + c * v
+    want = _dict_sum(pairs)
     got = FockVector.lincomb(pairs)
     assert got == want and hash(got) == hash(want)
     assert all(got.terms.values())  # zeros are dropped
     assert not FockVector.lincomb(pairs + pairs + [(-2 * c, v) for c, v in pairs])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_pairs(fraction_scalars), _pairs(ratfunc_scalars)))
+def test_add_and_sub_agree_with_lincomb_when_terms_cancel(pairs):
+    vs = [c * v for c, v in pairs]
+    # _pairs holds (-c, v) copies, so some of these sums cancel to zero
+    for u, w in [(u, w) for u in vs for w in vs] + [(u, -u) for u in vs]:
+        for sign, got in ((1, u + w), (-1, u - w)):
+            want = FockVector.lincomb([(1, u), (sign, w)])
+            assert got == want == _dict_sum([(1, u), (sign, w)])
+            assert all(got.terms.values())  # zeros are dropped
+        assert not (u - u) and not (u - u).terms
 
 
 def test_apply_mode_equals_sum_over_monomials(tmod, emod):

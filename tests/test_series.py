@@ -803,6 +803,32 @@ def test_divide_linear_v1_window_above_the_floor():
         divide_linear(full.restricted({"x2": (1, 6)}), "x1", "x2", 1)
 
 
+def test_divide_linear_refuses_a_series_in_other_variables():
+    d = TruncatedSeries.exact(("x1", "x2", "x3"), {(1, 0, 2): F(1), (0, 1, 2): F(-1)})
+    with pytest.raises(ValueError, match=r"exactly x1 and x2, got \('x1', 'x2', 'x3'\)"):
+        divide_linear(d, "x1", "x2", 1)
+    with pytest.raises(ValueError, match="exactly x1 and x1"):
+        divide_linear(laurent({(1, 0): 1}), "x1", "x1", 1)
+
+
+@pytest.mark.parametrize("lam", [F(3), F(1), F(-1, 2)])
+def test_divide_linear_on_vector_payloads_takes_the_scalar_quotient(lam):
+    from fdcalc.fock import FockModule, t_spec
+
+    v = FockModule(t_spec(ScalarField.rationals(F(2)))).basis(2)[-1]
+    lin = laurent({(1, 0): 1, (0, 1): -lam})
+    rng = random.Random(12)
+    for _ in range(8):
+        B = rand_laurent(rng, span=2, nterms=3)
+        if B.is_zero_series():
+            continue
+        S = (lin * B).restricted({"x2": (NEG_INF, 3)}).assert_support_floor({"x1": -3, "x2": -3})
+        Sv = TruncatedSeries(S.vars, {e: c * v for e, c in S.coeffs.items()}, S.window, S.support)
+        A, Av = divide_linear(S, "x1", "x2", lam), divide_linear(Sv, "x1", "x2", lam)
+        assert (Av.window, Av.support) == (A.window, A.support)
+        assert A.coeffs and Av.coeffs == {e: c * v for e, c in A.coeffs.items()}
+
+
 # -- the grouped product against the pairwise accumulate it replaced -----------------
 
 
