@@ -11,10 +11,17 @@ truncating the l-sum at a certified length: both T_{n+l} w and T_{m+l} w
 vanish beyond it on the restricted module, so the formally infinite sum is a
 finite one per vector, with the truncation length recorded.
 
-The words T_a T_b w in the (m, n) relation have a + b = m + n, so every pair
-with the same m + n asks for the same words, and only the f_l and the central
-term depend on the parameters.  They are read from the module's word memo
-(``FockModule.apply_word``), which keeps them for the module's lifetime.
+The words T_a T_b w in the (m, n) relation have a + b = m + n, and the l-sum
+is summed once per word: T_a T_(m+n-a) w takes +f_l where a = m - l and -f_l
+where a = n - l.  These summed coefficients depend on w only through the
+truncation length, so they are built once per length, and only the words
+whose coefficient is nonzero are looked up.  At q = -1 (f_0 = 1, f_l = 2) an
+(m, m) relation looks up no word of the sum and any other at most
+2|m - n| + 1, where the terms taken one by one would need 2(L + 1).
+The words are read from the module's word memo (``FockModule.apply_word``),
+which keeps them for the module's lifetime, so relations with the same m + n
+share them.  The truncation certificate compares its words term by term:
+summed, they would telescope away the words it exists to check.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import DeltaTerm, delta_agree, unit_coeff
-from .fock import FockModule, FockVector, t_spec
+from .fock import FlavorOutOfWindow, FockModule, FockVector, t_spec
 from .scalars import ScalarField, exact_fraction, power, require_exact
 from .series import (
     NEG_INF,
@@ -158,45 +165,56 @@ def vir_relation_check(
     """Check the (m, n) relation on every basis vector of grade <= bound.
 
     The l-sum is truncated at the certified restriction length per vector and
-    additionally recomputed with the truncation extended by ``extend`` to
-    confirm the certificate.
+    summed once per distinct word.  The certificate checks, term by term,
+    that each of the ``extend`` terms beyond the truncation vanishes.  A
+    module without T modes is refused with ``FlavorOutOfWindow`` up front.
     """
     if extend < 0:
         raise ValueError(f"extend must be >= 0, got extend={extend}")
+    if module.spec.kind != "T":
+        raise FlavorOutOfWindow(
+            f"the relations act with T modes, which a module of kind {module.spec.kind!r} lacks"
+        )
     fld = params.field
     central = central_term(params, m) if m + n == 0 else fld.zero()
     worst = (FockVector(), None)
     max_len = 0
     stable = True
-    K = max(0, grade_bound + 1 - min(m, n)) + extend  # longest l-sum, certificate included
+    lo = min(m, n)
+    K = max(0, grade_bound + 1 - lo) + extend  # longest l-sum, certificate included
     fs = f_coefficients(params, K)
-    neg_fs = [-f for f in fs]
     # the word keys this call stores share these tuples instead of each holding
     # a fresh pair, which keeps the module's word memo small
-    T = {k: ("T", k) for k in range(min(m, n) - K, max(m, n) + K + 1)}
+    T = {k: ("T", k) for k in range(lo - K, max(m, n) + K + 1)}
+    # the l-sum truncated at L as a sum over its distinct words T_a T_(m+n-a):
+    # sums[L] holds (coefficient, outer, inner) for each word whose summed
+    # coefficient, +f_l where a = m - l and -f_l where a = n - l, is nonzero
+    coeff, sums = {}, []
+    for l in range(K - extend + 1):
+        for a, f in ((m - l, fs[l]), (n - l, -fs[l])):
+            c = coeff.get(a)
+            coeff[a] = f if c is None else c + f
+        sums.append([(c, T[a], T[m + n - a]) for a, c in coeff.items() if c])
     word = module.apply_word
     for w in module.basis(grade_bound):
         (mono,) = w.terms  # a basis vector: one monomial, coefficient one
         bound = module.ann_bound(w)
-        L = max(0, bound - min(m, n))
+        L = max(0, bound - lo)
         max_len = max(max_len, L)
 
         def words(l):
             return word(T[m - l], T[n + l], mono), word(T[n - l], T[m + l], mono)
 
-        pairs = []
-        for l in range(0, L + 1):
-            t1, t2 = words(l)
-            pairs += ((fs[l], t1), (neg_fs[l], t2))
-        base = FockVector.lincomb(pairs)
+        pairs = [(c, v) for c, a, b in sums[L] if (v := word(a, b, mono))]
+        if central:
+            pairs.append((-central, w))
+        defect = FockVector.lincomb(pairs)
         # certificate: every term beyond the recorded truncation vanishes
         for l in range(L + 1, L + extend + 1):
             t1, t2 = words(l)
             if t1 != t2:
                 stable = False
                 break
-        rhs = central * w if m + n == 0 else FockVector()
-        defect = base - rhs
         if defect and worst[1] is None:
             worst = (defect, mono)
     return DVirRelationReport(m, n, central, max_len, worst[0], worst[1], stable)

@@ -207,8 +207,8 @@ class FockModule:
     * ``_words``, owned by :meth:`apply_word`: (outer gen, inner gen,
       monomial) -> outer inner monomial.  It holds a word only when the
       inner gen leaves something nonzero.  A zero first step is already
-      answered by ``_memo``, and most words are zero after one mode (5,770
-      of the 7,572 distinct words in criterion 2's grid), so storing them
+      answered by ``_memo``, and most words are zero after one mode (5,040
+      of the 6,272 distinct words in criterion 2's grid), so storing them
       would grow the module by more than it saves.  Stored words that come
       out zero all hold one shared zero vector.
     * ``_products``, owned by :func:`fieldcalc.product_on_window`: (outer

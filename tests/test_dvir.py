@@ -18,7 +18,7 @@ from fdcalc.dvir import (
     vir_relation_check,
 )
 from fdcalc.fieldcalc import covariance_check, CovariantStructure, FieldOperator
-from fdcalc.fock import FockModule, FockVector
+from fdcalc.fock import FlavorOutOfWindow, FockModule, FockVector, e_spec
 from fdcalc.scalars import RatFunc, specialize
 from fdcalc.series import mul_trunc_1v
 
@@ -236,17 +236,51 @@ def test_second_grid_on_a_module_applies_no_mode(monkeypatch):
     assert calls == []
 
     # the memo holds exactly the distinct words whose first mode is nonzero
+    # among those the check reaches: the words of the l-sum whose summed
+    # coefficient is nonzero, and every word of the certificate terms
     ref = t_fock(SYM)
+    fs = f_coefficients(SYM, 20)
     want = set()
     for m, n in GRID:
         for w in ref.basis(grade):
             (mono,) = w.terms
             L = max(0, ref.ann_bound(w) - min(m, n))
-            for l in range(L + extend + 1):
-                for a, b in ((m - l, n + l), (n - l, m + l)):
-                    if apply_mode(ref, "T", b, w):
-                        want.add((("T", a), ("T", b), mono))
+            summed = {}
+            for l in range(L + 1):
+                for a, b, f in ((m - l, n + l, fs[l]), (n - l, m + l, -fs[l])):
+                    summed[a, b] = summed.get((a, b), 0) + f
+            reached = [ab for ab, c in summed.items() if c]
+            reached += [ab for l in range(L + 1, L + extend + 1)
+                        for ab in ((m - l, n + l), (n - l, m + l))]
+            for a, b in reached:
+                if apply_mode(ref, "T", b, w):
+                    want.add((("T", a), ("T", b), mono))
     assert set(module._words) == want
+
+
+CRITERION2_GRID = [(m, n) for m in range(-4, 5) for n in range(-4, 5)]
+
+
+@pytest.mark.parametrize("built, checked", [
+    (SYM, SYM),
+    (AT2, DVirParams.at(F(2), q=F(1, 2))),
+    (AT2, DVirParams.at(F(3))),
+], ids=["symbolic", "p2-checked-q1/2", "p2-checked-p3"])
+def test_reports_equal_the_reference_at_criterion_2s_shape(built, checked):
+    ref = t_fock(built)
+    want = {(m, n): reference_relation_check(ref, checked, m, n, 6, 5)
+            for m, n in CRITERION2_GRID}
+    if checked != built:
+        assert any(rep.defect for rep in want.values())
+    assert grid_reports(t_fock(built), checked, CRITERION2_GRID, grade=6, extend=5) == want
+
+
+@pytest.mark.parametrize("m, n, extend", [(1, 1, 0), (1, 1, 5), (1, -1, 5)])
+def test_relation_check_refuses_a_module_without_t_modes(m, n, extend):
+    module = FockModule(e_spec(SYM.field))
+    with pytest.raises(FlavorOutOfWindow, match="kind 'E'"):
+        vir_relation_check(module, SYM, m, n, 2, extend=extend)
+    assert not module._memo and not module._words
 
 
 def test_q_zero_is_rejected_at_construction():
