@@ -90,18 +90,17 @@ class DVirParams:
         return self.q == -1
 
 
-_F_CACHE: dict = {}
-
-
 def f_coefficients(params: DVirParams, N: int):
-    """Coefficients of exp(sum_n (1-q^n)(1-t^-n)/(1+p^n) z^n/n) up to z**N."""
-    key = (params.field, repr(params.q))
-    hit = _F_CACHE.get(key)
-    if hit is not None and len(hit) > N:
-        return hit[: N + 1]
-    out = _f_coefficients(params, max(N, 16))
-    _F_CACHE[key] = out
-    return out[: N + 1]
+    """Coefficients of exp(sum_n (1-q^n)(1-t^-n)/(1+p^n) z^n/n) up to z**N.
+
+    The table lives on ``params`` and as long as it: it is computed the first
+    time that object asks for more than it holds, and no other object reads it.
+    """
+    table = getattr(params, "_f_table", None)
+    if table is None or len(table) <= N:
+        table = _f_coefficients(params, max(N, 16))
+        object.__setattr__(params, "_f_table", table)
+    return table[: N + 1]
 
 
 def _f_coefficients(params: DVirParams, N: int):

@@ -282,11 +282,6 @@ class Poly:
     def const(cls, c) -> "Poly":
         return cls((c,))
 
-    @classmethod
-    def gen(cls) -> "Poly":
-        """The polynomial p."""
-        return cls((0, 1))
-
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
@@ -317,12 +312,6 @@ class Poly:
         for i, c in enumerate(b):
             out[i] += c
         return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs

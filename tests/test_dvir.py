@@ -69,6 +69,38 @@ def test_f_specialization_commutes():
     assert [specialize(x, F(3)) for x in sym] == list(rat3)
 
 
+def test_a_fresh_params_object_computes_its_own_f_table(monkeypatch):
+    warm = DVirParams.at(2)
+    clean = f_coefficients(warm, 8)
+    exp_1v = dv.exp_1v
+
+    def faulted(g, order):
+        e = exp_1v(g, order)
+        e[1] += 1
+        return e
+
+    monkeypatch.setattr(dv, "exp_1v", faulted)
+    fresh = DVirParams.at(2)
+    assert fresh == warm and hash(fresh) == hash(warm)
+    assert f_coefficients(fresh, 8) == [clean[0], clean[1] + 1] + clean[2:]
+    assert f_coefficients(warm, 8) == clean
+
+
+def test_a_relation_grid_computes_its_f_table_once(monkeypatch):
+    calls = []
+    inner = dv._f_coefficients
+
+    def counted(params, N):
+        calls.append(N)
+        return inner(params, N)
+
+    monkeypatch.setattr(dv, "_f_coefficients", counted)
+    params = DVirParams.symbolic()
+    # relations-symbolic's grid: 9 x 9 relations, grade 6, extend 5
+    assert list(dv.relation_failures(t_fock(params), params, 4, 6, 5)) == []
+    assert len(calls) == 1
+
+
 def test_central_terms_specialize_at_two_and_three():
     for p0 in (F(2), F(3)):
         at = DVirParams.at(p0)

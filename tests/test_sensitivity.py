@@ -347,9 +347,6 @@ def test_planted_fault_stops_exactly_these_ids(monkeypatch, row):
     owners, name, fault, stopped = ROWS[row]
     for owner in owners if isinstance(owners, tuple) else (owners,):
         monkeypatch.setattr(owner, name, fault)
-    # f_coefficients keeps its values for the process: start empty, so that a
-    # fault in them shows and none outlives the row
-    monkeypatch.setattr(dv, "_F_CACHE", {})
     results = run_suite(CRITERION_10)
     assert len(results) == 28
     assert {r.check_id: r.status for r in results if r.status != "pass"} == stopped
