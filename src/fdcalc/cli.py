@@ -10,9 +10,10 @@ error.  Reports are JSON with wall times quarantined in a separate field, so
 identical configurations produce byte-identical comparison payloads.
 Precedence: command-line flags > config file > defaults.  A config file sets
 the options above by name (p, grade, modes, flavors, zorder, window-margin,
-jobs, seed); a file that cannot be read, an unknown key or a value that does
-not parse exits 3 like any other configuration error.  The environment variable FDCALC_REPORT_DIR sets
-the default report directory.
+jobs, seed), and all three layers share one parse rule.  Exit 3, before any
+check runs: a flag or config value that does not parse, an unknown flag or
+key, a missing suite, an unreadable config file, or a report path that cannot
+be written (FDCALC_REPORT_DIR sets the default report directory).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .suites import ConfigError, SuiteConfig, exit_status, report_document, run_suite
@@ -35,15 +35,6 @@ def parse_flavors(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     except ValueError as exc:
         raise ConfigError(f"bad flavor window {text!r}; expected a..b") from exc
-
-
-def parse_p(text: str):
-    if text == "symbolic":
-        return "symbolic"
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad p value {text!r}") from exc
 
 
 def read_config_file(path: str) -> dict:
@@ -82,14 +73,11 @@ def build_config(args) -> SuiteConfig:
     layered = dict(_DEFAULTS)
     if args.config:
         layered.update(read_config_file(args.config))
-    for key in _DEFAULTS:
-        v = getattr(args, key, None)
-        if v is not None:
-            layered[key] = v
+    layered.update((k, v) for k, v in vars(args).items() if k in _DEFAULTS and v is not None)
     lo, hi = parse_flavors(str(layered["flavors"]))
     return SuiteConfig(
         suite=args.suite,
-        p=parse_p(str(layered["p"])),
+        p=layered["p"],
         grade=_int_option(layered, "grade"),
         modes=_int_option(layered, "modes"),
         flavor_lo=lo,
@@ -102,53 +90,59 @@ def build_config(args) -> SuiteConfig:
 
 
 def report_path(args, cfg: SuiteConfig) -> Path | None:
+    """Where the report goes, its directory made; ConfigError if it cannot go there."""
     if args.report:
-        return Path(args.report)
-    base = os.environ.get("FDCALC_REPORT_DIR")
-    if base:
-        return Path(base) / f"{cfg.suite}.json"
-    return None
+        path = Path(args.report)
+    elif os.environ.get("FDCALC_REPORT_DIR"):
+        path = Path(os.environ["FDCALC_REPORT_DIR"]) / f"{cfg.suite}.json"
+    else:
+        return None
+    if path.is_dir():
+        raise ConfigError(f"report path {path} is a directory")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make report directory {path.parent}: {exc.strerror}") from exc
+    return path
 
 
 def render_report(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's usage errors are configuration errors too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="verify", description="Run exact verification suites and write a report."
-    )
+    ap = _Parser(prog="verify", description="Run exact verification suites and write a report.")
     ap.add_argument("suite", help="formal-calc, clifford, dvir, phi-module, commutator, or all")
     ap.add_argument("--p", help="'symbolic' or a rational such as 2 or 3/2")
-    ap.add_argument("--grade", type=int, help="basis grade bound")
-    ap.add_argument("--modes", type=int, help="mode bound for relation checks")
+    ap.add_argument("--grade", help="basis grade bound")
+    ap.add_argument("--modes", help="mode bound for relation checks")
     ap.add_argument("--flavors", help="flavor window a..b")
-    ap.add_argument("--zorder", type=int, help="z-truncation order")
-    ap.add_argument("--window-margin", dest="window_margin", type=int, help="quadrant margin")
+    ap.add_argument("--zorder", help="z-truncation order")
+    ap.add_argument("--window-margin", dest="window_margin", help="quadrant margin")
     ap.add_argument("--report", help="report file path (JSON)")
-    ap.add_argument(
-        "--jobs",
-        type=int,
-        help="J > 1 runs checks in up to J worker processes; 1 runs them in-process",
-    )
-    ap.add_argument("--seed", type=int, help="seed for randomized instance checks")
+    ap.add_argument("--jobs", help="J > 1 runs checks in J worker processes, 1 in-process")
+    ap.add_argument("--seed", help="seed for randomized instance checks")
     ap.add_argument("--config", help="flat key = value configuration file")
     argv = sys.argv[1:] if argv is None else list(argv)
     # window values like -2..3 would otherwise be read as option names
     merged = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--flavors", "--p") and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            merged.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if merged and merged[-1] in ("--flavors", "--p") and tok.startswith("-"):
+            merged[-1] += f"={tok}"
         else:
             merged.append(tok)
-            i += 1
-    args = ap.parse_args(merged)
 
     try:
+        args = ap.parse_args(merged)
         cfg = build_config(args)
+        path = report_path(args, cfg)
         results = run_suite(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -164,10 +158,12 @@ def main(argv=None) -> int:
         print(f"{r.status.upper():12s} {r.check_id}{tail}")
 
     doc = report_document(cfg, results)
-    path = report_path(args, cfg)
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(render_report(doc))
+        try:
+            path.write_text(render_report(doc))
+        except OSError as exc:
+            print(f"configuration error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+            return 3
         print(f"report written to {path}")
     summary = doc["summary"]
     print(f"pass {summary['pass']}  fail {summary['fail']}  undetermined {summary['undetermined']}")

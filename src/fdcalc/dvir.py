@@ -83,9 +83,6 @@ class DVirParams:
     def at(cls, p0, q=-1) -> "DVirParams":
         return cls(ScalarField.rationals(p0), q)
 
-    def p(self):
-        return self.field.p_power(1)
-
     def is_minus_one(self) -> bool:
         return self.q == -1
 
@@ -96,6 +93,8 @@ def f_coefficients(params: DVirParams, N: int):
     The table lives on ``params`` and as long as it: it is computed the first
     time that object asks for more than it holds, and no other object reads it.
     """
+    if N < 0:
+        raise ValueError(f"f_coefficients needs N >= 0, got N={N}")
     table = getattr(params, "_f_table", None)
     if table is None or len(table) <= N:
         table = _f_coefficients(params, max(N, 16))

@@ -61,7 +61,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class SuiteConfig:
     suite: str = "all"
-    p: object = "symbolic"  # "symbolic" or a Fraction
+    p: object = "symbolic"  # "symbolic", or a rational stored as its Fraction
     grade: int = 5
     modes: int = 4
     flavor_lo: int = -2
@@ -85,11 +85,12 @@ class SuiteConfig:
                 raise ConfigError(str(exc)) from exc
             if p0 in (0, 1, -1):
                 raise ConfigError("rational p must have |p| not in {0, 1}")
+            object.__setattr__(self, "p", p0)
 
     def scalar_field(self) -> ScalarField:
         if self.p == "symbolic":
             return ScalarField.rational_functions()
-        return ScalarField.rationals(Fraction(self.p))
+        return ScalarField.rationals(self.p)
 
     def params(self) -> dv.DVirParams:
         return dv.DVirParams(self.scalar_field(), -1)
@@ -97,7 +98,7 @@ class SuiteConfig:
     def as_dict(self) -> dict:
         return {
             "suite": self.suite,
-            "p": "symbolic" if self.p == "symbolic" else str(Fraction(self.p)),
+            "p": str(self.p),
             "grade": self.grade,
             "modes": self.modes,
             "flavors": f"{self.flavor_lo}..{self.flavor_hi}",

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import fdcalc.suites as suites
-from fdcalc.cli import main, parse_flavors, parse_p, read_config_file, render_report
+from fdcalc.cli import main, parse_flavors, read_config_file, render_report
 from fdcalc.suites import (
     CheckResult,
     ConfigError,
@@ -21,12 +21,13 @@ from fdcalc.suites import (
 
 def test_parse_helpers():
     assert parse_flavors("-2..3") == (-2, 3)
-    assert parse_p("symbolic") == "symbolic"
-    assert parse_p("3/2") == Fraction(3, 2)
+    assert SuiteConfig(p="symbolic").p == "symbolic"
+    assert SuiteConfig(p="3/2").p == Fraction(3, 2)
+    assert SuiteConfig(p="3/2") == SuiteConfig(p=Fraction(3, 2))
     with pytest.raises(ConfigError):
         parse_flavors("abc")
     with pytest.raises(ConfigError):
-        parse_p("q")
+        SuiteConfig(p="q")
 
 
 def test_config_validation():
@@ -270,3 +271,68 @@ def test_config_file_errors_exit_3(tmp_path, capsys):
     assert read_config_file(str(cfgfile)) == {"window_margin": "2"}
     assert main(["formal-calc", "--p", "2", "--config", str(tmp_path / "missing.cfg")]) == 3
     assert "cannot read config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["all", "--grade", "abc"],
+        ["all", "--seed", "1.5"],
+        ["all", "--jobs", "x"],
+        ["all", "--unknown", "3"],
+        ["all", "--grade"],
+        [],
+    ],
+)
+def test_bad_flags_exit_3_without_running_a_check(argv, monkeypatch, capsys):
+    monkeypatch.setattr("fdcalc.cli.run_suite", lambda cfg: pytest.fail("a check ran"))
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("configuration error")
+
+
+def test_help_exits_0():
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+def test_flags_and_config_lines_give_the_same_config(tmp_path, monkeypatch):
+    values = {"p": "3/2", "grade": "2", "modes": "3", "flavors": "-1..1", "zorder": "4",
+              "window-margin": "3", "jobs": "2", "seed": "7"}
+    cfgfile = tmp_path / "verify.cfg"
+    cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    seen = []
+    monkeypatch.delenv("FDCALC_REPORT_DIR", raising=False)
+    monkeypatch.setattr("fdcalc.cli.run_suite", lambda cfg: seen.append(cfg) or [])
+    assert main(["dvir"] + [f"--{k}={v}" for k, v in values.items()]) == 0
+    assert main(["dvir", "--config", str(cfgfile)]) == 0
+    assert seen[0] == seen[1] == SuiteConfig(
+        suite="dvir", p=Fraction(3, 2), grade=2, modes=3, flavor_lo=-1, flavor_hi=1,
+        zorder=4, margin=3, jobs=2, seed=7,
+    )
+
+
+def test_an_unwritable_report_path_exits_3_without_running_a_check(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("fdcalc.cli.run_suite", lambda cfg: pytest.fail("a check ran"))
+    monkeypatch.delenv("FDCALC_REPORT_DIR", raising=False)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    for report in (plain / "x.json", plain / "sub" / "x.json", tmp_path):
+        assert main(["formal-calc", "--p", "2", "--report", str(report)]) == 3
+        assert capsys.readouterr().err.startswith("configuration error")
+    monkeypatch.setenv("FDCALC_REPORT_DIR", str(plain))
+    assert main(["formal-calc", "--p", "2"]) == 3
+    assert str(plain) in capsys.readouterr().err
+
+
+def test_a_failed_report_write_exits_3_naming_the_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("fdcalc.cli.run_suite", lambda cfg: [CheckResult("a", "pass")])
+    out = tmp_path / "rep.json"
+
+    def refuse(self, text):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr("pathlib.Path.write_text", refuse)
+    assert main(["formal-calc", "--report", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and str(out) in err

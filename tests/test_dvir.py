@@ -61,6 +61,13 @@ def test_f_rational_independent_oracle():
         assert got[l] == acc.get(l, F(0)), l
 
 
+def test_f_coefficients_refuses_a_negative_order():
+    assert f_coefficients(AT2, 0) == [1]
+    for N in (-1, -5):
+        with pytest.raises(ValueError, match=f"N={N}"):
+            f_coefficients(AT2, N)
+
+
 def test_f_specialization_commutes():
     sym = f_coefficients(SYM, 8)
     rat = f_coefficients(AT2, 8)
