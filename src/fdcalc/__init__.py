@@ -6,7 +6,7 @@ exponent windows; identities are certified coefficient-wise on recorded
 windows chosen to overdetermine the structures they assert.
 """
 
-from .scalars import Poly, Rational, RatFunc, ScalarField, normalize, power, specialize
+from .scalars import Poly, RatFunc, ScalarField, power, specialize
 from .series import (
     FactoredRational,
     TruncatedSeries,

@@ -207,11 +207,11 @@ def substitute_diag(f: TruncatedSeries, t: DeltaTerm, v1: str, v2: str) -> Delta
 def solve_exact(matrix, rhs):
     """Solve M x = b by Gauss-Jordan elimination; scalar M, payload b.
 
-    ``rhs`` is one right-hand side, a list with one entry per row, and the
-    result is its solution.  A dict of right-hand sides is solved with one
-    elimination of M, and the result is the dict of their solutions.
+    ``rhs`` maps each key to one right-hand side, a list with one entry per
+    row.  All of them are solved with one elimination of M, and the result
+    maps each key to its solution.
     """
-    cols = list(rhs.values()) if isinstance(rhs, dict) else [rhs]
+    cols = list(rhs.values())
     n = len(matrix)
     m = [list(row) for row in matrix]
     b = [list(row) for row in zip(*cols)]  # row r holds every system's entry r
@@ -230,7 +230,7 @@ def solve_exact(matrix, rhs):
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
                 b[r] = [x - f * y for x, y in zip(b[r], b[col])]
     sols = [[row[i] for row in b] for i in range(len(cols))]
-    return dict(zip(rhs, sols)) if isinstance(rhs, dict) else sols[0]
+    return dict(zip(rhs, sols))
 
 
 def _recurrence(lambdas, jmax: int) -> list:

@@ -83,9 +83,6 @@ class DVirParams:
     def at(cls, p0, q=-1) -> "DVirParams":
         return cls(ScalarField.rationals(p0), q)
 
-    def is_minus_one(self) -> bool:
-        return self.q == -1
-
 
 def f_coefficients(params: DVirParams, N: int):
     """Coefficients of exp(sum_n (1-q^n)(1-t^-n)/(1+p^n) z^n/n) up to z**N.
@@ -136,7 +133,7 @@ def central_term(params: DVirParams, m: int):
 def t_fock(params: DVirParams) -> FockModule:
     """The universal restricted module over the mode algebra of the q = -1
     anticommutator pairing."""
-    if not params.is_minus_one():
+    if params.q != -1:
         raise ValueError("the module realization is specific to q = -1")
     return FockModule(t_spec(params.field))
 

@@ -245,10 +245,6 @@ class FockModule:
     def vacuum(self) -> FockVector:
         return FockVector({(): self.field.one()})
 
-    def basis_monomial(self, gens) -> FockVector:
-        gens = tuple(sorted(gens, key=CarSpec.order_key))
-        return FockVector({gens: self.field.one()})
-
     # -- mode action -----------------------------------------------------------
 
     def apply_mode(self, r, n: int, w: FockVector) -> FockVector:
@@ -351,10 +347,6 @@ class FockModule:
         modes = range(spec.threshold - 1, -max_weight - 1, -1)
         return sorted(((r, n) for r in spec.flavors for n in modes), key=CarSpec.order_key)
 
-    def basis_monomials(self, grade_bound: int) -> list:
-        """The basis monomials of grade <= ``grade_bound``, as a new list."""
-        return list(self._basis_monomials(grade_bound))
-
     def _basis_monomials(self, grade_bound: int) -> tuple:
         hit = self._monomials.get(grade_bound)
         if hit is not None:
@@ -375,8 +367,7 @@ class FockModule:
 
         rec(0, [], 0)
         res = self._monomials[grade_bound] = tuple(
-            tuple(sorted(m, key=CarSpec.order_key))
-            for m in sorted(out, key=lambda m: (sum(CarSpec.weight(g) for g in m), m))
+            sorted(out, key=lambda m: (sum(CarSpec.weight(g) for g in m), m))
         )
         return res
 

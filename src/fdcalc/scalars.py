@@ -42,9 +42,6 @@ import math
 from fractions import Fraction
 
 
-Rational = Fraction
-
-
 class ZeroDenominator(ZeroDivisionError):
     """Denominator polynomial is identically zero."""
 
@@ -265,6 +262,8 @@ def _dyadic_or_fraction(x) -> Fraction:
 class Poly:
     """Dense univariate polynomial over Q, coefficients ascending.
 
+    The expanded form that ``RatFunc.num``/``den``, ``render``, ``specialize``
+    and the residual gcd read; ``RatFunc`` computes on integer tuples.
     Invariant: ``coeffs`` is a tuple whose last entry is nonzero; an integral
     coefficient is an ``int``, any other a ``Fraction``.  The zero polynomial
     is the empty tuple.
@@ -304,38 +303,12 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
-
     def scale(self, c) -> "Poly":
         if c == 1:
             return self
         if c == 0:
             return Poly()
         return Poly(tuple(x * c for x in self.coeffs))
-
-    def shift(self, n: int) -> "Poly":
-        """Multiply by p**n, n >= 0."""
-        if not self.coeffs or not n:
-            return self
-        return Poly((0,) * n + self.coeffs)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not other:
@@ -653,11 +626,6 @@ class RatFunc:
     def is_constant(self) -> bool:
         return not self._e and self._is_monomial()
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self!r} is not a constant")
-        return Fraction(self._cn, self._cd)
-
     def __bool__(self) -> bool:
         return bool(self._cn)
 
@@ -806,11 +774,6 @@ def _rf(cn: int, cd: int, e: int, prim=_ONE, phi=(), res=_ONE) -> RatFunc:
     f = _new(RatFunc)
     f._cn, f._cd, f._e, f._prim, f._phi, f._res = cn, cd, e, prim, phi, res
     return f
-
-
-def normalize(f: RatFunc) -> RatFunc:
-    """Canonical form of f (idempotent; construction already canonicalizes)."""
-    return RatFunc(f.num, f.den)
 
 
 def specialize(f, p0) -> Fraction:

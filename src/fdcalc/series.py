@@ -182,9 +182,6 @@ class TruncatedSeries:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def is_exact(self) -> bool:
-        return all(w == (NEG_INF, INF) for w in self.window.values())
-
     def is_zero_series(self) -> bool:
         return not self.coeffs
 
@@ -549,10 +546,7 @@ class FactoredRational:
         for root, mult in factors:
             if not root:
                 raise ValueError("roots must be nonzero (use the monomial exponent)")
-            for seen in merged:
-                if seen == root:
-                    root = seen
-                    break
+            # equal int, Fraction, Dyadic and RatFunc roots hash alike: the first is kept
             merged[root] = merged.get(root, 0) + mult
         self.const = const
         self.mexp = int(mexp)

@@ -196,11 +196,7 @@ def _check(check_id: str, window=None):
 def check_delta_annihilation(cfg: SuiteConfig):
     fld = cfg.scalar_field()
     lim = _box(20)
-    lams = [Fraction(1), Fraction(2), Fraction(-3)]
-    if fld.symbolic:
-        lams.append(RatFunc.p())
-    else:
-        lams.append(fld.p_power(1))
+    lams = [Fraction(1), Fraction(2), Fraction(-3), fld.p_power(1)]
     for lam in lams:
         for k in range(1, 5):
             for j in range(0, k):

@@ -28,7 +28,7 @@ from fdcalc.series import (
     subst_exp,
     var_scaled,
 )
-from fdcalc.scalars import RatFunc, ScalarField, power
+from fdcalc.scalars import Dyadic, RatFunc, ScalarField, power
 
 F = Fraction
 BOX = {"x1": (-8, 8), "x2": (-8, 8)}
@@ -115,7 +115,7 @@ def test_iota_polynomial_case():
     f = FactoredRational(F(1), 0, ((F(5), 1),))
     s = iota_expand(f, "x1", "x2", ("x2", "x1"), BOX)
     assert s.eq_on_common(laurent({(1, -1): 1, (0, 0): -5}))[0]
-    assert s.is_exact()
+    assert s.window == {"x1": (NEG_INF, INF), "x2": (NEG_INF, INF)}
 
 
 def test_iota_delta_difference():
@@ -354,6 +354,14 @@ def test_factored_rational_algebra():
         FactoredRational(F(0))
     with pytest.raises(ValueError):
         FactoredRational(F(1), 0, ((F(0), 1),))
+
+
+def test_equal_roots_merge_into_one_factor_keeping_the_first():
+    # int, Fraction, Dyadic and constant RatFunc roots hash alike when equal
+    for first in (F(2), RatFunc(2)):
+        f = FactoredRational(F(1), 0, ((first, 1), (Dyadic(2), 2), (2, -1)))
+        assert f.factors == ((first, 2),)
+        assert f.factors[0][0] is first
 
 
 def test_exp_arg_dict_zero_order():
