@@ -444,7 +444,7 @@ def theorem59_suite(
         for w in module.basis(g4):
             prod = product_on_window(a, "x1", a, "x2", w, hi_loc, hi_loc)
             two_roots = FactoredRational(fld.one(), 0, ((p, 1), (fld.p_power(-1), 1)))
-            F = laurent_annihilator(two_roots, "x1", "x2") * prod
+            F = laurent_annihilator(two_roots) * prod
             F = F.scaled(p).shifted(x2=2)  # (x1 - p x2)(p x1 - x2) = p x2^2 (y-p)(y-1/p)
             F = _certified_floor(F, margin)
             A = divide_linear(F.untagged(), "x1", "x2", fld.one(), hi2_cap=cap)
@@ -474,8 +474,8 @@ def theorem59_suite(
         box = {"x1": (-hi, hi), "x2": (-hi, hi)}
         for w in module.basis(min(grade_bound, 4)):
             D = defect_series(Lself, w, hi + 2, hi + 2).restricted(box)
-            want = [DeltaTerm(lam, 0, unit_coeff("x2", 2 * w)) for lam in (p, fld.p_power(-1))]
-            ok, ce = delta_agree(D, [t.lam for t in want], 0, want, "x1", "x2")
+            want = [DeltaTerm(lam, 0, unit_coeff(2 * w)) for lam in (p, fld.p_power(-1))]
+            ok, ce = delta_agree(D, [t.lam for t in want], 0, want)
             if not ok:
                 yield repr(w), "pairing mismatch", ce
 

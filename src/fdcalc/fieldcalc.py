@@ -208,7 +208,7 @@ def compat_check(
     if not p.is_laurent():
         raise ValueError("annihilator must be a polynomial in the ratio")
     prod = product_on_window(a, "x1", b, "x2", w, hi1, hi2)
-    F = laurent_annihilator(p, "x1", "x2") * prod
+    F = laurent_annihilator(p) * prod
     return quadrant_verdict(F, margin)
 
 
@@ -217,7 +217,7 @@ def locality_check(L: LocalityDatum, w: FockVector, hi1: int, hi2: int):
     :func:`defect_series` must vanish.  Returns (ok, counterexample), the
     counterexample being the first cell where the two sides differ and the
     difference lhs - rhs there."""
-    ann = laurent_annihilator(L.annihilator, "x1", "x2")
+    ann = laurent_annihilator(L.annihilator)
     return (ann * defect_series(L, w, hi1, hi2)).is_zero_on_window()
 
 
@@ -263,7 +263,7 @@ def _certified_floor(F: TruncatedSeries, margin: int) -> TruncatedSeries:
 
 def _annihilated(prod: TruncatedSeries, p: FactoredRational, margin: int) -> TruncatedSeries:
     """p(x1/x2) P for a two-field product P, certified by :func:`_certified_floor`."""
-    return _certified_floor(laurent_annihilator(p, "x1", "x2") * prod, margin).untagged()
+    return _certified_floor(laurent_annihilator(p) * prod, margin).untagged()
 
 
 def _z_modes(G: TruncatedSeries, q: FactoredRational, zorder: int) -> YeModes:
@@ -367,7 +367,7 @@ def residue_ye(
     if not L.partners:
         raise ValueError("locality datum has no partners")
     prod = product_on_window(L.a, "x1", L.b, "x2", w, hi1, hi2)
-    bracket = _residue_plus((laurent_annihilator(p, "x1", "x2") * prod).untagged(), zorder)
+    bracket = _residue_plus((laurent_annihilator(p) * prod).untagged(), zorder)
     for b_i, a_i, f_i in L.partners:
         rev = product_on_window(b_i, "x2", a_i, "x1", w, hi2, hi1)
         q = p * f_i.reciprocal_arg()  # q(y) = p(y) f_i(1/y), y = x1/x2
@@ -448,7 +448,7 @@ def scaled_mode_extract(
     """
     jmax = max((m for _, m in L.annihilator.factors), default=1) - 1
     D = defect_series(L, w, hi1, hi2).restricted(box)
-    terms = delta_fit(D, list(lambdas), jmax, "x1", "x2")
+    terms = delta_fit(D, list(lambdas), jmax)
     fitted = {(repr(t.lam), t.j): t for t in terms}
     agreements = {}
     for lam in lambdas:
@@ -577,8 +577,8 @@ def commutator_formula_fit(
         jmax = max((t.j for terms in kernels.values() for t in terms), default=0)
         lhs = defect_series(L1, w, hi1, hi2, thm_region=True, direct=base).restricted(box)
         try:
-            fit = delta_fit(lhs, tuple(kernels), jmax, "x1", "x2")
-            found = fit, fit_window(lhs, fit, "x1", "x2")
+            fit = delta_fit(lhs, tuple(kernels), jmax)
+            found = fit, fit_window(lhs, fit)
         except NotDeltaSum as exc:
             found = str(exc)
         entry = module._commutators[memo_key] = kernels, found
@@ -597,7 +597,7 @@ def commutator_formula_fit(
     rhs = [in_caller_coordinates(t) for terms in kernels.values() for t in terms]
     fit, window = found
     fit = [in_caller_coordinates(t) for t in fit]
-    ok, ce = fit_agree(fit, window, rhs, "x2")
+    ok, ce = fit_agree(fit, window, rhs)
     return ok, ce, contributing, (fit, window)
 
 

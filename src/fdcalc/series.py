@@ -259,19 +259,15 @@ class TruncatedSeries:
 
     # -- ring operations ------------------------------------------------------
 
-    def _combine_region(self, other, strict):
+    def _combine_region(self, other):
         if self.region is None:
             return other.region
-        if other.region is None:
+        if other.region is None or self.region == other.region:
             return self.region
-        if self.region == other.region:
-            return self.region
-        if strict:
-            raise RegionMismatch(
-                f"cannot combine expansions tagged {self.region} and {other.region}; "
-                "untag explicitly for coefficient-wise defect arithmetic"
-            )
-        return None
+        raise RegionMismatch(
+            f"cannot combine expansions tagged {self.region} and {other.region}; "
+            "untag explicitly for coefficient-wise defect arithmetic"
+        )
 
     def add_scaled(self, other: "TruncatedSeries", c) -> "TruncatedSeries":
         """self + c * other in one pass over other's cells: c = 1 adds and
@@ -280,7 +276,7 @@ class TruncatedSeries:
         its support unless c is 0)."""
         if not c:
             other, c = other.scaled(0), 1
-        region = self._combine_region(other, strict=True)
+        region = self._combine_region(other)
         vars = tuple(sorted(set(self.vars) | set(other.vars)))
         a, b = self._aligned(vars), other._aligned(vars)
         window, support = {}, {}
@@ -342,7 +338,7 @@ class TruncatedSeries:
         return TruncatedSeries(vars, out, window, support, self.region)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        region = self._combine_region(other, strict=True)
+        region = self._combine_region(other)
         vars = tuple(sorted(set(self.vars) | set(other.vars)))
         a, b = self._aligned(vars), other._aligned(vars)
         window, support = {}, {}

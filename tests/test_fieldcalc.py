@@ -215,7 +215,7 @@ def _top_reference(L, w, hi1, hi2):
     slice of its bracket: both kernels rerun at z-order 0."""
     p = L.annihilator
     prod = product_on_window(L.a, "x1", L.b, "x2", w, hi1, hi2)
-    top = fieldcalc._residue_plus((laurent_annihilator(p, "x1", "x2") * prod).untagged(), 0)
+    top = fieldcalc._residue_plus((laurent_annihilator(p) * prod).untagged(), 0)
     for b_i, a_i, f_i in L.partners:
         rev = product_on_window(b_i, "x2", a_i, "x1", w, hi2, hi1)
         q = p * f_i.reciprocal_arg()
@@ -349,9 +349,7 @@ def test_delta_decompose_fermion_pair(tmod):
         direct = product_on_window(a, "x1", a, "x2", w, 8, 8)
         reversed_ = product_on_window(a, "x2", a, "x1", w, 8, 8)
         box = {"x1": (-6, 6), "x2": (-6, 6)}
-        terms = delta_decompose(
-            direct.restricted(box), -reversed_.restricted(box), pmin, "x1", "x2"
-        )
+        terms = delta_decompose(direct.restricted(box), -reversed_.restricted(box), pmin)
         got = {repr(t.lam): t.coeff.get(x2=0) for t in terms}
         assert all(t.j == 0 for t in terms)
         assert got == {
@@ -369,7 +367,7 @@ def test_zero_defect_extracts_nothing(tmod):
     )
     D = defect_series(L, E.vacuum(), 6, 6).restricted({"x1": (-5, 5), "x2": (-5, 5)})
     assert D.is_zero_on_window()[0]
-    assert delta_fit(D, [one], 0, "x1", "x2") == []
+    assert delta_fit(D, [one], 0) == []
 
 
 def test_commutator_formula_diagonal(tmod):
@@ -567,7 +565,7 @@ def test_mode_truncation_divisibility(tmod):
     a = tfield(tmod, 1)
     q = minimal_p(Q2, 1, 1)  # roots p, 1/p: q(1) != 0
     prod = product_on_window(a, "x1", a, "x2", vac, 12, 12)
-    Fq = laurent_annihilator(q, "x1", "x2") * prod
+    Fq = laurent_annihilator(q) * prod
     verdict = quadrant_verdict(Fq, 2)
     assert verdict.status == "compatible"
     Fq = Fq.assert_support_floor({"x1": verdict.bound[0], "x2": verdict.bound[1]})
@@ -758,7 +756,7 @@ def _locality_reference(L, w, hi1, hi2):
     """locality_check as it was before it read defect_series: the twisted
     reversed products summed, then multiplied by p once, and both sides
     compared cell by cell; a failure names (cell, lhs, rhs)."""
-    ann = laurent_annihilator(L.annihilator, "x1", "x2")
+    ann = laurent_annihilator(L.annihilator)
     lhs = ann * product_on_window(L.a, "x1", L.b, "x2", w, hi1, hi2)
     rhs = None
     for b_i, a_i, f_i in L.partners:
@@ -838,7 +836,7 @@ def _commutator_reference(L, C, w, box, zorder, hi1, hi2, margin=2):
             kernels.append((n, chi, terms))
     rhs = [t for _, _, terms in kernels for t in terms]
     jmax = max((t.j for t in rhs), default=0)
-    ok, ce = delta_agree(lhs, [chi for _, chi, _ in kernels], jmax, rhs, "x1", "x2")
+    ok, ce = delta_agree(lhs, [chi for _, chi, _ in kernels], jmax, rhs)
     return ok, ce, [(n, chi, [t.j for t in terms]) for n, chi, terms in kernels]
 
 
@@ -1022,9 +1020,9 @@ def _fit_outcome(L, C, w, box):
 def _counting_delta_fit(monkeypatch):
     calls = []
 
-    def counted(D, lambdas, jmax, v1, v2):
+    def counted(D, lambdas, jmax):
         calls.append(tuple(lambdas))
-        return delta_fit(D, lambdas, jmax, v1, v2)
+        return delta_fit(D, lambdas, jmax)
 
     monkeypatch.setattr(fieldcalc, "delta_fit", counted)
     return calls

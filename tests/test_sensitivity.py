@@ -123,17 +123,17 @@ def _factor_asc_square_linear_tripled(root, mult, span):
     return {i: 3 * c if (mult, i) == (2, 1) else c for i, c in out.items()}
 
 
-def _delta_expand_derivatives_doubled(term, v1, v2, limits):
-    out = _delta_expand(term, v1, v2, limits)
+def _delta_expand_derivatives_doubled(term, limits):
+    out = _delta_expand(term, limits)
     return out.scaled(2) if term.j >= 1 else out
 
 
-def _delta_fit_spurious_on_zero(D, lambdas, jmax, v1, v2):
+def _delta_fit_spurious_on_zero(D, lambdas, jmax):
     """One spurious term for a series with no coefficients."""
-    fit = _delta_fit(D, lambdas, jmax, v1, v2)
+    fit = _delta_fit(D, lambdas, jmax)
     if D.coeffs:
         return fit
-    return [DeltaTerm(list(lambdas)[0], 0, unit_coeff(v2))]
+    return [DeltaTerm(list(lambdas)[0], 0, unit_coeff())]
 
 
 def _diagonal_collapse_inverted(s, var, target, lam=1):

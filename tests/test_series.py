@@ -846,7 +846,7 @@ def _pairwise_product(A, B):
     window, support and region rules are the product's own."""
     from fdcalc.series import _mul_interval, _support_add_hi, _support_add_lo
 
-    region = A._combine_region(B, strict=True)
+    region = A._combine_region(B)
     vars = tuple(sorted(set(A.vars) | set(B.vars)))
     a, b = A._aligned(vars), B._aligned(vars)
     window, support = {}, {}
